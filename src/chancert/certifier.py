@@ -44,7 +44,7 @@ from .linalg import (
     HermOp,
     NotPSDError,
     Tolerances,
-    dist_to_psd,
+    _dist_to_psd,
     partial_trace,
     spectral_norm,
 )
@@ -119,7 +119,7 @@ def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
     z = HermOp((z_raw + z_raw.conj().T) / 2.0)
     y = h.mat - np.kron(np.eye(d_out), z.mat)
     min_eig = float(np.min(np.linalg.eigvalsh((y + y.conj().T) / 2.0)))
-    epsilon, _ = dist_to_psd(h.mat - np.kron(np.eye(d_out), z_raw), tol)
+    epsilon, _ = _dist_to_psd(h.mat - np.kron(np.eye(d_out), z_raw))
     bound = epsilon * d_in
     scale = 1.0 + h.norm()
     passed = herm_defect <= tol.tau_herm * scale and min_eig >= -tol.tau_psd * scale

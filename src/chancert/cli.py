@@ -207,6 +207,10 @@ def cmd_hykl(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    if min(args.dims) < 1:
+        raise InputProblem("conjecture: dims must be positive")
+    if args.trials < 1:
+        raise InputProblem("conjecture: --trials must be at least 1")
     tol = _tolerances(args, TOL)
     cfg = SolverConfig(step_rule="polyak", max_iters=args.max_iters, stall_window=150)
     dims = tuple(args.dims)
@@ -255,9 +259,11 @@ def cmd_gen(args) -> int:
             u = np.linalg.qr(
                 rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
             )[0]
-            elements = [
-                encode_matrix(np.outer(u[:, k], u[:, k].conj())) for k in range(d_in)
-            ]
+            projectors = [np.outer(u[:, k], u[:, k].conj()) for k in range(d_in)]
+            if m < d_in:
+                # exactly m elements: the last one takes the surplus projectors
+                projectors[m - 1:] = [sum(projectors[m - 1:])]
+            elements = [encode_matrix(p) for p in projectors]
             while len(elements) < m:
                 elements.append(encode_matrix(np.zeros((d_in, d_in))))
             channel = {"kind": "povm", "elements": elements}

@@ -116,13 +116,26 @@ def _check_square(m: np.ndarray, what: str = "matrix") -> None:
         raise ValueError(f"{what} contains non-finite entries")
 
 
+def _herm_part(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Hermitian part ``(a + a^dagger) / 2`` and whether it equals ``a``.
+
+    Elementwise equality holds exactly when ``spectral_norm(a - h) == 0``,
+    so callers learn that the defect is zero without an SVD.
+    """
+    h = (a + a.conj().T) / 2.0
+    return h, bool(np.array_equal(h, a))
+
+
 @dataclass(frozen=True)
 class HermOp:
     """A validated Hermitian operator.
 
     The stored matrix is the exact Hermitian part ``(M + M^dagger) / 2`` of
     the constructor input; construction fails if the input's Hermiticity
-    defect exceeds ``tau_herm * (1 + norm)``.
+    defect exceeds ``tau_herm * (1 + norm)``, or if the Hermitian part
+    overflows.  When the input already equals its Hermitian part
+    elementwise, both spectral norms are skipped: the defect is then exactly
+    0, so the check cannot fail and the stored matrix is the same.
     """
 
     mat: np.ndarray
@@ -132,14 +145,18 @@ class HermOp:
         t = tol or TOL
         m = as_array(self.mat)
         _check_square(m, "HermOp input")
-        h = (m + m.conj().T) / 2.0
-        defect = spectral_norm(m - h)
-        scale = 1.0 + spectral_norm(h)
-        if defect > t.tau_herm * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                f"{t.tau_herm:.1e} * {scale:.3e}"
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, exact = _herm_part(m)
+        if not exact:
+            if not np.all(np.isfinite(h)):
+                raise ValueError("matrix is too large: its Hermitian part overflows")
+            defect = spectral_norm(m - h)
+            scale = 1.0 + spectral_norm(h)
+            if defect > t.tau_herm * scale:
+                raise ValueError(
+                    f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+                    f"{t.tau_herm:.1e} * {scale:.3e}"
+                )
         h.setflags(write=False)
         object.__setattr__(self, "mat", h)
 
@@ -189,14 +206,15 @@ def spectral_norm(m) -> float:
     a = as_array(m)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    # the LAPACK call np.linalg.norm(a, 2) makes, without its axis handling
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def trace_norm(m) -> float:
     """Sum of singular values (sum of |eigenvalues| for Hermitian input)."""
     a = as_array(m)
-    h = (a + a.conj().T) / 2.0
-    if spectral_norm(a - h) == 0.0:
+    h, exact = _herm_part(a)
+    if exact:
         return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
@@ -361,6 +379,21 @@ def partial_trace(m, dims: tuple[int, int], over: int) -> np.ndarray:
     raise ValueError("over must be 0 or 1")
 
 
+def _dist_to_psd(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Distance of square ``a`` to the PSD cone and the witness matrix
+    (see :func:`dist_to_psd`); callers that need only the distance skip
+    validating the witness."""
+    _check_square(a)
+    h, exact = _herm_part(a)
+    w, v = _eigh(h)
+    pos = v @ (np.clip(w, 0.0, None)[:, None] * v.conj().T)
+    if exact:
+        eps = max(0.0, -float(np.min(w))) if w.size else 0.0
+    else:
+        eps = spectral_norm(a - pos)
+    return eps, pos
+
+
 def dist_to_psd(m, tol: Tolerances = TOL) -> tuple[float, HermOp]:
     """Spectral-norm distance from ``m`` to the PSD cone, with the witness point.
 
@@ -369,18 +402,8 @@ def dist_to_psd(m, tol: Tolerances = TOL) -> tuple[float, HermOp]:
     the Hermitian part is used as the feasible point, which yields a sound
     upper bound on the true distance.
     """
-    a = as_array(m)
-    _check_square(a)
-    h = (a + a.conj().T) / 2.0
-    exactly_hermitian = spectral_norm(a - h) == 0.0
-    w, v = _eigh(h)
-    pos = v @ (np.clip(w, 0.0, None)[:, None] * v.conj().T)
-    p = HermOp(pos)
-    if exactly_hermitian:
-        eps = max(0.0, -float(np.min(w))) if w.size else 0.0
-    else:
-        eps = spectral_norm(a - pos)
-    return eps, p
+    eps, pos = _dist_to_psd(as_array(m))
+    return eps, HermOp(pos)
 
 
 def kron(a, b) -> np.ndarray:

@@ -16,7 +16,7 @@ from chancert.certifier import (
     subopt_bound,
 )
 from chancert.choi import BipartiteState, ChoiOp, Povm, depolarizing_choi, identity_choi, q2c_choi
-from chancert.linalg import HermOp, NotPSDError, partial_trace, spectral_norm
+from chancert.linalg import HermOp, NotPSDError, dist_to_psd, partial_trace, spectral_norm
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
@@ -201,3 +201,20 @@ def test_trace_distance_certificate_scale_and_z(seed):
     assert cert.scale == pytest.approx(1.0 + res.h.norm(), rel=1e-12)
     z_raw = partial_trace(res.h.mat @ j.mat, (2, 2), 0)
     assert spectral_norm(cert.z.mat - (z_raw + z_raw.conj().T) / 2.0) <= 1e-14
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=30)
+def test_certify_epsilon_is_dist_to_psd_of_raw_residual(seed, exact):
+    rng = np.random.default_rng(seed)
+    d_out, d_in = 2, 3
+    j = random_channel_choi(d_in, d_out, rng)
+    if exact:
+        # H = D (x) 1_in makes Tr_out(HJ) exactly Hermitian
+        h = HermOp(np.kron(np.diag(rng.standard_normal(d_out)), np.eye(d_in)))
+    else:
+        h = HermOp(rand_herm(d_out * d_in, rng))
+    z_raw = partial_trace(h.mat @ j.mat, (d_out, d_in), 0)
+    residual = h.mat - np.kron(np.eye(d_out), z_raw)
+    assert np.array_equal(residual, residual.conj().T) == exact
+    assert certify(h, j).epsilon == dist_to_psd(residual)[0]

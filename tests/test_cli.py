@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ def test_certify_input_errors_exit_two(tmp_path, capsys):
     assert err.strip() != ""
 
 
+def test_certify_overflowing_matrix_exits_two_without_warnings(tmp_path, capsys):
+    h0 = np.array([[0.0, 1e308], [1e308, 0.0]])
+    doc = problem_to_dict((2, 1, 1), {"family": "Linear", "h0": _mat(h0)},
+                          {"kind": "choi", "matrix": _mat(np.eye(2))})
+    path = _write(tmp_path, "huge.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "overflows" in err
+
+
 def test_certify_output_is_byte_deterministic(helstrom_file, capsys):
     main(["certify", helstrom_file])
     first = capsys.readouterr().out
@@ -202,6 +216,14 @@ def test_conjecture_output_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("flags", [["--dims", "0", "2", "2"], ["--trials", "-3"]])
+def test_conjecture_rejects_nonpositive_sizes(flags, capsys):
+    assert main(["conjecture", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
 # --------------------------------------------------------------------- gen
 
 
@@ -231,6 +253,15 @@ def test_gen_discrimination_with_channel_certifies(tmp_path, capsys):
     capsys.readouterr()
     assert main(["hykl", str(path)]) in (0, 4)
     json.loads(capsys.readouterr().out)
+
+
+def test_gen_discrimination_fewer_hypotheses_than_input_dim(tmp_path, capsys):
+    path = tmp_path / "disc.json"
+    assert main(["gen", "discrimination", str(path), "--dims", "4", "3", "1",
+                 "--with-channel"]) == 0
+    assert len(json.loads(path.read_text())["channel"]["elements"]) == 3
+    assert main(["certify", str(path)]) in (0, 3)
+    capsys.readouterr()
 
 
 def test_gen_rejects_unknown_family(capsys):

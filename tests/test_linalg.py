@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,14 +53,38 @@ def test_tolerances_validate():
 def test_hermop_stores_exact_hermitian_part():
     base = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 3.0]])
     m = base + 1e-12 * np.array([[0.0, 1.0], [-1.0, 0.0]])  # tiny skew part
-    h = HermOp(m)
-    assert np.array_equal(h.mat, (m + m.conj().T) / 2.0)
-    assert np.array_equal(h.mat, h.mat.conj().T)
+    for x in (base, m):  # exactly Hermitian, and with a defect below tau_herm
+        h = HermOp(x)
+        assert np.array_equal(h.mat, (x + x.conj().T) / 2.0)
+        assert np.array_equal(h.mat, h.mat.conj().T)
 
 
 def test_hermop_rejects_gross_defect():
     with pytest.raises(ValueError):
         HermOp(np.array([[1.0, 2.0 + 1j], [0.0, 3.0]]))
+
+
+def test_hermop_defect_threshold():
+    # Hermitian part diag(1, 3) is exact, so scale = 1 + 3 and the defect
+    # is the skew part's norm delta.
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    limit = TOL.tau_herm * 4.0
+    below = np.diag([1.0, 3.0]) + 0.99 * limit * skew
+    assert np.array_equal(HermOp(below).mat, (below + below.conj().T) / 2.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermOp(np.diag([1.0, 3.0]) + 1.01 * limit * skew)
+
+
+@pytest.mark.parametrize("m", [
+    [[0.0, 1e308], [1e308, 0.0]],
+    [[1.7e308, 0.0], [0.0, 1.0]],
+    [[0.0, 1e308j], [-1e308j, 0.0]],
+])
+def test_hermop_overflow_is_a_value_error_without_warnings(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            HermOp(np.array(m))
 
 
 @given(seeds, dims)
@@ -276,6 +301,13 @@ def test_norms(seed, d):
     w = np.linalg.eigvalsh(a)
     assert spectral_norm(a) == pytest.approx(np.max(np.abs(w)), rel=1e-12)
     assert trace_norm(a) == pytest.approx(np.sum(np.abs(w)), rel=1e-12)
+
+
+@given(seeds, st.sampled_from([(1, 1), (3, 3), (5, 5), (2, 4), (6, 3)]))
+def test_spectral_norm_is_bitwise_numpy_norm(seed, shape):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert spectral_norm(a) == float(np.linalg.norm(a, 2))
 
 
 @given(seeds, dims)
