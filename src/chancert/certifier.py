@@ -45,6 +45,7 @@ from .linalg import (
     NotPSDError,
     Tolerances,
     _dist_to_psd,
+    kron,
     partial_trace,
     spectral_norm,
 )
@@ -117,9 +118,9 @@ def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
     z_raw = partial_trace(h.mat @ j.mat, (d_out, d_in), 0)
     herm_defect = spectral_norm(z_raw - z_raw.conj().T)
     z = HermOp((z_raw + z_raw.conj().T) / 2.0)
-    y = h.mat - np.kron(np.eye(d_out), z.mat)
+    y = h.mat - kron(np.eye(d_out), z.mat)
     min_eig = float(np.min(np.linalg.eigvalsh((y + y.conj().T) / 2.0)))
-    epsilon, _ = _dist_to_psd(h.mat - np.kron(np.eye(d_out), z_raw))
+    epsilon, _ = _dist_to_psd(h.mat - kron(np.eye(d_out), z_raw))
     bound = epsilon * d_in
     scale = 1.0 + h.norm()
     passed = herm_defect <= tol.tau_herm * scale and min_eig >= -tol.tau_psd * scale
@@ -206,7 +207,7 @@ def linear_dual_value(
     if low < -tol.tau_psd * (1.0 + y.norm()):
         raise NotPSDError(f"dual variable Y has eigenvalue {low:.3e}")
     d_out = h0.dim // z.dim
-    defect = spectral_norm(h0.mat - y.mat - np.kron(np.eye(d_out), z.mat))
+    defect = spectral_norm(h0.mat - y.mat - kron(np.eye(d_out), z.mat))
     if defect > tol.tau_num * (1.0 + h0.norm()):
         return -math.inf
     return float(np.real(np.trace(z.mat)))

@@ -71,9 +71,12 @@ def _global_flags(p: argparse.ArgumentParser) -> None:
                    help="override the relative PSD tolerance")
     p.add_argument("--tol-herm", type=float, default=None, metavar="X",
                    help="override the relative Hermiticity tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     p.add_argument("--json-indent", type=int, default=None, metavar="N",
                    help="pretty-print payloads with N-space indents")
+
+
+def _seed_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
 
 
 def _solver_flags(p: argparse.ArgumentParser) -> None:
@@ -115,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-iters", type=int, default=1200)
     _global_flags(p)
+    _seed_flag(p)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("gen", help="write a seeded random problem file")
@@ -127,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-channel", action="store_true",
                    help="attach a random channel (or measurement) to the file")
     _global_flags(p)
+    _seed_flag(p)
     p.set_defaults(func=cmd_gen)
 
     return parser
@@ -166,7 +171,7 @@ def cmd_certify(args) -> int:
 
 def cmd_solve(args) -> int:
     prob, tol = _load(args)
-    kw = {"seed": args.seed}
+    kw = {}
     if args.max_iters is not None:
         kw["max_iters"] = args.max_iters
     if args.step_rule is not None:

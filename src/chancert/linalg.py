@@ -112,8 +112,35 @@ def as_array(x) -> np.ndarray:
 def _check_square(m: np.ndarray, what: str = "matrix") -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
+
+
+def _fro(a: np.ndarray) -> float:
+    """Frobenius norm, an upper bound on the spectral norm (nan or inf on
+    overflow)."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
+def _fro_settles(defect: np.ndarray, limit: float) -> bool:
+    """Whether ``spectral_norm(defect) <= limit`` is already proven by
+    ``||defect||_2 <= ||defect||_F``.
+
+    ``limit`` must bound the exact check's threshold from below, up to
+    rounding.  The factor 2 absorbs the rounding of the Frobenius sum and of
+    the SVD, so a True answer cannot disagree with the exact comparison; a
+    False answer (also on overflow) only means the exact check must run.
+    """
+    return 2.0 * _fro(defect) <= limit < math.inf
+
+
+def _psd_violation(low: float, tau: float, op: HermOp) -> bool:
+    """Whether ``low < -tau * (1 + ||op||)``.
+
+    The scale is at least 1, so ``low >= -tau`` answers False without the
+    norm's SVD, and the rounded product cannot undercut ``tau`` either.
+    """
+    return low < -tau and low < -tau * (1.0 + op.norm())
 
 
 def _herm_part(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -133,9 +160,18 @@ class HermOp:
     The stored matrix is the exact Hermitian part ``(M + M^dagger) / 2`` of
     the constructor input; construction fails if the input's Hermiticity
     defect exceeds ``tau_herm * (1 + norm)``, or if the Hermitian part
-    overflows.  When the input already equals its Hermitian part
-    elementwise, both spectral norms are skipped: the defect is then exactly
-    0, so the check cannot fail and the stored matrix is the same.
+    overflows.  Both spectral norms (two SVDs) are skipped when the outcome
+    is already settled:
+
+    * the input equals its Hermitian part elementwise, so the defect is
+      exactly 0 and the stored matrix is the same;
+    * twice the Frobenius norm of the defect is at most
+      ``tau_herm * (1 + ||H||_F / sqrt(n))``.  Since
+      ``||D||_2 <= ||D||_F`` and ``||H||_2 >= ||H||_F / sqrt(n)``, the
+      exact check would pass too; the factor 2 is far above the rounding
+      of either computation, so the decision cannot change.
+
+    Any other input runs the exact check, which alone reports a defect.
     """
 
     mat: np.ndarray
@@ -148,15 +184,17 @@ class HermOp:
         with np.errstate(over="ignore", invalid="ignore"):
             h, exact = _herm_part(m)
         if not exact:
-            if not np.all(np.isfinite(h)):
+            if not np.isfinite(h).all():
                 raise ValueError("matrix is too large: its Hermitian part overflows")
-            defect = spectral_norm(m - h)
-            scale = 1.0 + spectral_norm(h)
-            if defect > t.tau_herm * scale:
-                raise ValueError(
-                    f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                    f"{t.tau_herm:.1e} * {scale:.3e}"
-                )
+            diff = m - h
+            if not _fro_settles(diff, t.tau_herm * (1.0 + _fro(h) / math.sqrt(m.shape[0]))):
+                defect = spectral_norm(diff)
+                scale = 1.0 + spectral_norm(h)
+                if defect > t.tau_herm * scale:
+                    raise ValueError(
+                        f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+                        f"{t.tau_herm:.1e} * {scale:.3e}"
+                    )
         h.setflags(write=False)
         object.__setattr__(self, "mat", h)
 
@@ -407,8 +445,16 @@ def dist_to_psd(m, tol: Tolerances = TOL) -> tuple[float, HermOp]:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor owning the slow index."""
-    return np.kron(as_array(a), as_array(b))
+    """Kronecker product of 2-D operands, the left factor owning the slow index.
+
+    Forms the same broadcast product ``np.kron`` forms, on the operands as
+    given (no dtype coercion), so the result is bitwise identical to
+    ``np.kron(a, b)``, signed zeros included; it skips only the n-D axis
+    bookkeeping around that product.
+    """
+    x, y = np.asarray(a), np.asarray(b)
+    (p, q), (r, s) = x.shape, y.shape
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(p * r, q * s)
 
 
 def image_inclusion_defect(p: HermOp, q: HermOp, tol: Tolerances = TOL) -> float:

@@ -53,9 +53,11 @@ from .linalg import (
     HermOp,
     SingularLogError,
     Tolerances,
+    _psd_violation,
     dlog,
     fidelity,
     image_inclusion_defect,
+    kron,
     mat_sqrt,
     partial_trace,
     rel_entropy,
@@ -89,7 +91,7 @@ class InvalidEnsembleError(ValueError):
 
 def _check_density(op: HermOp, tol: Tolerances, what: str) -> None:
     low = float(np.min(np.linalg.eigvalsh(op.mat)))
-    if low < -tol.tau_psd * (1.0 + op.norm()):
+    if _psd_violation(low, tol.tau_psd, op):
         raise InvalidEnsembleError(f"{what} is not PSD (min eigenvalue {low:.3e})")
     tr = float(np.real(np.trace(op.mat)))
     if abs(tr - 1.0) > tol.tau_num * 10:
@@ -379,7 +381,7 @@ def fidelity_sq_objective(
         f_k = fidelity(sig_k, tau_h, tol)
         g_k, ex_k = _fid_direction(sig_k.mat, tau_h.mat, tol)
         value -= p * f_k * f_k
-        h -= p * f_k * np.kron(g_k, rho_k.mat.T)
+        h -= p * f_k * kron(g_k, rho_k.mat.T)
         exact = exact and ex_k
         d_k = image_inclusion_defect(sig_k, tau_h, tol)
         defect = max(defect, d_k)
@@ -452,7 +454,7 @@ def rel_entropy_objective(
     # Weight of sigma outside Y (x) im(Tr_sys rho) makes the objective
     # identically infinite; detect before the squeeze discards those rows.
     red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env), 0)
-    reach = HermOp(np.kron(np.eye(d_out), (red + red.conj().T) / 2.0), tol)
+    reach = HermOp(kron(np.eye(d_out), (red + red.conj().T) / 2.0), tol)
     pre_defect = image_inclusion_defect(sigma.op, reach, tol)
     if pre_defect > tol.tau_rank * spectral_norm(sigma.mat):
         return SubgradResult(

@@ -31,7 +31,9 @@ from .linalg import (
     DimensionMismatchError,
     HermOp,
     Tolerances,
+    _fro_settles,
     as_array,
+    kron,
     partial_trace,
     spectral_norm,
 )
@@ -87,7 +89,6 @@ class SolverConfig:
     step_c: float = 1.0
     tol_gap: float = 1e-7
     tol_feas: float = 1e-9
-    seed: int = 0
     stall_window: int = 200
 
     def __post_init__(self) -> None:
@@ -143,16 +144,17 @@ def project_channel(
     eye_in = np.eye(d_in)
     # Feasible input short-circuits: makes the projection exactly idempotent.
     low = float(np.min(np.linalg.eigvalsh(cur)))
-    tr_defect = spectral_norm(partial_trace(cur, dims, 0) - eye_in)
-    if max(0.0, -low) <= cfg.tol_feas and tr_defect <= cfg.tol_feas:
-        return ChoiOp(HermOp(cur, tol), d_out, d_in, tol)
+    if max(0.0, -low) <= cfg.tol_feas:
+        tr_diff = partial_trace(cur, dims, 0) - eye_in
+        if _fro_settles(tr_diff, cfg.tol_feas) or spectral_norm(tr_diff) <= cfg.tol_feas:
+            return ChoiOp(HermOp(cur, tol), d_out, d_in, tol)
     for _ in range(cfg.max_iters):
         shifted = cur + corr
         w, v = np.linalg.eigh(shifted)
         psd = (v * np.clip(w, 0.0, None)) @ v.conj().T
         corr = shifted - psd
         tr = partial_trace(psd, dims, 0)
-        cur = psd + np.kron(eye_out, (eye_in - tr) / d_out)
+        cur = psd + kron(eye_out, (eye_in - tr) / d_out)
         low = float(np.min(np.linalg.eigvalsh(cur)))
         if max(0.0, -low) <= cfg.tol_feas:
             return ChoiOp(HermOp(cur, tol), d_out, d_in, tol)

@@ -31,3 +31,26 @@ def rand_pure(d, rng):
 
 def herm(m):
     return HermOp(m)
+
+
+# defect sizes, as multiples of a check's exact threshold, for the tests that
+# pin bound-settled validation decisions to the exact formulas
+THRESHOLD_FACTORS = (1e-3, 0.3, 0.99, 1.01, 3.0)
+
+
+def outcome(fn, *args, **kwargs):
+    """``(exception type, message)`` raised by the call, or None if it returns."""
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def forbid_svd(monkeypatch):
+    """Make every later ``np.linalg.svd`` call fail the test."""
+
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called on a settled check")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)

@@ -19,9 +19,16 @@ from chancert.choi import (
     povm_from_choi,
     q2c_choi,
 )
-from chancert.linalg import HermOp, partial_trace, spectral_norm
+from chancert.linalg import TOL, HermOp, partial_trace, spectral_norm
 from chancert.solvers import random_channel_choi
-from conftest import rand_density, rand_herm, rand_pure
+from conftest import (
+    THRESHOLD_FACTORS,
+    forbid_svd,
+    outcome,
+    rand_density,
+    rand_herm,
+    rand_pure,
+)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -184,3 +191,137 @@ def test_choi_dims_recorded():
     assert (j.dim_out, j.dim_in) == (2, 3)
     assert j.mat.shape == (6, 6)
     assert spectral_norm(partial_trace(j.mat, (2, 3), 0) - np.eye(3)) <= 1e-12
+
+
+# ------------------------------------------- validation decisions vs seed code
+#
+# The seed code ran every check below with exact spectral norms.  Validation
+# now skips them when a cheap bound settles the check, so each test builds
+# defects at multiples of the exact threshold and requires the same outcome
+# (accept, or the same exception type and message) as the seed formula.
+
+
+def _norm2(m) -> float:
+    return float(np.linalg.norm(m, 2))
+
+
+def _min_eig(m) -> float:
+    return float(np.min(np.linalg.eigvalsh(m)))
+
+
+def _seed_choiop(m, d_out, d_in, t=TOL):
+    op = HermOp(m, t)
+    scale = 1.0 + _norm2(op.mat)
+    low = _min_eig(op.mat)
+    if low < -t.tau_psd * scale:
+        raise ValueError(f"Choi operator not PSD: min eigenvalue {low:.3e}")
+    tr_out = partial_trace(op.mat, (d_out, d_in), 0)
+    defect = _norm2(tr_out - np.eye(d_in))
+    if defect > t.tau_num * max(1.0, scale):
+        raise NotTracePreservingError(f"partial trace deviates from identity by {defect:.3e}")
+    tr = float(np.real(np.trace(op.mat)))
+    if abs(tr - d_in) > t.tau_num * max(1.0, d_in) * 10:
+        raise NotTracePreservingError(f"trace {tr} != input dimension {d_in}")
+
+
+def _seed_povm(elements, t=TOL):
+    elements = [HermOp(e, t) for e in elements]
+    d = elements[0].dim
+    total = np.zeros((d, d), dtype=np.complex128)
+    for e in elements:
+        if _min_eig(e.mat) < -t.tau_psd * (1.0 + _norm2(e.mat)):
+            raise ValueError("Povm element is not PSD within tolerance")
+        total = total + e.mat
+    defect = _norm2(total - np.eye(d))
+    if defect > t.tau_num * max(1.0, _norm2(total)) * 10:
+        raise ValueError(f"Povm elements sum to identity with defect {defect:.3e}")
+
+
+def _seed_bipartite(m, t=TOL):
+    op = HermOp(m, t)
+    if _min_eig(op.mat) < -t.tau_psd * (1.0 + _norm2(op.mat)):
+        raise ValueError("bipartite state is not PSD within tolerance")
+
+
+def _seed_kraus(kraus, t=TOL):
+    d_out, d_in = kraus[0].shape
+    acc = sum(k.conj().T @ k for k in kraus)
+    defect = _norm2(acc - np.eye(d_in))
+    if defect > t.tau_num * max(1.0, _norm2(acc)) * 10:
+        raise NotTracePreservingError(f"Kraus completeness defect {defect:.3e} exceeds tolerance")
+    j = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in kraus)
+    _seed_choiop(j, d_out, d_in, t)
+
+
+def _identity_choi_mat(d):
+    vec = np.eye(d).reshape(d * d)
+    return np.outer(vec, vec).astype(np.complex128)
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+def test_choiop_psd_decision_matches_exact_formula(factor):
+    # (1 + s) J_id - (s / d) 1 keeps Tr_out = 1 and has min eigenvalue -s/d;
+    # s solves s/d = factor * tau_psd * (1 + ||J||) with ||J|| = (1 + s) d - s/d
+    d, tau = 2, TOL.tau_psd
+    s = factor * tau * (1 + d) / (1 / d - factor * tau * (d - 1 / d))
+    m = (1 + s) * _identity_choi_mat(d) - (s / d) * np.eye(d * d)
+    want = outcome(_seed_choiop, m, d, d)
+    assert (want is None) == (factor < 1.0)
+    assert outcome(ChoiOp, HermOp(m), d, d) == want
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+def test_choiop_trace_decision_matches_exact_formula(factor):
+    # (1 + c) J_id has Tr_out = (1 + c) 1; c solves c = factor * tau_num * (1 + ||J||)
+    d, tau = 2, TOL.tau_num
+    c = factor * tau * (1 + d) / (1 - factor * tau * d)
+    m = (1 + c) * _identity_choi_mat(d)
+    want = outcome(_seed_choiop, m, d, d)
+    assert (want is None) == (factor < 1.0)
+    assert outcome(ChoiOp, HermOp(m), d, d) == want
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+@pytest.mark.parametrize("check", ["psd", "sum"])
+def test_povm_decision_matches_exact_formula(check, factor):
+    if check == "psd":  # min eigenvalue -c against tau_psd * (1 + 1)
+        c = 2.0 * factor * TOL.tau_psd
+        elements = [np.diag([1.0, -c]), np.diag([0.0, 1.0 + c])]
+    else:  # sum defect c against 10 tau_num (1 + c)
+        c = 10 * factor * TOL.tau_num / (1 - 10 * factor * TOL.tau_num)
+        elements = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + c])]
+    want = outcome(_seed_povm, elements)
+    assert (want is None) == (factor < 1.0)
+    assert outcome(Povm, tuple(HermOp(e) for e in elements)) == want
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+def test_bipartite_state_decision_matches_exact_formula(factor):
+    m = np.diag([0.5, 0.5, 0.5, -1.5 * factor * TOL.tau_psd])  # threshold tau_psd * 1.5
+    want = outcome(_seed_bipartite, m)
+    assert (want is None) == (factor < 1.0)
+    assert outcome(BipartiteState, HermOp(m), 2, 2) == want
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+def test_choi_from_kraus_decision_matches_exact_formula(factor):
+    # sum K^dagger K = diag(1 + c, 1); c solves c = 10 * factor * tau_num * (1 + c)
+    c = 10 * factor * TOL.tau_num / (1 - 10 * factor * TOL.tau_num)
+    kraus = [np.eye(2, dtype=np.complex128), np.sqrt(c) * np.diag([1.0, 0.0]) + 0j]
+    want = outcome(_seed_kraus, kraus)
+    # past the Kraus threshold the completeness check is what fails
+    assert (want is not None and "Kraus" in want[1]) == (factor > 1.0)
+    assert outcome(choi_from_kraus, kraus) == want
+
+
+def test_settled_validation_runs_no_svd(monkeypatch):
+    rng = np.random.default_rng(4)
+    kraus = _rand_kraus(2, 2, 3, rng)
+    j = random_channel_choi(2, 2, rng).mat
+    noisy = j + 1e-14 * 1j * rand_herm(4, rng)  # not exactly Hermitian
+    e = rand_density(2, rng)
+    forbid_svd(monkeypatch)
+    choi_from_kraus(kraus)
+    ChoiOp(HermOp(noisy), 2, 2)
+    Povm((HermOp(e), HermOp(np.eye(2) - e)))
+    BipartiteState(HermOp(rand_density(4, rng)), 2, 2)

@@ -224,6 +224,14 @@ def test_conjecture_rejects_nonpositive_sizes(flags, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["certify", "solve", "hykl"])
+def test_seed_is_rejected_where_nothing_is_random(command, helstrom_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, helstrom_file, "--seed", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # --------------------------------------------------------------------- gen
 
 

@@ -32,7 +32,14 @@ from chancert.linalg import (
     SQRT_FN,
     SQUARE_FN,
 )
-from conftest import rand_density, rand_herm, rand_pure
+from conftest import (
+    THRESHOLD_FACTORS,
+    forbid_svd,
+    outcome,
+    rand_density,
+    rand_herm,
+    rand_pure,
+)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 dims = st.sampled_from([2, 3, 4, 5])
@@ -278,6 +285,40 @@ def test_dist_to_psd_nonhermitian_sound(seed, d):
     assert eps >= max(0.0, -lam) - 1e-12
 
 
+def _seed_hermop_check(m, t=TOL):
+    """HermOp's Hermiticity check as the seed code wrote it: two SVDs, always."""
+    h = (m + m.conj().T) / 2.0
+    defect = float(np.linalg.norm(m - h, 2))
+    scale = 1.0 + float(np.linalg.norm(h, 2))
+    if defect > t.tau_herm * scale:
+        raise ValueError(
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+            f"{t.tau_herm:.1e} * {scale:.3e}"
+        )
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+@pytest.mark.parametrize("base", ["identity", "random", "large"])
+def test_hermop_decision_matches_exact_formula(base, factor):
+    rng = np.random.default_rng(7)
+    h0 = {"identity": np.eye(3), "random": rand_herm(3, rng),
+          "large": rand_herm(3, rng, scale=1e6)}[base]
+    skew = 1j * rand_herm(3, rng)
+    skew /= spectral_norm(skew)
+    m = h0 + factor * TOL.tau_herm * (1.0 + spectral_norm(h0)) * skew
+    want = outcome(_seed_hermop_check, m)
+    assert (want is None) == (factor < 1.0)
+    assert outcome(HermOp, m) == want
+
+
+def test_hermop_settled_defect_runs_no_svd(monkeypatch):
+    rng = np.random.default_rng(8)
+    m = rand_herm(4, rng) + 1e-14 * 1j * rand_herm(4, rng)
+    forbid_svd(monkeypatch)
+    h = HermOp(m)
+    assert np.array_equal(h.mat, (m + m.conj().T) / 2.0)
+
+
 def test_dist_to_psd_on_psd_is_zero():
     rng = np.random.default_rng(3)
     a = rand_density(4, rng)
@@ -285,13 +326,34 @@ def test_dist_to_psd_on_psd_is_zero():
     assert eps == 0.0
 
 
-@given(seeds, st.sampled_from([(2, 3), (3, 2), (2, 2)]))
-def test_kron_matches_numpy(seed, shape):
-    da, db = shape
-    rng = np.random.default_rng(seed)
-    a = rand_herm(da, rng)
-    b = rand_herm(db, rng)
-    assert np.array_equal(kron(a, b), np.kron(a, b))
+def _kron_operands(case, rng):
+    def cplx(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if case == "hermitian":
+        return rand_herm(2, rng), rand_herm(3, rng)
+    if case == "eye-complex":  # the 1 (x) Z form; +0.0 times negatives gives -0.0
+        z = -np.abs(rng.standard_normal((2, 2))) + 1j * rng.standard_normal((2, 2))
+        return np.eye(3), z
+    if case == "transposed":  # non-contiguous views on both sides
+        return cplx((3, 2)).T, cplx((2, 4)).T
+    if case == "rectangular":
+        return cplx((2, 3)), rng.standard_normal((4, 1))
+    a = -np.abs(rng.standard_normal((2, 3)))  # negative entries and signed zeros
+    a[0, 1] = -0.0
+    b = -np.abs(rng.standard_normal((3, 2))) - 1j * np.abs(rng.standard_normal((3, 2)))
+    b[1, 0] = complex(-0.0, -0.0)
+    return a, b
+
+
+@given(seeds, st.sampled_from(["hermitian", "eye-complex", "transposed", "rectangular",
+                               "negative"]))
+def test_kron_matches_numpy(seed, case):
+    a, b = _kron_operands(case, np.random.default_rng(seed))
+    got, want = kron(a, b), np.kron(a, b)
+    # bytes, not array_equal, which treats -0.0 == 0.0
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 @given(seeds, dims)

@@ -28,7 +28,7 @@ from chancert.objectives import (
     objective_dims,
 )
 from chancert.solvers import helstrom_povm, random_channel_choi
-from conftest import rand_density, rand_herm, rand_pure
+from conftest import THRESHOLD_FACTORS, outcome, rand_density, rand_herm, rand_pure
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -85,6 +85,26 @@ def test_ensemble_validation():
         Ensemble((0.5, 0.5), (HermOp(np.diag([2.0, 0.0])), HermOp(rand_density(2, rng))))
     with pytest.raises(InvalidEnsembleError):
         Ensemble((1.2, -0.2), (HermOp(rand_density(2, rng)), HermOp(rand_density(2, rng))))
+
+
+def _seed_check_density(m, what, tol=TOL):
+    """The seed code's density check: exact spectral norm, always."""
+    low = float(np.min(np.linalg.eigvalsh(m)))
+    if low < -tol.tau_psd * (1.0 + float(np.linalg.norm(m, 2))):
+        raise InvalidEnsembleError(f"{what} is not PSD (min eigenvalue {low:.3e})")
+    tr = float(np.real(np.trace(m)))
+    if abs(tr - 1.0) > tol.tau_num * 10:
+        raise InvalidEnsembleError(f"{what} has trace {tr!r}, expected 1")
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+def test_density_check_decision_matches_exact_formula(factor):
+    # diag(1 + c, -c): min eigenvalue -c against tau_psd * (2 + c)
+    c = 2.0 * factor * TOL.tau_psd / (1.0 - factor * TOL.tau_psd)
+    m = np.diag([1.0 + c, -c])
+    want = outcome(_seed_check_density, m, "ensemble state 0")
+    assert (want is None) == (factor < 1.0)
+    assert outcome(Ensemble, (1.0,), (HermOp(m),)) == want
 
 
 def test_ensemble_mean():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chancert.certifier import certify
 from chancert.choi import BipartiteState, Povm
-from chancert.linalg import DimensionMismatchError, HermOp
+from chancert.linalg import DimensionMismatchError, HermOp, partial_trace
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
@@ -29,7 +29,7 @@ from chancert.solvers import (
     random_instance,
     solve,
 )
-from conftest import rand_herm
+from conftest import THRESHOLD_FACTORS, rand_herm
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -77,6 +77,31 @@ def test_projection_budget_exhaustion_raises():
         project_channel(x, (2, 2), SolverConfig(max_iters=2))
     p = project_channel(x, (2, 2))  # default budget is plenty
     assert float(np.min(np.linalg.eigvalsh(p.mat))) >= -2e-9
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+@pytest.mark.parametrize("defect", ["psd", "trace"])
+def test_projection_precheck_matches_exact_formula(defect, factor, monkeypatch):
+    d, feas = 2, SolverConfig().tol_feas
+    vec = np.eye(d).reshape(d * d)
+    j_id = np.outer(vec, vec)
+    if defect == "psd":  # min eigenvalue -factor * tol_feas, Tr_out = 1
+        s = d * factor * feas
+        x = (1 + s) * j_id - (s / d) * np.eye(d * d)
+    else:  # Tr_out = (1 + factor * tol_feas) 1
+        x = (1 + factor * feas) * j_id
+    # the seed code's feasibility test, with the exact trace-defect norm
+    low = float(np.min(np.linalg.eigvalsh(x)))
+    tr_defect = float(np.linalg.norm(partial_trace(x, (d, d), 0) - np.eye(d), 2))
+    feasible = max(0.0, -low) <= feas and tr_defect <= feas
+    assert feasible == (factor < 1.0)
+    sweeps = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sweeps.append(1) or eigh(a))
+    p = project_channel(x, (d, d))
+    assert (not sweeps) == feasible  # a feasible input returns before any sweep
+    if feasible:
+        assert np.array_equal(p.mat, x)
 
 
 def test_projection_shape_mismatch():
