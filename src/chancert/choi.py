@@ -109,7 +109,7 @@ class ChoiOp:
                     f"partial trace deviates from identity by {defect:.3e}"
                 )
         tr = float(np.real(np.trace(op.mat)))
-        if abs(tr - self.dim_in) > t.tau_num * max(1.0, self.dim_in) * 10:
+        if abs(tr - self.dim_in) > t.tau_sum * max(1.0, self.dim_in):
             raise NotTracePreservingError(f"trace {tr} != input dimension {self.dim_in}")
 
     @property
@@ -139,9 +139,9 @@ class Povm:
                 raise ValueError("Povm element is not PSD within tolerance")
             total = total + e.mat
         diff = total - np.eye(d)
-        if not _fro_settles(diff, t.tau_num * 10):
+        if not _fro_settles(diff, t.tau_sum):
             defect = spectral_norm(diff)
-            if defect > t.tau_num * max(1.0, spectral_norm(total)) * 10:
+            if defect > t.tau_sum * max(1.0, spectral_norm(total)):
                 raise ValueError(f"Povm elements sum to identity with defect {defect:.3e}")
 
     @property
@@ -231,9 +231,9 @@ def choi_from_kraus(kraus, tol: Tolerances = TOL) -> ChoiOp:
         vec = k.reshape(d_out * d_in)  # |a j> ordering matches kron convention
         j += np.outer(vec, vec.conj())
     diff = acc - np.eye(d_in)
-    if not _fro_settles(diff, tol.tau_num * 10):
+    if not _fro_settles(diff, tol.tau_sum):
         defect = spectral_norm(diff)
-        if defect > tol.tau_num * max(1.0, spectral_norm(acc)) * 10:
+        if defect > tol.tau_sum * max(1.0, spectral_norm(acc)):
             raise NotTracePreservingError(
                 f"Kraus completeness defect {defect:.3e} exceeds tolerance"
             )

@@ -31,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from .certifier import VERDICT_NEAR, VERDICT_OPTIMAL, certify_objective, hykl_check
-from .experiments import record_to_dict, run_trial, summarize
+from .experiments import record_to_dict, run_conjecture
 from .linalg import TOL, Tolerances
 from .serialize import (
     SchemaError,
@@ -216,25 +216,11 @@ def cmd_conjecture(args) -> int:
         raise InputProblem("conjecture: dims must be positive")
     if args.trials < 1:
         raise InputProblem("conjecture: --trials must be at least 1")
-    tol = _tolerances(args, TOL)
     cfg = SolverConfig(step_rule="polyak", max_iters=args.max_iters, stall_window=150)
-    dims = tuple(args.dims)
-    records = []
-    docs = []
-    n_err = 0
-    for t in range(args.trials):
-        trial_seed = args.seed * 1000003 + t
-        try:
-            rec = run_trial(trial_seed, dims, reachable=(t % 2 == 0), cfg=cfg, tol=tol)
-        except Exception as exc:  # per-trial failures are data, not fatal
-            n_err += 1
-            docs.append({"seed": trial_seed, "dims": list(dims), "error": str(exc)})
-            continue
-        records.append(rec)
-        docs.append(record_to_dict(rec))
-    summary = summarize(records)
-    summary["errors"] = n_err
-    _emit(args, {"records": docs, "summary": summary})
+    records, summary = run_conjecture(
+        tuple(args.dims), args.trials, args.seed, cfg, _tolerances(args, TOL)
+    )
+    _emit(args, {"records": [record_to_dict(r) for r in records], "summary": summary})
     return EXIT_OK
 
 
@@ -242,6 +228,8 @@ def cmd_gen(args) -> int:
     d_in, d_out, d_env = args.dims
     if min(args.dims) < 1:
         raise InputProblem("gen: dims must be positive")
+    if args.count < 1:
+        raise InputProblem("gen: --count must be at least 1")
     rng = np.random.default_rng(args.seed)
     channel = None
     if args.family == "linear":

@@ -50,6 +50,7 @@ __all__ = [
     "GAP_TOL",
     "HARD_FAIL_FACTOR",
     "ConjectureRecord",
+    "TrialError",
     "classify",
     "conjecture_witness",
     "completion_search",
@@ -89,6 +90,15 @@ class ConjectureRecord:
     completions_tried: int
     completion_certifies: bool
     full_rank_hard_fail: bool
+
+
+@dataclass(frozen=True)
+class TrialError:
+    """A trial that raised: its identity and the error message."""
+
+    seed: int
+    dims: tuple[int, int, int]
+    error: str
 
 
 def classify(
@@ -251,22 +261,28 @@ def run_conjecture(
     seed: int = 0,
     cfg: SolverConfig | None = None,
     tol: Tolerances = TOL,
-) -> tuple[list[ConjectureRecord], dict]:
+) -> tuple[list[ConjectureRecord | TrialError], dict]:
     """Run ``trials`` seeded trials (alternating reachable targets) and tally.
 
-    Never asserts anything about the open question — the summary reports
-    evidence counts only.  ``full_rank_hard_fail`` entries indicate a build
-    bug (the unique-witness case cannot fail at a true optimum) and are
-    surfaced prominently in the summary.
+    Returns the records in trial order; a trial that raises is kept as a
+    :class:`TrialError` and the run goes on.  Never asserts anything about
+    the open question — the summary reports evidence counts only.
+    ``full_rank_hard_fail`` entries indicate a build bug (the unique-witness
+    case cannot fail at a true optimum) and are surfaced prominently in the
+    summary.
     """
-    records = []
+    records: list[ConjectureRecord | TrialError] = []
     for t in range(trials):
         trial_seed = seed * 1000003 + t
-        records.append(run_trial(trial_seed, dims, reachable=(t % 2 == 0), cfg=cfg, tol=tol))
+        try:
+            rec = run_trial(trial_seed, dims, reachable=(t % 2 == 0), cfg=cfg, tol=tol)
+        except Exception as exc:  # per-trial failures are data, not fatal
+            rec = TrialError(trial_seed, dims, str(exc))
+        records.append(rec)
     return records, summarize(records)
 
 
-def record_to_dict(rec: ConjectureRecord) -> dict:
+def record_to_dict(rec: ConjectureRecord | TrialError) -> dict:
     """JSON-ready dict with the dims tuple listified."""
     doc = asdict(rec)
     doc["dims"] = list(doc["dims"])
@@ -274,18 +290,24 @@ def record_to_dict(rec: ConjectureRecord) -> dict:
 
 
 def summarize(records) -> dict:
+    """Evidence counts; ``trials`` counts the trials that ran to a record."""
     counts = {CLASS_SUPPORTS: 0, CLASS_UNDECIDED: 0, CLASS_CANDIDATE: 0}
     bug_flags = 0
     completion_passes = 0
+    errors = 0
     for r in records:
+        if isinstance(r, TrialError):
+            errors += 1
+            continue
         counts[r.classification] += 1
         bug_flags += int(r.full_rank_hard_fail)
         completion_passes += int(r.completion_certifies)
     return {
-        "trials": len(records),
+        "trials": len(records) - errors,
         "supports": counts[CLASS_SUPPORTS],
         "undecided": counts[CLASS_UNDECIDED],
         "counterexample_candidates": counts[CLASS_CANDIDATE],
         "completion_certifies": completion_passes,
         "full_rank_hard_fails": bug_flags,
+        "errors": errors,
     }

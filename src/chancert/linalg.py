@@ -99,6 +99,17 @@ class Tolerances:
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be a positive finite number, got {v}")
 
+    @property
+    def tau_sum(self) -> float:
+        """Tolerance of a normalization check: ten times ``tau_num``.
+
+        Used where a trace, a probability vector or a sum of operators must
+        equal one or the identity; such a sum gathers rounding from many
+        terms.  Derived rather than a field, so problem files and
+        ``replace`` see only the four tolerances.
+        """
+        return self.tau_num * 10
+
 
 TOL = Tolerances()
 

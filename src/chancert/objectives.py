@@ -2,7 +2,11 @@
 
 Each family evaluates ``f(J)`` on the Choi operator of a channel and
 returns a subgradient element ``H`` alongside the value, packaged as a
-:class:`SubgradResult`.  The five families:
+:class:`SubgradResult`.  A family class owns everything that depends on
+the family: ``dims`` (the channel dimensions it demands), ``_evaluate``
+(value and subgradient, called through :func:`evaluate`, which checks the
+dims first) and ``value_floor()`` (a lower bound over all channels).  The
+five families:
 
 * ``Linear`` — ``f(J) = <H0, J>`` for a fixed Hermitian ``H0``; covers
   minimum-error state discrimination through ``discrimination_objective``.
@@ -74,13 +78,7 @@ __all__ = [
     "TraceDistanceObjective",
     "RelativeEntropyObjective",
     "ObjectiveSpec",
-    "objective_dims",
-    "linear_eval",
     "discrimination_objective",
-    "fidelity_objective",
-    "fidelity_sq_objective",
-    "trace_dist_objective",
-    "rel_entropy_objective",
     "evaluate",
 ]
 
@@ -94,8 +92,18 @@ def _check_density(op: HermOp, tol: Tolerances, what: str) -> None:
     if _psd_violation(low, tol.tau_psd, op):
         raise InvalidEnsembleError(f"{what} is not PSD (min eigenvalue {low:.3e})")
     tr = float(np.real(np.trace(op.mat)))
-    if abs(tr - 1.0) > tol.tau_num * 10:
+    if abs(tr - 1.0) > tol.tau_sum:
         raise InvalidEnsembleError(f"{what} has trace {tr!r}, expected 1")
+
+
+def _check_probs(p: np.ndarray, tol: Tolerances) -> None:
+    """Reject a probability vector that is not finite, nonnegative and normalized."""
+    if not np.isfinite(p).all():
+        raise InvalidEnsembleError(f"probabilities are not all finite: {p.tolist()!r}")
+    if np.min(p) < -tol.tau_num:
+        raise InvalidEnsembleError(f"negative probability {float(np.min(p))!r}")
+    if abs(float(np.sum(p)) - 1.0) > tol.tau_sum:
+        raise InvalidEnsembleError(f"probabilities sum to {float(np.sum(p))!r}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +122,7 @@ class Ensemble:
             raise InvalidEnsembleError(
                 f"{p.size} probabilities for {len(states)} states"
             )
-        if np.min(p) < -t.tau_num:
-            raise InvalidEnsembleError(f"negative probability {float(np.min(p))!r}")
-        if abs(float(np.sum(p)) - 1.0) > t.tau_num * 10:
-            raise InvalidEnsembleError(f"probabilities sum to {float(np.sum(p))!r}")
+        _check_probs(p, t)
         d = states[0].dim
         for k, s in enumerate(states):
             if s.dim != d:
@@ -180,12 +185,29 @@ class LinearObjective:
                 f"H0 dim {self.h0.dim} != dim_out*dim_in = {self.dim_out * self.dim_in}"
             )
 
+    @property
+    def dims(self) -> tuple[int, int]:
+        """Channel dimensions ``(dim_out, dim_in)`` demanded by the objective."""
+        return self.dim_out, self.dim_in
+
+    def value_floor(self) -> float:
+        """``lambda_min(H0) dim_in``, since ``<H0, J> >= lambda_min Tr J``."""
+        low = float(np.min(np.linalg.eigvalsh(self.h0.mat)))
+        return low * self.dim_in
+
+    def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
+        """Value and (constant) gradient of the linear objective ``<H0, J>``."""
+        value = float(np.real(np.vdot(self.h0.mat, j.mat)))
+        return SubgradResult(value, self.h0, exact_gradient=True, valid_subgradient=True)
+
 
 @dataclass(frozen=True)
-class FidelityObjective:
-    """``f(J) = -F(sigma, (Phi (x) 1)(rho))`` with a shared environment."""
+class _StatePairObjective:
+    """Objective of the output ``(Phi (x) 1)(rho)`` against a target ``sigma``.
 
-    family: ClassVar[str] = "Fidelity"
+    ``rho`` lives on ``in (x) env`` and ``sigma`` on ``out (x) env``; the
+    environment factor is shared.
+    """
 
     rho: BipartiteState
     sigma: BipartiteState
@@ -195,6 +217,47 @@ class FidelityObjective:
             raise DimensionMismatchError(
                 f"environment dims differ: {self.rho.dim_env} vs {self.sigma.dim_env}"
             )
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        """Channel dimensions ``(dim_out, dim_in)`` demanded by the objective."""
+        return self.sigma.dim_sys, self.rho.dim_sys
+
+
+class FidelityObjective(_StatePairObjective):
+    """``f(J) = -F(sigma, (Phi (x) 1)(rho))`` with a shared environment."""
+
+    family: ClassVar[str] = "Fidelity"
+
+    def value_floor(self) -> float:
+        """``-sqrt(Tr sigma Tr rho)``: ``F(a, b) <= sqrt(Tr a Tr b)``, channels keep traces."""
+        ts = float(np.real(np.trace(self.sigma.mat)))
+        tr = float(np.real(np.trace(self.rho.mat)))
+        return -math.sqrt(max(ts, 0.0) * max(tr, 0.0))
+
+    def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
+        """Negated fidelity between the target and the pushed-through state.
+
+        The environment is compressed to the image of ``Tr_sys(rho)`` first,
+        so the reduced input is positive definite on the retained factor;
+        value and subgradient are invariant under that isometric squeeze.
+        """
+        rho_c, sigma_c = compress_environment(self.rho, self.sigma, tol)
+        tau = eval_map_apply(rho_c, j)
+        tau_h = HermOp(tau, tol)
+        value = -fidelity(sigma_c.op, tau_h, tol)
+        g, exact = _fid_direction(sigma_c.mat, tau_h.mat, tol)
+        h = HermOp(-0.5 * eval_map_adjoint(rho_c, g, j.dim_out).mat)
+        defect = image_inclusion_defect(sigma_c.op, tau_h, tol)
+        ok = defect <= tol.tau_rank * spectral_norm(sigma_c.mat)
+        return SubgradResult(
+            value,
+            h,
+            exact_gradient=exact,
+            valid_subgradient=exact,
+            inclusion_ok=ok,
+            inclusion_defect=defect,
+        )
 
 
 @dataclass(frozen=True)
@@ -215,10 +278,7 @@ class FidelitySquaredObjective:
         outs = tuple(s if isinstance(s, HermOp) else HermOp(s, t) for s in self.targets)
         if not (p.size == len(ins) == len(outs)) or p.size == 0:
             raise InvalidEnsembleError("probs, inputs, targets must have equal length")
-        if np.min(p) < -t.tau_num:
-            raise InvalidEnsembleError(f"negative weight {float(np.min(p))!r}")
-        if abs(float(np.sum(p)) - 1.0) > t.tau_num * 10:
-            raise InvalidEnsembleError(f"weights sum to {float(np.sum(p))!r}")
+        _check_probs(p, t)
         if any(s.dim != ins[0].dim for s in ins) or any(s.dim != outs[0].dim for s in outs):
             raise InvalidEnsembleError("ensemble pair dimensions are mixed")
         p.setflags(write=False)
@@ -230,37 +290,182 @@ class FidelitySquaredObjective:
     def pairs(self):
         return tuple(zip(self.probs, self.inputs, self.targets))
 
+    @property
+    def dims(self) -> tuple[int, int]:
+        """Channel dimensions ``(dim_out, dim_in)`` demanded by the objective."""
+        return self.targets[0].dim, self.inputs[0].dim
 
-@dataclass(frozen=True)
-class TraceDistanceObjective:
+    def value_floor(self) -> float:
+        """``-sum_k p_k Tr sigma_k Tr rho_k``, bounding each ``F_k^2`` the same way."""
+        total = 0.0
+        for p, rho_k, sig_k in self.pairs:
+            total += p * max(float(np.real(np.trace(sig_k.mat))), 0.0) * max(
+                float(np.real(np.trace(rho_k.mat))), 0.0
+            )
+        return -total
+
+    def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
+        """Negated ensemble-averaged squared fidelity.
+
+        Squaring each block multiplies the fidelity dual direction by the
+        block fidelity itself (chain rule through ``x -> x^2``), so the
+        subgradient is ``H = -sum_k p_k F_k G_k (x) rho_k^T``.
+        """
+        d_out, d_in = self.dims
+        value = 0.0
+        h = np.zeros((d_out * d_in, d_out * d_in), dtype=np.complex128)
+        exact = True
+        ok = True
+        defect = 0.0
+        for p, rho_k, sig_k in self.pairs:
+            tau_k = apply_from_choi(j, rho_k.mat)
+            tau_h = HermOp(tau_k, tol)
+            f_k = fidelity(sig_k, tau_h, tol)
+            g_k, ex_k = _fid_direction(sig_k.mat, tau_h.mat, tol)
+            value -= p * f_k * f_k
+            h -= p * f_k * kron(g_k, rho_k.mat.T)
+            exact = exact and ex_k
+            d_k = image_inclusion_defect(sig_k, tau_h, tol)
+            defect = max(defect, d_k)
+            ok = ok and d_k <= tol.tau_rank * spectral_norm(sig_k.mat)
+        return SubgradResult(
+            value,
+            HermOp(h, tol),
+            exact_gradient=exact,
+            valid_subgradient=exact,
+            inclusion_ok=ok,
+            inclusion_defect=defect,
+        )
+
+
+class TraceDistanceObjective(_StatePairObjective):
     """``f(J) = ||sigma - (Phi (x) 1)(rho)||_1`` with a shared environment."""
 
     family: ClassVar[str] = "TraceDistance"
 
-    rho: BipartiteState
-    sigma: BipartiteState
+    def value_floor(self) -> float:
+        """A trace norm is nonnegative."""
+        return 0.0
 
-    def __post_init__(self) -> None:
-        if self.rho.dim_env != self.sigma.dim_env:
-            raise DimensionMismatchError(
-                f"environment dims differ: {self.rho.dim_env} vs {self.sigma.dim_env}"
-            )
+    def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
+        """Trace distance between the target and the pushed-through state.
+
+        The witness ``Y = sum_k sign(lambda_k) Pi_k`` is built from the
+        spectral decomposition of the difference with ``sign(0) = 0``
+        (eigenvalues within ``tau_rank * norm`` of zero count as zero).  Any
+        such ``Y`` is a valid trace-norm dual witness, so
+        ``valid_subgradient`` is always true; the gradient is only exact
+        when no eigenvalue is treated as zero, since a kernel leaves the
+        witness non-unique.
+        """
+        tau = eval_map_apply(self.rho, j)
+        diff = self.sigma.mat - tau
+        diff = (diff + diff.conj().T) / 2.0
+        w, v = np.linalg.eigh(diff)
+        value = float(np.sum(np.abs(w)))
+        nrm = float(np.max(np.abs(w))) if w.size else 0.0
+        thr = tol.tau_rank * nrm
+        signs = np.where(w > thr, 1.0, np.where(w < -thr, -1.0, 0.0))
+        y = (v * signs) @ v.conj().T
+        exact = bool(np.all(np.abs(w) > thr))
+        h = HermOp(-eval_map_adjoint(self.rho, y, j.dim_out).mat)
+        return SubgradResult(
+            value,
+            h,
+            exact_gradient=exact,
+            valid_subgradient=True,
+            witness=HermOp(y),
+        )
 
 
-@dataclass(frozen=True)
-class RelativeEntropyObjective:
+class RelativeEntropyObjective(_StatePairObjective):
     """``f(J) = D(sigma || (Phi (x) 1)(rho))`` with a shared environment."""
 
     family: ClassVar[str] = "RelativeEntropy"
 
-    rho: BipartiteState
-    sigma: BipartiteState
+    def value_floor(self) -> float:
+        """``Tr sigma log(Tr sigma / Tr rho)``: the trace map does not raise ``D``."""
+        ts = float(np.real(np.trace(self.sigma.mat)))
+        tr = float(np.real(np.trace(self.rho.mat)))
+        if ts > 0.0 and tr > 0.0:
+            return ts * math.log(ts / tr)
+        return 0.0
 
-    def __post_init__(self) -> None:
-        if self.rho.dim_env != self.sigma.dim_env:
-            raise DimensionMismatchError(
-                f"environment dims differ: {self.rho.dim_env} vs {self.sigma.dim_env}"
+    def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
+        """Relative entropy from the target to the pushed-through state.
+
+        Returns ``math.inf`` (with zero ``H`` and both flags false) when the
+        target has weight outside the reachable image — either outside
+        ``1 (x) im(Tr_sys rho)``, which no channel can fix, or outside the
+        image of the current output.  When finite, the gradient is the
+        log-derivative taken on the image of ``sigma`` and pulled back
+        through the evaluation map; the objective is differentiable on that
+        domain.
+        """
+        rho, sigma = self.rho, self.sigma
+        d_out = j.dim_out
+        zero_h = HermOp(np.zeros((d_out * rho.dim_sys, d_out * rho.dim_sys)))
+
+        # Weight of sigma outside Y (x) im(Tr_sys rho) makes the objective
+        # identically infinite; detect before the squeeze discards those rows.
+        red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env), 0)
+        reach = HermOp(kron(np.eye(d_out), (red + red.conj().T) / 2.0), tol)
+        pre_defect = image_inclusion_defect(sigma.op, reach, tol)
+        if pre_defect > tol.tau_rank * spectral_norm(sigma.mat):
+            return SubgradResult(
+                math.inf,
+                zero_h,
+                exact_gradient=False,
+                valid_subgradient=False,
+                inclusion_ok=False,
+                inclusion_defect=pre_defect,
             )
+
+        rho_c, sigma_c = compress_environment(rho, sigma, tol)
+        tau_h = HermOp(eval_map_apply(rho_c, j), tol)
+        value = rel_entropy(sigma_c.op, tau_h, tol)
+        defect = image_inclusion_defect(sigma_c.op, tau_h, tol)
+        if math.isinf(value):
+            return SubgradResult(
+                math.inf,
+                zero_h,
+                exact_gradient=False,
+                valid_subgradient=False,
+                inclusion_ok=False,
+                inclusion_defect=defect,
+            )
+
+        # Restrict to the image of sigma, differentiate the log there, embed back.
+        ws, vs = np.linalg.eigh(sigma_c.mat)
+        tops = float(np.max(ws)) if ws.size else 0.0
+        a = vs[:, ws > tol.tau_rank * max(tops, 0.0)]
+        try:
+            dl = dlog(
+                HermOp(a.conj().T @ tau_h.mat @ a, tol),
+                HermOp(a.conj().T @ sigma_c.mat @ a, tol),
+                tol,
+            )
+        except SingularLogError:
+            # Finite value but the compressed output is numerically singular
+            # on im(sigma); no trustworthy gradient at this point.
+            return SubgradResult(
+                value,
+                zero_h,
+                exact_gradient=False,
+                valid_subgradient=False,
+                inclusion_ok=True,
+                inclusion_defect=defect,
+            )
+        g = a @ dl.mat @ a.conj().T
+        h = HermOp(-eval_map_adjoint(rho_c, g, d_out).mat)
+        return SubgradResult(
+            value,
+            h,
+            exact_gradient=True,
+            valid_subgradient=True,
+            inclusion_ok=True,
+            inclusion_defect=defect,
+        )
 
 
 ObjectiveSpec = Union[
@@ -270,23 +475,6 @@ ObjectiveSpec = Union[
     TraceDistanceObjective,
     RelativeEntropyObjective,
 ]
-
-
-def objective_dims(spec: ObjectiveSpec) -> tuple[int, int]:
-    """Channel dimensions ``(dim_out, dim_in)`` demanded by an objective."""
-    if isinstance(spec, LinearObjective):
-        return spec.dim_out, spec.dim_in
-    if isinstance(spec, FidelitySquaredObjective):
-        return spec.targets[0].dim, spec.inputs[0].dim
-    return spec.sigma.dim_sys, spec.rho.dim_sys
-
-
-def linear_eval(h0: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> SubgradResult:
-    """Value and (constant) gradient of the linear objective ``<H0, J>``."""
-    if h0.dim != j.op.dim:
-        raise DimensionMismatchError(f"H0 dim {h0.dim} != Choi dim {j.op.dim}")
-    value = float(np.real(np.vdot(h0.mat, j.mat)))
-    return SubgradResult(value, h0, exact_gradient=True, valid_subgradient=True)
 
 
 def discrimination_objective(ens: Ensemble, tol: Tolerances = TOL) -> HermOp:
@@ -329,205 +517,11 @@ def _fid_direction(
     return (g + g.conj().T) / 2.0, int(np.sum(kept)) == rank_sigma
 
 
-def fidelity_objective(
-    rho: BipartiteState, sigma: BipartiteState, j: ChoiOp, tol: Tolerances = TOL
-) -> SubgradResult:
-    """Negated fidelity between the target and the pushed-through state.
-
-    The environment is compressed to the image of ``Tr_sys(rho)`` first, so
-    the reduced input is positive definite on the retained factor; value and
-    subgradient are invariant under that isometric squeeze.
-    """
-    rho_c, sigma_c = compress_environment(rho, sigma, tol)
-    tau = eval_map_apply(rho_c, j)
-    tau_h = HermOp(tau, tol)
-    value = -fidelity(sigma_c.op, tau_h, tol)
-    g, exact = _fid_direction(sigma_c.mat, tau_h.mat, tol)
-    h = HermOp(-0.5 * eval_map_adjoint(rho_c, g, j.dim_out).mat)
-    defect = image_inclusion_defect(sigma_c.op, tau_h, tol)
-    ok = defect <= tol.tau_rank * spectral_norm(sigma_c.mat)
-    return SubgradResult(
-        value,
-        h,
-        exact_gradient=exact,
-        valid_subgradient=exact,
-        inclusion_ok=ok,
-        inclusion_defect=defect,
-    )
-
-
-def fidelity_sq_objective(
-    pairs: FidelitySquaredObjective, j: ChoiOp, tol: Tolerances = TOL
-) -> SubgradResult:
-    """Negated ensemble-averaged squared fidelity.
-
-    Squaring each block multiplies the fidelity dual direction by the block
-    fidelity itself (chain rule through ``x -> x^2``), so the subgradient is
-    ``H = -sum_k p_k F_k G_k (x) rho_k^T``.
-    """
-    d_out, d_in = objective_dims(pairs)
-    if (d_out, d_in) != (j.dim_out, j.dim_in):
-        raise DimensionMismatchError(
-            f"ensemble dims ({d_out}, {d_in}) != channel dims ({j.dim_out}, {j.dim_in})"
-        )
-    value = 0.0
-    h = np.zeros((d_out * d_in, d_out * d_in), dtype=np.complex128)
-    exact = True
-    ok = True
-    defect = 0.0
-    for p, rho_k, sig_k in pairs.pairs:
-        tau_k = apply_from_choi(j, rho_k.mat)
-        tau_h = HermOp(tau_k, tol)
-        f_k = fidelity(sig_k, tau_h, tol)
-        g_k, ex_k = _fid_direction(sig_k.mat, tau_h.mat, tol)
-        value -= p * f_k * f_k
-        h -= p * f_k * kron(g_k, rho_k.mat.T)
-        exact = exact and ex_k
-        d_k = image_inclusion_defect(sig_k, tau_h, tol)
-        defect = max(defect, d_k)
-        ok = ok and d_k <= tol.tau_rank * spectral_norm(sig_k.mat)
-    return SubgradResult(
-        value,
-        HermOp(h, tol),
-        exact_gradient=exact,
-        valid_subgradient=exact,
-        inclusion_ok=ok,
-        inclusion_defect=defect,
-    )
-
-
-def trace_dist_objective(
-    rho: BipartiteState, sigma: BipartiteState, j: ChoiOp, tol: Tolerances = TOL
-) -> SubgradResult:
-    """Trace distance between the target and the pushed-through state.
-
-    The witness ``Y = sum_k sign(lambda_k) Pi_k`` is built from the spectral
-    decomposition of the difference with ``sign(0) = 0`` (eigenvalues within
-    ``tau_rank * norm`` of zero count as zero).  Any such ``Y`` is a valid
-    trace-norm dual witness, so ``valid_subgradient`` is always true; the
-    gradient is only exact when no eigenvalue is treated as zero, since a
-    kernel leaves the witness non-unique.
-    """
-    if sigma.dim_sys != j.dim_out:
-        raise DimensionMismatchError(
-            f"target system dim {sigma.dim_sys} != channel output dim {j.dim_out}"
-        )
-    tau = eval_map_apply(rho, j)
-    diff = sigma.mat - tau
-    diff = (diff + diff.conj().T) / 2.0
-    w, v = np.linalg.eigh(diff)
-    value = float(np.sum(np.abs(w)))
-    nrm = float(np.max(np.abs(w))) if w.size else 0.0
-    thr = tol.tau_rank * nrm
-    signs = np.where(w > thr, 1.0, np.where(w < -thr, -1.0, 0.0))
-    y = (v * signs) @ v.conj().T
-    exact = bool(np.all(np.abs(w) > thr))
-    h = HermOp(-eval_map_adjoint(rho, y, j.dim_out).mat)
-    return SubgradResult(
-        value,
-        h,
-        exact_gradient=exact,
-        valid_subgradient=True,
-        witness=HermOp(y),
-    )
-
-
-def rel_entropy_objective(
-    rho: BipartiteState, sigma: BipartiteState, j: ChoiOp, tol: Tolerances = TOL
-) -> SubgradResult:
-    """Relative entropy from the target to the pushed-through state.
-
-    Returns ``math.inf`` (with zero ``H`` and both flags false) when the
-    target has weight outside the reachable image — either outside
-    ``1 (x) im(Tr_sys rho)``, which no channel can fix, or outside the image
-    of the current output.  When finite, the gradient is the log-derivative
-    taken on the image of ``sigma`` and pulled back through the evaluation
-    map; the objective is differentiable on that domain.
-    """
-    if sigma.dim_sys != j.dim_out:
-        raise DimensionMismatchError(
-            f"target system dim {sigma.dim_sys} != channel output dim {j.dim_out}"
-        )
-    d_out = j.dim_out
-    zero_h = HermOp(np.zeros((d_out * rho.dim_sys, d_out * rho.dim_sys)))
-
-    # Weight of sigma outside Y (x) im(Tr_sys rho) makes the objective
-    # identically infinite; detect before the squeeze discards those rows.
-    red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env), 0)
-    reach = HermOp(kron(np.eye(d_out), (red + red.conj().T) / 2.0), tol)
-    pre_defect = image_inclusion_defect(sigma.op, reach, tol)
-    if pre_defect > tol.tau_rank * spectral_norm(sigma.mat):
-        return SubgradResult(
-            math.inf,
-            zero_h,
-            exact_gradient=False,
-            valid_subgradient=False,
-            inclusion_ok=False,
-            inclusion_defect=pre_defect,
-        )
-
-    rho_c, sigma_c = compress_environment(rho, sigma, tol)
-    tau_h = HermOp(eval_map_apply(rho_c, j), tol)
-    value = rel_entropy(sigma_c.op, tau_h, tol)
-    defect = image_inclusion_defect(sigma_c.op, tau_h, tol)
-    if math.isinf(value):
-        return SubgradResult(
-            math.inf,
-            zero_h,
-            exact_gradient=False,
-            valid_subgradient=False,
-            inclusion_ok=False,
-            inclusion_defect=defect,
-        )
-
-    # Restrict to the image of sigma, differentiate the log there, embed back.
-    ws, vs = np.linalg.eigh(sigma_c.mat)
-    tops = float(np.max(ws)) if ws.size else 0.0
-    a = vs[:, ws > tol.tau_rank * max(tops, 0.0)]
-    try:
-        dl = dlog(
-            HermOp(a.conj().T @ tau_h.mat @ a, tol),
-            HermOp(a.conj().T @ sigma_c.mat @ a, tol),
-            tol,
-        )
-    except SingularLogError:
-        # Finite value but the compressed output is numerically singular on
-        # im(sigma); no trustworthy gradient at this point.
-        return SubgradResult(
-            value,
-            zero_h,
-            exact_gradient=False,
-            valid_subgradient=False,
-            inclusion_ok=True,
-            inclusion_defect=defect,
-        )
-    g = a @ dl.mat @ a.conj().T
-    h = HermOp(-eval_map_adjoint(rho_c, g, d_out).mat)
-    return SubgradResult(
-        value,
-        h,
-        exact_gradient=True,
-        valid_subgradient=True,
-        inclusion_ok=True,
-        inclusion_defect=defect,
-    )
-
-
 def evaluate(spec: ObjectiveSpec, j: ChoiOp, tol: Tolerances = TOL) -> SubgradResult:
     """Evaluate any objective family at a channel."""
-    d_out, d_in = objective_dims(spec)
+    d_out, d_in = spec.dims
     if (d_out, d_in) != (j.dim_out, j.dim_in):
         raise DimensionMismatchError(
             f"objective dims ({d_out}, {d_in}) != channel dims ({j.dim_out}, {j.dim_in})"
         )
-    if isinstance(spec, LinearObjective):
-        return linear_eval(spec.h0, j, tol)
-    if isinstance(spec, FidelityObjective):
-        return fidelity_objective(spec.rho, spec.sigma, j, tol)
-    if isinstance(spec, FidelitySquaredObjective):
-        return fidelity_sq_objective(spec, j, tol)
-    if isinstance(spec, TraceDistanceObjective):
-        return trace_dist_objective(spec.rho, spec.sigma, j, tol)
-    if isinstance(spec, RelativeEntropyObjective):
-        return rel_entropy_objective(spec.rho, spec.sigma, j, tol)
-    raise TypeError(f"unknown objective spec {type(spec).__name__}")
+    return spec._evaluate(j, tol)

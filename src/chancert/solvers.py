@@ -37,17 +37,7 @@ from .linalg import (
     partial_trace,
     spectral_norm,
 )
-from .objectives import (
-    Ensemble,
-    FidelityObjective,
-    FidelitySquaredObjective,
-    LinearObjective,
-    ObjectiveSpec,
-    RelativeEntropyObjective,
-    TraceDistanceObjective,
-    evaluate,
-    objective_dims,
-)
+from .objectives import Ensemble, ObjectiveSpec, evaluate
 from .choi import depolarizing_choi
 
 __all__ = [
@@ -96,8 +86,10 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if min(self.step_c, self.tol_gap, self.tol_feas) <= 0:
-            raise ValueError("step_c and tolerances must be positive")
+        for name in ("step_c", "tol_gap", "tol_feas"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be a positive finite number, got {v}")
         if self.stall_window < 1:
             raise ValueError("stall_window must be >= 1")
 
@@ -108,7 +100,7 @@ class SolveTrace:
 
     ``values`` is the per-iteration objective log; ``best_value`` is its
     minimum and ``best_choi`` the incumbent attaining it.  ``final_bound``
-    is the certificate bound recomputed at the incumbent (infinite when the
+    is the certificate bound at the incumbent (infinite when the
     incumbent's direction is not a trustworthy subgradient element).
     ``gap`` is ``best_value`` minus the best certified lower bound seen.
     """
@@ -163,33 +155,6 @@ def project_channel(
     )
 
 
-def _value_floor(spec: ObjectiveSpec) -> float:
-    """Cheap unconditional lower bound on the objective over all channels."""
-    if isinstance(spec, LinearObjective):
-        low = float(np.min(np.linalg.eigvalsh(spec.h0.mat)))
-        return low * spec.dim_in  # <H0, J> >= lambda_min Tr(J)
-    if isinstance(spec, TraceDistanceObjective):
-        return 0.0
-    if isinstance(spec, FidelityObjective):
-        ts = float(np.real(np.trace(spec.sigma.mat)))
-        tr = float(np.real(np.trace(spec.rho.mat)))
-        return -math.sqrt(max(ts, 0.0) * max(tr, 0.0))
-    if isinstance(spec, FidelitySquaredObjective):
-        total = 0.0
-        for p, rho_k, sig_k in spec.pairs:
-            total += p * max(float(np.real(np.trace(sig_k.mat))), 0.0) * max(
-                float(np.real(np.trace(rho_k.mat))), 0.0
-            )
-        return -total
-    if isinstance(spec, RelativeEntropyObjective):
-        ts = float(np.real(np.trace(spec.sigma.mat)))
-        tr = float(np.real(np.trace(spec.rho.mat)))
-        if ts > 0.0 and tr > 0.0:
-            return ts * math.log(ts / tr)
-        return 0.0
-    return -math.inf
-
-
 def solve(
     spec: ObjectiveSpec, cfg: SolverConfig | None = None, tol: Tolerances = TOL
 ) -> SolveTrace:
@@ -202,36 +167,34 @@ def solve(
     ``converged=False`` rather than raising.
     """
     cfg = cfg or SolverConfig()
-    d_out, d_in = objective_dims(spec)
+    d_out, d_in = spec.dims
     # The projection gets its own sweep budget: a tiny subgradient budget
     # must not starve Dykstra (best-effort means no raising from inside).
     proj_cfg = replace(cfg, max_iters=max(cfg.max_iters, 500))
     j = depolarizing_choi(d_in, d_out, tol)
-    guard_infinite = isinstance(spec, RelativeEntropyObjective)
+    res = evaluate(spec, j, tol)
 
     values: list[float] = []
     best_value = math.inf
     best_j = j
+    best_res = best_cert = None  # set together with a finite best_value
     best_t = 0
-    lower = _value_floor(spec)
+    lower = spec.value_floor()
     converged = False
     iterations = 0
 
     for t in range(1, cfg.max_iters + 1):
         iterations = t
-        res = evaluate(spec, j, tol)
         cert = certify(res.h, j, tol)
         values.append(res.value)
         if res.value < best_value:
-            best_value = res.value
-            best_j = j
-            best_t = t
+            best_value, best_j, best_res, best_cert, best_t = res.value, j, res, cert, t
         if res.valid_subgradient and not math.isinf(res.value):
             lower = max(lower, res.value - cert.bound)
             if res.exact_gradient and cert.bound <= cfg.tol_gap * cert.scale:
                 converged = True
                 break
-        if t - best_t > cfg.stall_window:
+        if t - best_t > cfg.stall_window or t == cfg.max_iters:
             break
 
         gnorm2 = float(np.real(np.vdot(res.h.mat, res.h.mat)))
@@ -244,22 +207,21 @@ def solve(
         else:
             eta = cfg.step_c / math.sqrt(t)
 
-        cand = None
+        # Only the relative entropy can be infinite: halve the step until the
+        # candidate lands inside its finite domain.
         for _ in range(60):
             cand = project_channel(j.mat - eta * res.h.mat, (d_out, d_in), proj_cfg, tol)
-            if not guard_infinite or not math.isinf(evaluate(spec, cand, tol).value):
+            cand_res = evaluate(spec, cand, tol)
+            if not math.isinf(cand_res.value):
                 break
             eta /= 2.0
-            cand = None
-        if cand is None:
+        else:
             break  # every step lands outside the finite domain
-        j = cand
+        j, res = cand, cand_res
 
-    res_b = evaluate(spec, best_j, tol)
-    cert_b = certify(res_b.h, best_j, tol)
-    if res_b.valid_subgradient and not math.isinf(res_b.value):
-        final_bound = cert_b.bound
-        lower = max(lower, res_b.value - cert_b.bound)
+    # ``lower`` already holds the incumbent's bound, folded in at its iteration.
+    if not math.isinf(best_value) and best_res.valid_subgradient:
+        final_bound = best_cert.bound
     else:
         final_bound = math.inf
     gap = best_value - lower if not math.isinf(best_value) else math.inf

@@ -224,6 +224,16 @@ def test_conjecture_rejects_nonpositive_sizes(flags, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--step-c", "nan"), ("--step-c", "inf"),
+                                         ("--tol-gap", "nan"), ("--tol-gap", "inf")])
+def test_solve_rejects_non_finite_solver_numbers(flag, value, helstrom_file, capsys):
+    assert main(["solve", helstrom_file, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert flag[2:].replace("-", "_") in err
+
+
 @pytest.mark.parametrize("command", ["certify", "solve", "hykl"])
 def test_seed_is_rejected_where_nothing_is_random(command, helstrom_file, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -270,6 +280,29 @@ def test_gen_discrimination_fewer_hypotheses_than_input_dim(tmp_path, capsys):
     assert len(json.loads(path.read_text())["channel"]["elements"]) == 3
     assert main(["certify", str(path)]) in (0, 3)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_gen_rejects_nonpositive_count(count, capsys):
+    assert main(["gen", "fidelity-squared", "-", "--count", count]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "--count" in err
+
+
+@pytest.mark.parametrize("family", ["fidelity-squared", "discrimination"])
+def test_non_finite_probabilities_are_rejected_on_load(family, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    assert main(["gen", family, str(path), "--with-channel"]) == 0
+    doc = json.loads(path.read_text())
+    doc["objective"]["probs"][0] = float("nan")
+    path.write_text(json.dumps(doc))  # json writes the NaN token
+    assert main(["certify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "probabilities" in err
 
 
 def test_gen_rejects_unknown_family(capsys):

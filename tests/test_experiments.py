@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chancert import experiments
 from chancert.certifier import VERDICT_NEAR, VERDICT_NOT, VERDICT_OPTIMAL
 from chancert.choi import BipartiteState
 from chancert.experiments import (
@@ -15,6 +16,7 @@ from chancert.experiments import (
     GAP_TOL,
     classify,
     conjecture_witness,
+    TrialError,
     record_to_dict,
     run_conjecture,
     run_trial,
@@ -22,6 +24,7 @@ from chancert.experiments import (
 )
 from chancert.linalg import HermOp, spectral_norm
 from chancert.objectives import eval_map_apply
+from chancert.cli import main
 from chancert.serialize import canonical_json
 from chancert.solvers import SolverConfig, random_channel_choi, random_density
 
@@ -138,3 +141,28 @@ def test_records_serialize_canonically():
         assert isinstance(doc["dims"], list)
         text = canonical_json(doc)
         assert canonical_json(json.loads(text)) == text
+
+
+def test_run_conjecture_keeps_failed_trials_as_data(monkeypatch, capsys):
+    seed, trials = 7, 3
+    failing = seed * 1000003 + 1
+    original = experiments.run_trial
+
+    def run_trial_failing_once(trial_seed, *args, **kwargs):
+        if trial_seed == failing:
+            raise ValueError("injected failure")
+        return original(trial_seed, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_trial", run_trial_failing_once)
+    cfg = SolverConfig(step_rule="polyak", max_iters=2, stall_window=150)
+    records, summary = run_conjecture((2, 2, 2), trials, seed, cfg)
+    assert records[1] == TrialError(failing, (2, 2, 2), "injected failure")
+    assert record_to_dict(records[1]) == {
+        "seed": failing, "dims": [2, 2, 2], "error": "injected failure"}
+    assert (summary["trials"], summary["errors"]) == (2, 1)
+    assert list(summary)[-1] == "errors"
+
+    assert main(["conjecture", "--trials", str(trials), "--max-iters", "2",
+                 "--seed", str(seed)]) == 0
+    doc = {"records": [record_to_dict(r) for r in records], "summary": summary}
+    assert capsys.readouterr().out == canonical_json(doc)

@@ -1,7 +1,8 @@
 """Golden byte-identity corpus for the CLI.
 
-Every case is one ``chancert`` command on a generated problem file; the
-fixture ``golden_cli.json`` holds its exact stdout and exit code.  A change
+Every case is one ``chancert`` command: ``gen`` to standard output, a
+command on a generated problem file, or ``conjecture``; the fixture
+``golden_cli.json`` holds its exact stdout and exit code.  A change
 that claims byte-identical output must keep every case passing.  The bytes
 depend on the numpy build and the BLAS, so the fixture records both and the
 test skips on any other combination.
@@ -26,6 +27,8 @@ from chancert.cli import GEN_FAMILIES, main
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_cli.json")
 SEEDS = (0, 1, 2)
+# d_in != d_out and a two-dimensional environment, generated with seed 0
+WIDE_DIMS = ("3", "2", "2")
 
 
 def _environment() -> dict[str, str]:
@@ -33,13 +36,12 @@ def _environment() -> dict[str, str]:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
-def _gen_argv(family: str, seed: int, path: str) -> list[str]:
-    return ["gen", family, path, "--dims", "2", "2", "2", "--seed", str(seed),
-            "--with-channel"]
+def _gen_argv(family: str, seed: int, path: str, dims=("2", "2", "2")) -> list[str]:
+    return ["gen", family, path, "--dims", *dims, "--seed", str(seed), "--with-channel"]
 
 
 def _case_argvs() -> list[list[str]]:
-    """Command lines of the corpus, with ``{family}-{seed}.json`` file names."""
+    """Command lines of the corpus; arguments ending in ``.json`` are file names."""
     cases = []
     for family in GEN_FAMILIES:
         for seed in SEEDS:
@@ -48,6 +50,13 @@ def _case_argvs() -> list[list[str]]:
             cases.append(["solve", name, "--max-iters", "30"])
             if family == "discrimination":
                 cases.append(["hykl", name, "--via-choi"])
+    for family in GEN_FAMILIES:
+        name = f"{family}-wide.json"
+        cases.append(_gen_argv(family, 0, "-", WIDE_DIMS))
+        cases.append(["certify", name])
+        cases.append(["solve", name, "--max-iters", "30"])
+    cases.append(["conjecture", "--dims", "2", "2", "2", "--trials", "4", "--max-iters", "60",
+                  "--seed", "1"])
     return cases
 
 
@@ -63,10 +72,12 @@ def _make_inputs(directory: pathlib.Path) -> None:
         for seed in SEEDS:
             code, _ = _run(_gen_argv(family, seed, str(directory / f"{family}-{seed}.json")))
             assert code == 0
+        path = str(directory / f"{family}-wide.json")
+        assert _run(_gen_argv(family, 0, path, WIDE_DIMS))[0] == 0
 
 
 def _in_dir(argv: list[str], directory: pathlib.Path) -> list[str]:
-    return [argv[0], str(directory / argv[1]), *argv[2:]]
+    return [str(directory / a) if a.endswith(".json") else a for a in argv]
 
 
 # a missing fixture leaves no cases, which test_corpus_matches_case_list reports

@@ -24,8 +24,6 @@ from chancert.objectives import (
     TraceDistanceObjective,
     discrimination_objective,
     evaluate,
-    linear_eval,
-    objective_dims,
 )
 from chancert.solvers import helstrom_povm, random_channel_choi
 from conftest import THRESHOLD_FACTORS, outcome, rand_density, rand_herm, rand_pure
@@ -136,7 +134,7 @@ def test_discrimination_error_identity(seed, d, m):
         pk * np.real(np.trace(e.mat @ s.mat))
         for pk, e, s in zip(ens.probs, p.elements, ens.states)
     )
-    err_linear = linear_eval(h0, q2c_choi(p)).value
+    err_linear = evaluate(LinearObjective(h0, m, d), q2c_choi(p)).value
     assert abs(err_direct - err_linear) <= 1e-12
 
 
@@ -144,7 +142,7 @@ def test_helstrom_value_via_linear_objective():
     ens = _helstrom_ensemble()
     povm, err = helstrom_povm(ens)
     h0 = discrimination_objective(ens)
-    res = linear_eval(h0, q2c_choi(povm))
+    res = evaluate(LinearObjective(h0, 2, 2), q2c_choi(povm))
     assert res.value == pytest.approx(HELSTROM_ERR, abs=1e-14)
     assert err == pytest.approx(HELSTROM_ERR, abs=1e-14)
 
@@ -162,7 +160,7 @@ def test_subgradient_inequality(family, seed):
     the sign of H in any family makes this fail immediately and massively.
     """
     spec = _rand_spec(family, seed)
-    d_out, d_in = objective_dims(spec)
+    d_out, d_in = spec.dims
     rng = np.random.default_rng(seed + 77)
     j1 = _mix(random_channel_choi(d_in, d_out, rng), d_in, d_out)
     j2 = _mix(random_channel_choi(d_in, d_out, rng), d_in, d_out)
@@ -202,7 +200,7 @@ def test_trace_distance_sign_regression():
 @settings(max_examples=25)
 def test_gradient_matches_finite_difference(family, seed):
     spec = _rand_spec(family, seed)
-    d_out, d_in = objective_dims(spec)
+    d_out, d_in = spec.dims
     rng = np.random.default_rng(seed + 13)
     j = _mix(random_channel_choi(d_in, d_out, rng), d_in, d_out, alpha=0.35)
     res = evaluate(spec, j)
@@ -325,9 +323,20 @@ def test_fidelity_inclusion_flag_is_separate():
 
 def test_objective_dims():
     spec = _rand_spec("fid", 0, (2, 3, 2))
-    assert objective_dims(spec) == (3, 2)
+    assert spec.dims == (3, 2)
     lin = _rand_spec("linear", 0, (3, 2, 1))
-    assert objective_dims(lin) == (2, 3)
+    assert lin.dims == (2, 3)
+
+
+@pytest.mark.parametrize("family", ["linear", "fid", "fidsq", "td", "re"])
+def test_value_floor_is_a_lower_bound(family):
+    spec = _rand_spec(family, 5, (2, 3, 2))
+    d_out, d_in = spec.dims
+    floor = spec.value_floor()
+    rng = np.random.default_rng(6)
+    for k in range(20):
+        j = random_channel_choi(d_in, d_out, rng, kraus_rank=1 + k % (d_in * d_out))
+        assert floor <= evaluate(spec, j).value
 
 
 def test_evaluate_rejects_dim_mismatch():

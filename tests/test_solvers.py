@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chancert import solvers
 from chancert.certifier import certify
+from chancert.cli import GEN_FAMILIES, main
 from chancert.choi import BipartiteState, Povm
 from chancert.linalg import DimensionMismatchError, HermOp, partial_trace
 from chancert.objectives import (
@@ -283,3 +286,34 @@ def test_solver_config_validation():
         SolverConfig(tol_gap=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(stall_window=0)
+
+
+@pytest.mark.parametrize("field", ["step_c", "tol_gap", "tol_feas"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_solver_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+# --------------------------------------------------------------- call counts
+
+
+@pytest.mark.parametrize("family", GEN_FAMILIES)
+def test_solve_evaluates_each_iterate_once(family, tmp_path, monkeypatch, capsys):
+    """An unconverged n-iteration solve: n evaluations and certifications,
+    n - 1 projections (none after the last iteration, none evaluated twice)."""
+    path = str(tmp_path / "p.json")
+    assert main(["gen", family, path, "--dims", "2", "2", "2", "--seed", "1"]) == 0
+    counts = dict.fromkeys(("evaluate", "certify", "project_channel"), 0)
+    for name in counts:
+        original = getattr(solvers, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, counted)
+    assert main(["solve", path, "--max-iters", "30"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["converged"], doc["iterations"]) == (False, 30)
+    assert counts == {"evaluate": 30, "certify": 30, "project_channel": 29}
