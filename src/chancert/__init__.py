@@ -19,12 +19,10 @@ from .certifier import (
     certify,
     certify_objective,
     hykl_check,
-    linear_dual_value,
     subopt_bound,
 )
 from .choi import (
     BipartiteState,
-    ChannelCheck,
     ChoiOp,
     Povm,
     apply_from_choi,
@@ -33,8 +31,6 @@ from .choi import (
     eval_map_adjoint,
     eval_map_apply,
     identity_choi,
-    is_channel_choi,
-    povm_from_choi,
     q2c_choi,
 )
 from .linalg import TOL, HermOp, Tolerances
@@ -73,7 +69,6 @@ __all__ = [
     "VERDICT_OPTIMAL",
     "BipartiteState",
     "Certificate",
-    "ChannelCheck",
     "ChoiOp",
     "Ensemble",
     "FidelityObjective",
@@ -104,11 +99,8 @@ __all__ = [
     "helstrom_povm",
     "hykl_check",
     "identity_choi",
-    "is_channel_choi",
-    "linear_dual_value",
     "loads_problem",
     "parse_problem",
-    "povm_from_choi",
     "project_channel",
     "q2c_choi",
     "random_instance",

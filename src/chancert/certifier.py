@@ -42,9 +42,10 @@ from .linalg import (
     TOL,
     DimensionMismatchError,
     HermOp,
-    NotPSDError,
     Tolerances,
     _dist_to_psd,
+    _herm,
+    _min_eig,
     kron,
     partial_trace,
     spectral_norm,
@@ -61,7 +62,6 @@ __all__ = [
     "certify_objective",
     "subopt_bound",
     "hykl_check",
-    "linear_dual_value",
 ]
 
 VERDICT_OPTIMAL = "CertifiedOptimal"
@@ -117,9 +117,8 @@ def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
     d_out, d_in = j.dim_out, j.dim_in
     z_raw = partial_trace(h.mat @ j.mat, (d_out, d_in), 0)
     herm_defect = spectral_norm(z_raw - z_raw.conj().T)
-    z = HermOp((z_raw + z_raw.conj().T) / 2.0)
-    y = h.mat - kron(np.eye(d_out), z.mat)
-    min_eig = float(np.min(np.linalg.eigvalsh((y + y.conj().T) / 2.0)))
+    z = HermOp(_herm(z_raw))
+    min_eig = _min_eig(_herm(h.mat - kron(np.eye(d_out), z.mat)))
     epsilon, _ = _dist_to_psd(h.mat - kron(np.eye(d_out), z_raw))
     bound = epsilon * d_in
     scale = 1.0 + h.norm()
@@ -172,10 +171,9 @@ def hykl_check(ens: Ensemble, p: Povm, tol: Tolerances = TOL) -> HyklReport:
     for pk, povm_el, state in zip(ens.probs, p.elements, ens.states):
         r_raw += pk * (povm_el.mat @ state.mat)
     herm_defect = spectral_norm(r_raw - r_raw.conj().T)
-    r = HermOp((r_raw + r_raw.conj().T) / 2.0)
+    r = HermOp(_herm(r_raw))
     min_eigs = tuple(
-        float(np.min(np.linalg.eigvalsh(r.mat - pk * state.mat)))
-        for pk, state in zip(ens.probs, ens.states)
+        _min_eig(r.mat - pk * state.mat) for pk, state in zip(ens.probs, ens.states)
     )
     mean = ens.mean()
     scale = 1.0 + max(
@@ -187,27 +185,3 @@ def hykl_check(ens: Ensemble, p: Povm, tol: Tolerances = TOL) -> HyklReport:
         and min(min_eigs) >= -tol.tau_psd * scale
     )
     return HyklReport(optimal, r, herm_defect, min_eigs, scale)
-
-
-def linear_dual_value(
-    h0: HermOp, y: HermOp, z: HermOp, tol: Tolerances = TOL
-) -> float:
-    """Lagrange dual value ``Tr(Z)`` of a feasible pair for a linear objective.
-
-    The pair ``(Y, Z)`` is dual feasible when ``Y`` is PSD and
-    ``H0 = Y + 1 (x) Z``; then ``Tr(Z) <= <H0, J>`` for every channel ``J``
-    (weak duality).  Returns ``-math.inf`` when the linear identity fails,
-    since the inner infimum over unconstrained Hermitian operators diverges.
-    """
-    if y.dim != h0.dim:
-        raise DimensionMismatchError(f"Y dim {y.dim} != H0 dim {h0.dim}")
-    if h0.dim % z.dim != 0:
-        raise DimensionMismatchError(f"H0 dim {h0.dim} not divisible by Z dim {z.dim}")
-    low = float(np.min(np.linalg.eigvalsh(y.mat)))
-    if low < -tol.tau_psd * (1.0 + y.norm()):
-        raise NotPSDError(f"dual variable Y has eigenvalue {low:.3e}")
-    d_out = h0.dim // z.dim
-    defect = spectral_norm(h0.mat - y.mat - kron(np.eye(d_out), z.mat))
-    if defect > tol.tau_num * (1.0 + h0.norm()):
-        return -math.inf
-    return float(np.real(np.trace(z.mat)))

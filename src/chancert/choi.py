@@ -30,8 +30,12 @@ from .linalg import (
     DimensionMismatchError,
     HermOp,
     Tolerances,
+    _eigh,
     _fro_settles,
+    _herm,
+    _min_eig,
     _psd_violation,
+    _support,
     as_array,
     partial_trace,
     spectral_norm,
@@ -43,12 +47,9 @@ __all__ = [
     "ChoiOp",
     "Povm",
     "BipartiteState",
-    "ChannelCheck",
     "choi_from_kraus",
     "apply_from_choi",
-    "is_channel_choi",
     "q2c_choi",
-    "povm_from_choi",
     "eval_map_apply",
     "eval_map_adjoint",
     "compress_environment",
@@ -63,10 +64,6 @@ class NotTracePreservingError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Input state is degenerate (e.g. zero reduced state) for the operation."""
-
-
-def _min_eig(h: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh(h)))
 
 
 @dataclass(frozen=True)
@@ -178,39 +175,6 @@ class BipartiteState:
         return self.op.mat
 
 
-@dataclass(frozen=True)
-class ChannelCheck:
-    """Diagnostic verdict for membership in the set of channel Choi operators."""
-
-    valid: bool
-    interior: bool
-    min_eig: float
-    trace_defect: float
-    herm_defect: float
-
-
-def is_channel_choi(m, dims: tuple[int, int], tol: Tolerances = TOL) -> ChannelCheck:
-    """Check whether ``m`` is the Choi operator of a channel with ``dims``
-    = (dim_out, dim_in); ``interior`` additionally requires positive
-    definiteness beyond the PSD tolerance."""
-    a = as_array(m)
-    d_out, d_in = dims
-    if a.shape != (d_out * d_in, d_out * d_in):
-        raise DimensionMismatchError(f"shape {a.shape} incompatible with dims {dims}")
-    h = (a + a.conj().T) / 2.0
-    herm_defect = spectral_norm(a - h)
-    scale = 1.0 + spectral_norm(h)
-    low = _min_eig(h)
-    trace_defect = spectral_norm(partial_trace(h, dims, 0) - np.eye(d_in))
-    valid = (
-        herm_defect <= tol.tau_herm * scale
-        and low >= -tol.tau_psd * scale
-        and trace_defect <= tol.tau_num * max(1.0, scale)
-    )
-    interior = valid and low > tol.tau_psd * scale
-    return ChannelCheck(valid, interior, low, trace_defect, herm_defect)
-
-
 def choi_from_kraus(kraus, tol: Tolerances = TOL) -> ChoiOp:
     """Choi operator of the channel with the given Kraus family.
 
@@ -260,21 +224,6 @@ def q2c_choi(p: Povm, tol: Tolerances = TOL) -> ChoiOp:
     for k, e in enumerate(p.elements):
         j[k * d : (k + 1) * d, k * d : (k + 1) * d] = e.mat.T
     return ChoiOp(HermOp(j, tol), m, d, tol)
-
-
-def povm_from_choi(j: ChoiOp, tol: Tolerances = TOL) -> Povm:
-    """Extract the Povm measured by the classical readout of any channel.
-
-    The ``k``-th element is the transposed ``(k, k)`` diagonal block of the
-    Choi operator; for any valid Choi operator these are PSD and sum to the
-    identity, and for a measure-and-record channel they recover its Povm.
-    """
-    d = j.dim_in
-    elems = []
-    for k in range(j.dim_out):
-        block = j.mat[k * d : (k + 1) * d, k * d : (k + 1) * d]
-        elems.append(HermOp(block.T, tol))
-    return Povm(tuple(elems), tol)
 
 
 def eval_map_apply(rho: BipartiteState, j: ChoiOp) -> np.ndarray:
@@ -329,10 +278,9 @@ def compress_environment(
     of every state-transformation problem built from the pair is preserved.
     """
     red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env), 0)
-    w, v = np.linalg.eigh((red + red.conj().T) / 2.0)
-    top = float(np.max(w)) if w.size else 0.0
-    keep = w > tol.tau_rank * max(top, 0.0)
-    if top <= 0.0 or not np.any(keep):
+    w, v = _eigh(_herm(red))
+    keep = _support(w, tol)
+    if not np.any(keep):
         raise DegenerateInputError("reduced environment state has no support")
     order = np.argsort(w[keep])[::-1]
     b = v[:, keep][:, order]  # dim_env x r isometry columns

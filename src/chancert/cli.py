@@ -6,7 +6,8 @@ Subcommands::
                          4 not certified / 2 bad input
     solve PROBLEM        projected-subgradient solve; best effort, exit 0
     hykl PROBLEM         measurement-optimality report; exit 0 / 4
-    conjecture           sign-witness experiment; records + summary
+    conjecture           sign-witness experiment; records + summary; exit 0,
+                         or 1 when a trial raised or hit a full-rank hard fail
     gen FAMILY OUT       write a seeded random problem file
 
 Every payload printed to standard output is canonical JSON — fixed key
@@ -48,6 +49,7 @@ from .solvers import STEP_RULES, SolverConfig, random_channel_choi, random_densi
 __all__ = ["main"]
 
 EXIT_OK = 0
+EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NEAR = 3
 EXIT_NOT = 4
@@ -125,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=GEN_FAMILIES)
     p.add_argument("out", help="output path, or - for standard output")
     p.add_argument("--dims", type=int, nargs=3, default=(2, 2, 1),
-                   metavar=("IN", "OUT", "ENV"))
+                   metavar=("IN", "OUT", "ENV"),
+                   help="channel input and output dims and the environment dim; ENV is "
+                        "used only by trace-distance, fidelity and relative-entropy, "
+                        "the other families write env 1")
     p.add_argument("--count", type=int, default=2,
                    help="ensemble size for fidelity-squared")
     p.add_argument("--with-channel", action="store_true",
@@ -206,7 +211,7 @@ def cmd_hykl(args) -> int:
                 file=sys.stderr,
             )
             _emit(args, doc)
-            return 1
+            return EXIT_FAIL
     _emit(args, doc)
     return EXIT_OK if rep.optimal else EXIT_NOT
 
@@ -221,6 +226,9 @@ def cmd_conjecture(args) -> int:
         tuple(args.dims), args.trials, args.seed, cfg, _tolerances(args, TOL)
     )
     _emit(args, {"records": [record_to_dict(r) for r in records], "summary": summary})
+    # a full-rank hard fail is a build bug, not evidence (see ``experiments``)
+    if summary["full_rank_hard_fails"] or summary["errors"]:
+        return EXIT_FAIL
     return EXIT_OK
 
 

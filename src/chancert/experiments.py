@@ -42,7 +42,7 @@ import numpy as np
 
 from .certifier import VERDICT_OPTIMAL, certify
 from .choi import BipartiteState, ChoiOp, eval_map_adjoint, eval_map_apply
-from .linalg import TOL, HermOp, Tolerances, spectral_norm
+from .linalg import TOL, HermOp, Tolerances, _eigh, _herm, _sign_witness, spectral_norm
 from .objectives import TraceDistanceObjective
 from .solvers import SolverConfig, random_channel_choi, random_density, solve
 
@@ -133,14 +133,10 @@ def conjecture_witness(
     with ``|lambda| <= zero_threshold`` contribute sign 0.
     """
     tau = eval_map_apply(rho, j)
-    diff = sigma.mat - tau
-    diff = (diff + diff.conj().T) / 2.0
-    w, v = np.linalg.eigh(diff)
+    w, v = _eigh(_herm(sigma.mat - tau))
     pscale = max(spectral_norm(sigma.mat), spectral_norm(tau), 1e-300)
     thr = max(tol.tau_rank, zero_tol) * pscale
-    signs = np.where(w > thr, 1.0, np.where(w < -thr, -1.0, 0.0))
-    y = (v * signs) @ v.conj().T
-    return HermOp(y), w, v, thr
+    return HermOp(_sign_witness(w, v, thr)), w, v, thr
 
 
 def completion_search(
@@ -168,7 +164,7 @@ def completion_search(
         ws.append(c * np.eye(r0))
     for _ in range(n_random):
         g = rng.standard_normal((r0, r0)) + 1j * rng.standard_normal((r0, r0))
-        g = (g + g.conj().T) / 2.0
+        g = _herm(g)
         g = g / max(spectral_norm(g), 1e-300)
         for c in (1.0, 0.5, -0.5, -1.0):
             ws.append(c * g)

@@ -14,6 +14,13 @@ Conventions
   square roots inside ``fidelity``) use the Moore-Penrose convention:
   act on the image, annihilate the kernel, with the image determined by a
   relative eigenvalue cutoff ``tau_rank * max_eigenvalue``.
+* Every eigendecomposition and SVD of the package runs here, through
+  ``_eigh``, ``_eigvalsh`` and ``spectral_norm``, and so do the idioms built
+  on them (``_herm``, ``_min_eig``, ``_support``, ``_sign_witness``).  The
+  wrappers look ``np.linalg.eigh``/``eigvalsh``/``svd`` up at call time, so a
+  counter patched onto those attributes sees every call.  Each call site
+  keeps its LAPACK routine: ``eigh(m)[0]`` and ``eigvalsh(m)`` differ in the
+  last bits.
 """
 
 from __future__ import annotations
@@ -30,9 +37,7 @@ __all__ = [
     "HermOp",
     "SpectralDecomp",
     "ScalarFunction",
-    "SQRT_FN",
     "LOG_FN",
-    "SQUARE_FN",
     "NotPSDError",
     "DomainError",
     "SingularLogError",
@@ -46,12 +51,10 @@ __all__ = [
     "dlog",
     "fidelity",
     "rel_entropy",
-    "trace_norm",
     "spectral_norm",
     "partial_trace",
     "dist_to_psd",
     "kron",
-    "image_inclusion",
     "image_inclusion_defect",
 ]
 
@@ -72,8 +75,12 @@ class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes for the requested operation."""
 
 
-class EigDecompositionError(RuntimeError):
-    """The dense Hermitian eigensolver failed to converge."""
+class EigDecompositionError(np.linalg.LinAlgError):
+    """The dense Hermitian eigensolver failed to converge.
+
+    A ``LinAlgError``, hence a ``ValueError``: callers treat it like any
+    other input the numerics cannot handle.
+    """
 
 
 @dataclass(frozen=True)
@@ -154,13 +161,18 @@ def _psd_violation(low: float, tau: float, op: HermOp) -> bool:
     return low < -tau and low < -tau * (1.0 + op.norm())
 
 
+def _herm(m: np.ndarray) -> np.ndarray:
+    """Hermitian part ``(m + m^dagger) / 2``."""
+    return (m + m.conj().T) / 2.0
+
+
 def _herm_part(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Hermitian part ``(a + a^dagger) / 2`` and whether it equals ``a``.
+    """Hermitian part of ``a`` and whether it equals ``a``.
 
     Elementwise equality holds exactly when ``spectral_norm(a - h) == 0``,
     so callers learn that the defect is zero without an SVD.
     """
-    h = (a + a.conj().T) / 2.0
+    h = _herm(a)
     return h, bool(np.array_equal(h, a))
 
 
@@ -245,9 +257,7 @@ class ScalarFunction:
     in_domain: Callable[[float], bool]
 
 
-SQRT_FN = ScalarFunction("sqrt", math.sqrt, lambda x: 0.5 / math.sqrt(x), lambda x: x > 0.0)
 LOG_FN = ScalarFunction("log", math.log, lambda x: 1.0 / x, lambda x: x > 0.0)
-SQUARE_FN = ScalarFunction("square", lambda x: x * x, lambda x: 2.0 * x, lambda x: True)
 
 
 def spectral_norm(m) -> float:
@@ -259,26 +269,49 @@ def spectral_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values (sum of |eigenvalues| for Hermitian input)."""
-    a = as_array(m)
-    h, exact = _herm_part(a)
-    if exact:
-        return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+def _eig_failure(routine: str, m: np.ndarray, exc: Exception) -> EigDecompositionError:
+    return EigDecompositionError(
+        f"{routine} failed to converge (dim {m.shape[0]}, Frobenius norm {_fro(m):.3e}): {exc}"
+    )
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of Hermitian ``m``."""
     try:
         return np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigDecompositionError(
-            f"eigh failed to converge (dim {m.shape[0]}, norm {spectral_norm(m):.3e}): {exc}"
-        ) from exc
+    except np.linalg.LinAlgError as exc:
+        raise _eig_failure("eigh", m, exc) from exc
 
 
-def _cluster_slices(w: np.ndarray, threshold: float) -> list[slice]:
-    """Group ascending eigenvalues whose consecutive gaps are below threshold."""
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of Hermitian ``m``."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise _eig_failure("eigvalsh", m, exc) from exc
+
+
+def _min_eig(m: np.ndarray) -> float:
+    return float(np.min(_eigvalsh(m)))
+
+
+def _support(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Mask of the eigenvalues above the relative rank cutoff
+    ``tau_rank * max(lambda_max, 0)``: the image of a PSD operator."""
+    top = float(np.max(w)) if w.size else 0.0
+    return w > tol.tau_rank * max(top, 0.0)
+
+
+def _sign_witness(w: np.ndarray, v: np.ndarray, thr: float) -> np.ndarray:
+    """``sum_k sign(lambda_k) |v_k><v_k|`` with ``|lambda_k| <= thr`` counted as 0."""
+    signs = np.where(w > thr, 1.0, np.where(w < -thr, -1.0, 0.0))
+    return (v * signs) @ v.conj().T
+
+
+def _cluster_slices(w: np.ndarray, tol: Tolerances) -> list[slice]:
+    """Group ascending eigenvalues whose consecutive gaps are at most
+    ``tau_rank * max(1, max |lambda|)``."""
+    threshold = tol.tau_rank * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     slices = []
     start = 0
     for i in range(1, len(w)):
@@ -293,9 +326,8 @@ def eig_herm(a: HermOp, tol: Tolerances = TOL) -> SpectralDecomp:
     """Spectral decomposition with eigenvalues clustered within
     ``tau_rank * max(1, norm)``."""
     w, v = _eigh(a.mat)
-    thr = tol.tau_rank * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     reps, projs, mults = [], [], []
-    for s in _cluster_slices(w, thr):
+    for s in _cluster_slices(w, tol):
         block = v[:, s]
         reps.append(float(np.mean(w[s])))
         projs.append(block @ block.conj().T)
@@ -315,8 +347,7 @@ def _psd_eigs(a: HermOp, tol: Tolerances, what: str) -> tuple[np.ndarray, np.nda
 def pinv_psd(a: HermOp, tol: Tolerances = TOL) -> HermOp:
     """Moore-Penrose pseudo-inverse of a PSD operator (inverts the image)."""
     w, v = _psd_eigs(a, tol, "pinv_psd operand")
-    cut = tol.tau_rank * (float(np.max(w)) if w.size else 0.0)
-    inv = np.where(w > cut, np.divide(1.0, w, out=np.zeros_like(w), where=w > 0), 0.0)
+    inv = np.where(_support(w, tol), np.divide(1.0, w, out=np.zeros_like(w), where=w > 0), 0.0)
     return HermOp(v @ (inv[:, None] * v.conj().T))
 
 
@@ -351,8 +382,7 @@ def mat_func_deriv(fn: ScalarFunction, a: HermOp, z: HermOp, tol: Tolerances = T
     if a.dim != z.dim:
         raise DimensionMismatchError(f"operand dims differ: {a.dim} vs {z.dim}")
     w, v = _eigh(a.mat)
-    thr = tol.tau_rank * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    slices = _cluster_slices(w, thr)
+    slices = _cluster_slices(w, tol)
     reps = [float(np.mean(w[s])) for s in slices]
     for r in reps:
         if not fn.in_domain(r):
@@ -369,7 +399,7 @@ def mat_func_deriv(fn: ScalarFunction, a: HermOp, z: HermOp, tol: Tolerances = T
 
 def dlog(y: HermOp, z: HermOp, tol: Tolerances = TOL) -> HermOp:
     """Derivative of the operator logarithm at ``y`` (positive definite) along ``z``."""
-    w = np.linalg.eigvalsh(y.mat)
+    w = _eigvalsh(y.mat)
     top = float(np.max(w)) if w.size else 0.0
     if top <= 0.0 or float(np.min(w)) <= tol.tau_rank * top:
         raise SingularLogError(
@@ -382,8 +412,7 @@ def fidelity(p: HermOp, q: HermOp, tol: Tolerances = TOL) -> float:
     """Root fidelity between PSD operators: trace norm of ``sqrt(p) sqrt(q)``."""
     s = mat_sqrt(p, tol)
     _psd_eigs(q, tol, "fidelity operand")
-    m = s.mat @ q.mat @ s.mat
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    w = _eigvalsh(_herm(s.mat @ q.mat @ s.mat))
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
 
 
@@ -391,17 +420,20 @@ def rel_entropy(p: HermOp, q: HermOp, tol: Tolerances = TOL) -> float:
     """Quantum relative entropy ``Tr(p log p) - Tr(p log q)`` in nats.
 
     Returns ``math.inf`` when the image of ``p`` is not contained in the
-    image of ``q``; callers must treat that as a sentinel and never feed it
-    back into arithmetic.  The ``0 log 0`` contribution is 0 by convention.
+    image of ``q`` (``p`` compressed onto the kernel of ``q`` has norm above
+    ``tau_rank * ||p||``); callers must treat that as a sentinel and never
+    feed it back into arithmetic.  The ``0 log 0`` contribution is 0 by
+    convention.
     """
-    wp, vp = _psd_eigs(p, tol, "rel_entropy first operand")
+    wp, _ = _psd_eigs(p, tol, "rel_entropy first operand")
     wq, vq = _psd_eigs(q, tol, "rel_entropy second operand")
-    if not image_inclusion(p, q, tol):
+    keep = _support(wq, tol)
+    defect = _kernel_norm(p.mat, vq[:, ~keep])
+    # a zero defect passes whatever ||p|| is, so that SVD is skipped
+    if defect > 0.0 and defect > tol.tau_rank * spectral_norm(p.mat):
         return math.inf
-    cut_p = tol.tau_rank * (float(np.max(wp)) if wp.size else 0.0)
-    cut_q = tol.tau_rank * (float(np.max(wq)) if wq.size else 0.0)
-    plogp = float(np.sum(wp[wp > cut_p] * np.log(wp[wp > cut_p])))
-    keep = wq > cut_q
+    supp = _support(wp, tol)
+    plogp = float(np.sum(wp[supp] * np.log(wp[supp])))
     # Tr(p log q) summed over q's supported eigenvectors
     overlaps = np.real(np.sum(vq[:, keep].conj() * (p.mat @ vq[:, keep]), axis=0))
     plogq = float(np.sum(np.log(wq[keep]) * overlaps))
@@ -468,17 +500,15 @@ def kron(a, b) -> np.ndarray:
     return (x[:, None, :, None] * y[None, :, None, :]).reshape(p * r, q * s)
 
 
+def _kernel_norm(p: np.ndarray, kernel: np.ndarray) -> float:
+    """Norm of ``p`` compressed onto the columns of ``kernel`` (0 when none)."""
+    if kernel.shape[1] == 0:
+        return 0.0
+    return spectral_norm(kernel.conj().T @ p @ kernel)
+
+
 def image_inclusion_defect(p: HermOp, q: HermOp, tol: Tolerances = TOL) -> float:
     """Norm of ``p`` compressed onto the kernel of ``q`` (0 when im p <= im q)."""
     wq, vq = _psd_eigs(q, tol, "image_inclusion second operand")
     _psd_eigs(p, tol, "image_inclusion first operand")
-    cut = tol.tau_rank * (float(np.max(wq)) if wq.size else 0.0)
-    kerq = vq[:, wq <= cut]
-    if kerq.shape[1] == 0:
-        return 0.0
-    return spectral_norm(kerq.conj().T @ p.mat @ kerq)
-
-
-def image_inclusion(p: HermOp, q: HermOp, tol: Tolerances = TOL) -> bool:
-    """Whether the image of PSD ``p`` is contained in the image of PSD ``q``."""
-    return image_inclusion_defect(p, q, tol) <= tol.tau_rank * spectral_norm(p.mat)
+    return _kernel_norm(p.mat, vq[:, ~_support(wq, tol)])

@@ -57,7 +57,13 @@ from .linalg import (
     HermOp,
     SingularLogError,
     Tolerances,
+    _eigh,
+    _eigvalsh,
+    _herm,
+    _min_eig,
     _psd_violation,
+    _sign_witness,
+    _support,
     dlog,
     fidelity,
     image_inclusion_defect,
@@ -88,7 +94,7 @@ class InvalidEnsembleError(ValueError):
 
 
 def _check_density(op: HermOp, tol: Tolerances, what: str) -> None:
-    low = float(np.min(np.linalg.eigvalsh(op.mat)))
+    low = _min_eig(op.mat)
     if _psd_violation(low, tol.tau_psd, op):
         raise InvalidEnsembleError(f"{what} is not PSD (min eigenvalue {low:.3e})")
     tr = float(np.real(np.trace(op.mat)))
@@ -192,8 +198,7 @@ class LinearObjective:
 
     def value_floor(self) -> float:
         """``lambda_min(H0) dim_in``, since ``<H0, J> >= lambda_min Tr J``."""
-        low = float(np.min(np.linalg.eigvalsh(self.h0.mat)))
-        return low * self.dim_in
+        return _min_eig(self.h0.mat) * self.dim_in
 
     def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
         """Value and (constant) gradient of the linear objective ``<H0, J>``."""
@@ -358,15 +363,11 @@ class TraceDistanceObjective(_StatePairObjective):
         when no eigenvalue is treated as zero, since a kernel leaves the
         witness non-unique.
         """
-        tau = eval_map_apply(self.rho, j)
-        diff = self.sigma.mat - tau
-        diff = (diff + diff.conj().T) / 2.0
-        w, v = np.linalg.eigh(diff)
+        w, v = _eigh(_herm(self.sigma.mat - eval_map_apply(self.rho, j)))
         value = float(np.sum(np.abs(w)))
         nrm = float(np.max(np.abs(w))) if w.size else 0.0
         thr = tol.tau_rank * nrm
-        signs = np.where(w > thr, 1.0, np.where(w < -thr, -1.0, 0.0))
-        y = (v * signs) @ v.conj().T
+        y = _sign_witness(w, v, thr)
         exact = bool(np.all(np.abs(w) > thr))
         h = HermOp(-eval_map_adjoint(self.rho, y, j.dim_out).mat)
         return SubgradResult(
@@ -409,7 +410,7 @@ class RelativeEntropyObjective(_StatePairObjective):
         # Weight of sigma outside Y (x) im(Tr_sys rho) makes the objective
         # identically infinite; detect before the squeeze discards those rows.
         red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env), 0)
-        reach = HermOp(kron(np.eye(d_out), (red + red.conj().T) / 2.0), tol)
+        reach = HermOp(kron(np.eye(d_out), _herm(red)), tol)
         pre_defect = image_inclusion_defect(sigma.op, reach, tol)
         if pre_defect > tol.tau_rank * spectral_norm(sigma.mat):
             return SubgradResult(
@@ -436,9 +437,8 @@ class RelativeEntropyObjective(_StatePairObjective):
             )
 
         # Restrict to the image of sigma, differentiate the log there, embed back.
-        ws, vs = np.linalg.eigh(sigma_c.mat)
-        tops = float(np.max(ws)) if ws.size else 0.0
-        a = vs[:, ws > tol.tau_rank * max(tops, 0.0)]
+        ws, vs = _eigh(sigma_c.mat)
+        a = vs[:, _support(ws, tol)]
         try:
             dl = dlog(
                 HermOp(a.conj().T @ tau_h.mat @ a, tol),
@@ -504,17 +504,13 @@ def _fid_direction(
     differentiability argument breaks down and the subdifferential is empty.
     """
     s = mat_sqrt(HermOp(sigma, tol), tol).mat
-    m = s @ tau @ s
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    top = float(np.max(w)) if w.size else 0.0
-    kept = w > tol.tau_rank * max(top, 0.0)
+    w, v = _eigh(_herm(s @ tau @ s))
+    kept = _support(w, tol)
     inv_root = np.zeros_like(w)
     inv_root[kept] = 1.0 / np.sqrt(w[kept])
     g = s @ ((v * inv_root) @ v.conj().T) @ s
-    ws = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2.0)
-    tops = float(np.max(ws)) if ws.size else 0.0
-    rank_sigma = int(np.sum(ws > tol.tau_rank * max(tops, 0.0)))
-    return (g + g.conj().T) / 2.0, int(np.sum(kept)) == rank_sigma
+    rank_sigma = int(np.sum(_support(_eigvalsh(_herm(sigma)), tol)))
+    return _herm(g), int(np.sum(kept)) == rank_sigma
 
 
 def evaluate(spec: ObjectiveSpec, j: ChoiOp, tol: Tolerances = TOL) -> SubgradResult:

@@ -66,7 +66,6 @@ __all__ = [
     "parse_problem",
     "loads_problem",
     "certificate_to_dict",
-    "certificate_from_dict",
     "hykl_to_dict",
     "trace_to_dict",
     "subgrad_to_dict",
@@ -455,25 +454,6 @@ def certificate_to_dict(cert: Certificate, res: SubgradResult | None = None) -> 
         }
     )
     return doc
-
-
-def certificate_from_dict(data) -> Certificate:
-    """Rebuild (and re-validate) a certificate from its document form."""
-    if not isinstance(data, dict):
-        raise SchemaError("certificate: expected an object")
-    verdict = _require(data, "verdict", "certificate")
-    if verdict not in ("CertifiedOptimal", "CertifiedNearOptimal", "NotCertified"):
-        raise SchemaError(f"certificate.verdict: unknown verdict {verdict!r}")
-    z = decode_matrix(_require(data, "z", "certificate"), "certificate.z")
-    return Certificate(
-        verdict=verdict,
-        z=HermOp(z),
-        herm_defect=_num(_require(data, "herm_defect", "certificate"), "herm_defect"),
-        min_eig=_num(_require(data, "min_eig", "certificate"), "min_eig"),
-        epsilon=_num(_require(data, "epsilon", "certificate"), "epsilon"),
-        bound=_num(_require(data, "bound", "certificate"), "bound"),
-        scale=_num(_require(data, "scale", "certificate"), "scale"),
-    )
 
 
 def hykl_to_dict(rep: HyklReport) -> dict:

@@ -25,20 +25,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certifier import certify
-from .choi import BipartiteState, ChoiOp, Povm, choi_from_kraus
+from .choi import BipartiteState, ChoiOp, Povm, choi_from_kraus, depolarizing_choi
 from .linalg import (
     TOL,
     DimensionMismatchError,
     HermOp,
     Tolerances,
+    _eigh,
     _fro_settles,
+    _herm,
+    _min_eig,
     as_array,
     kron,
     partial_trace,
     spectral_norm,
 )
 from .objectives import Ensemble, ObjectiveSpec, evaluate
-from .choi import depolarizing_choi
 
 __all__ = [
     "MaxItersExceededError",
@@ -130,24 +132,24 @@ def project_channel(
     a = as_array(x)
     if a.shape != (d_out * d_in, d_out * d_in):
         raise DimensionMismatchError(f"shape {a.shape} incompatible with dims {dims}")
-    cur = (a + a.conj().T) / 2.0
+    cur = _herm(a)
     corr = np.zeros_like(cur)
     eye_out = np.eye(d_out)
     eye_in = np.eye(d_in)
     # Feasible input short-circuits: makes the projection exactly idempotent.
-    low = float(np.min(np.linalg.eigvalsh(cur)))
+    low = _min_eig(cur)
     if max(0.0, -low) <= cfg.tol_feas:
         tr_diff = partial_trace(cur, dims, 0) - eye_in
         if _fro_settles(tr_diff, cfg.tol_feas) or spectral_norm(tr_diff) <= cfg.tol_feas:
             return ChoiOp(HermOp(cur, tol), d_out, d_in, tol)
     for _ in range(cfg.max_iters):
         shifted = cur + corr
-        w, v = np.linalg.eigh(shifted)
+        w, v = _eigh(shifted)
         psd = (v * np.clip(w, 0.0, None)) @ v.conj().T
         corr = shifted - psd
         tr = partial_trace(psd, dims, 0)
         cur = psd + kron(eye_out, (eye_in - tr) / d_out)
-        low = float(np.min(np.linalg.eigvalsh(cur)))
+        low = _min_eig(cur)
         if max(0.0, -low) <= cfg.tol_feas:
             return ChoiOp(HermOp(cur, tol), d_out, d_in, tol)
     raise MaxItersExceededError(
@@ -247,7 +249,7 @@ def helstrom_povm(ens: Ensemble, tol: Tolerances = TOL) -> tuple[Povm, float]:
         raise ValueError(f"need exactly 2 states, got {ens.outcomes}")
     p0, p1 = float(ens.probs[0]), float(ens.probs[1])
     m = p0 * ens.states[0].mat - p1 * ens.states[1].mat
-    w, v = np.linalg.eigh(m)
+    w, v = _eigh(m)
     pos = v[:, w > 0.0]
     p_first = pos @ pos.conj().T
     elements = (HermOp(p_first, tol), HermOp(np.eye(ens.dim) - p_first, tol))

@@ -12,11 +12,10 @@ from chancert.certifier import (
     certify,
     certify_objective,
     hykl_check,
-    linear_dual_value,
     subopt_bound,
 )
 from chancert.choi import BipartiteState, ChoiOp, Povm, depolarizing_choi, identity_choi, q2c_choi
-from chancert.linalg import HermOp, NotPSDError, dist_to_psd, partial_trace, spectral_norm
+from chancert.linalg import HermOp, dist_to_psd, partial_trace, spectral_norm
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
@@ -159,22 +158,21 @@ def test_complementary_slackness_at_certified_optimum():
     assert abs(np.vdot(y, j.mat)) <= 1e-12
 
 
-def test_linear_dual_weak_duality_and_errors():
+def test_linear_dual_weak_duality():
+    """At the Helstrom optimum ``(H0 - 1 (x) Z, Z)`` is dual feasible, so
+    ``Tr Z`` is the optimal error and bounds ``<H0, J>`` for every channel."""
     ens = _helstrom_ensemble()
     povm, _ = helstrom_povm(ens)
     j = q2c_choi(povm)
     h0 = discrimination_objective(ens)
     _, cert = certify_objective(LinearObjective(h0, 2, 2), j)
-    y = HermOp(h0.mat - np.kron(np.eye(2), cert.z.mat))
-    dual = linear_dual_value(h0, y, cert.z)
+    y = h0.mat - np.kron(np.eye(2), cert.z.mat)
+    assert np.min(np.linalg.eigvalsh(y)) >= -1e-12
+    dual = float(np.real(np.trace(cert.z.mat)))
     assert dual == pytest.approx(HELSTROM_ERR, abs=1e-12)  # tight at the optimum
     for k in range(5):
         other = random_channel_choi(2, 2, np.random.default_rng(k))
         assert dual <= float(np.real(np.vdot(h0.mat, other.mat))) + 1e-12
-    # identity failure -> -inf
-    assert linear_dual_value(h0, HermOp(np.zeros((4, 4))), cert.z) == -math.inf
-    with pytest.raises(NotPSDError):
-        linear_dual_value(h0, HermOp(-np.eye(4)), cert.z)
 
 
 def test_subopt_bound_shortcut():

@@ -15,8 +15,6 @@ from chancert.choi import (
     eval_map_adjoint,
     eval_map_apply,
     identity_choi,
-    is_channel_choi,
-    povm_from_choi,
     q2c_choi,
 )
 from chancert.linalg import TOL, HermOp, partial_trace, spectral_norm
@@ -51,17 +49,6 @@ def test_choi_from_kraus_action(seed, dims, r):
     assert spectral_norm(apply_from_choi(j, x) - direct) <= 1e-12
 
 
-@given(seeds, st.sampled_from([(2, 2), (3, 2), (2, 4)]))
-def test_is_channel_choi(seed, dims):
-    d_in, d_out = dims
-    rng = np.random.default_rng(seed)
-    j = random_channel_choi(d_in, d_out, rng)
-    chk = is_channel_choi(j.mat, (d_out, d_in))
-    assert chk.valid and chk.min_eig >= -1e-10 and chk.trace_defect <= 1e-10
-    assert not is_channel_choi(1.5 * j.mat, (d_out, d_in)).valid
-    assert not is_channel_choi(j.mat - 0.2 * np.eye(d_out * d_in), (d_out, d_in)).valid
-
-
 def test_choiop_rejects_non_tp():
     with pytest.raises(NotTracePreservingError):
         ChoiOp(HermOp(np.eye(4) / 3.0), 2, 2)
@@ -94,20 +81,6 @@ def test_q2c_choi_measurement_statistics(seed, d, m):
     out = apply_from_choi(j, x)
     probs = np.array([np.real(np.trace(e.mat @ x)) for e in p.elements])
     assert spectral_norm(out - np.diag(probs)) <= 1e-12
-
-
-@given(seeds, st.sampled_from([2, 3]), st.sampled_from([2, 3]))
-def test_povm_from_choi_round_trip(seed, d, m):
-    rng = np.random.default_rng(seed)
-    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-    els = [np.zeros((d, d), dtype=complex) for _ in range(m)]
-    for k in range(d):
-        els[k % m] += np.outer(u[:, k], u[:, k].conj())
-    p = Povm(tuple(HermOp(e) for e in els))
-    p2 = povm_from_choi(q2c_choi(p))
-    assert p2.outcomes == m
-    for a, b in zip(p.elements, p2.elements):
-        assert spectral_norm(a.mat - b.mat) <= 1e-12
 
 
 @given(seeds, st.sampled_from([(2, 2, 2), (2, 3, 2), (3, 2, 2)]))

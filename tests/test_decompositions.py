@@ -1,0 +1,135 @@
+"""Every eigendecomposition and SVD of the package goes through ``linalg``.
+
+``linalg`` wraps ``np.linalg.eigh``/``eigvalsh``/``svd`` and looks them up at
+call time, so one patched attribute counts, fails or pins every
+decomposition.  These tests guard that design: no other module calls the
+routines directly, the number of calls per objective evaluation and per
+certificate is pinned, and a solver failure surfaces as an input error.
+"""
+
+import ast
+import contextlib
+import io
+import pathlib
+
+import numpy as np
+import pytest
+
+import chancert
+from chancert.certifier import certify
+from chancert.cli import GEN_FAMILIES, main
+from chancert.linalg import EigDecompositionError, dist_to_psd
+from chancert.objectives import evaluate
+from chancert.serialize import loads_problem
+from conftest import forbid_svd
+
+COUNTED = ("eigh", "eigvalsh", "svd")
+ROUTINES = COUNTED + ("norm",)
+SRC = pathlib.Path(chancert.__file__).parent
+
+
+def _direct_calls(tree: ast.AST) -> list[str]:
+    """``linalg.<routine>`` attributes and ``from numpy.linalg import <routine>``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ROUTINES:
+            base = node.value
+            if isinstance(base, (ast.Attribute, ast.Name)) and (
+                getattr(base, "attr", None) == "linalg" or getattr(base, "id", None) == "linalg"
+            ):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.extend(f"line {node.lineno}: from numpy.linalg import {a.name}"
+                         for a in node.names if a.name in ROUTINES)
+    return found
+
+
+def test_only_linalg_calls_numpy_decompositions():
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        calls = _direct_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if calls:
+            offenders[path.name] = calls
+    assert offenders == {}
+
+
+def test_guard_sees_a_direct_call():
+    tree = ast.parse("import numpy as np\nw = np.linalg.eigvalsh(m)\nq = np.linalg.qr(m)\n"
+                     "from numpy.linalg import qr, svd\n")
+    assert sorted(_direct_calls(tree)) == ["line 2: np.linalg.eigvalsh",
+                                           "line 4: from numpy.linalg import svd"]
+
+
+# (eigh, eigvalsh, svd) calls of one ``evaluate`` and one ``certify`` on
+# ``gen FAMILY --dims 2 2 2 --seed 1 --with-channel``.  The relative entropy
+# decides image inclusion from the eigendecomposition of the output it already
+# holds, two eigh and one SVD fewer than deciding it from scratch.
+CERTIFY_CALLS = (1, 1, 3)
+EVALUATE_CALLS = {
+    "linear": (0, 0, 0),
+    "discrimination": (0, 0, 0),
+    "trace-distance": (1, 0, 0),
+    "fidelity": (7, 4, 1),
+    "relative-entropy": (9, 3, 1),
+    "fidelity-squared": (12, 4, 2),
+}
+
+
+def _gen_problem(family: str):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gen", family, "-", "--dims", "2", "2", "2", "--seed", "1",
+                     "--with-channel"]) == 0
+    return loads_problem(out.getvalue())
+
+
+def _count_calls(fn):
+    """``fn()`` and its (eigh, eigvalsh, svd) call counts."""
+    calls = dict.fromkeys(COUNTED, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            mp.setattr(np.linalg, name, counted)
+        result = fn()
+    return result, tuple(calls.values())
+
+
+@pytest.mark.parametrize("family", GEN_FAMILIES)
+def test_decomposition_counts_per_evaluate_and_certify(family):
+    prob = _gen_problem(family)
+    res, got = _count_calls(lambda: evaluate(prob.spec, prob.channel, prob.tol))
+    assert got == EVALUATE_CALLS[family]
+    _, got = _count_calls(lambda: certify(res.h, prob.channel, prob.tol))
+    assert got == CERTIFY_CALLS
+
+
+def _failing_eigh(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_eig_failure_is_a_value_error_built_without_svd(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+    forbid_svd(monkeypatch)
+    with pytest.raises(EigDecompositionError, match=r"eigh failed to converge \(dim 2,"):
+        dist_to_psd(np.diag([1.0, -1.0]))
+    assert issubclass(EigDecompositionError, ValueError)
+
+
+@pytest.mark.parametrize("family", GEN_FAMILIES)
+def test_certify_exits_two_when_eigh_fails(family, tmp_path, monkeypatch, capsys):
+    path = tmp_path / f"{family}.json"
+    assert main(["gen", family, str(path), "--dims", "2", "2", "2", "--seed", "1",
+                 "--with-channel"]) == 0
+    monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+    assert main(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "eigh failed to converge" in captured.err

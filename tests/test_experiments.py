@@ -14,6 +14,7 @@ from chancert.experiments import (
     CLASS_SUPPORTS,
     CLASS_UNDECIDED,
     GAP_TOL,
+    ConjectureRecord,
     classify,
     conjecture_witness,
     TrialError,
@@ -162,7 +163,25 @@ def test_run_conjecture_keeps_failed_trials_as_data(monkeypatch, capsys):
     assert (summary["trials"], summary["errors"]) == (2, 1)
     assert list(summary)[-1] == "errors"
 
+    # the records and the summary are printed as usual; a failed trial makes the exit 1
     assert main(["conjecture", "--trials", str(trials), "--max-iters", "2",
-                 "--seed", str(seed)]) == 0
+                 "--seed", str(seed)]) == 1
     doc = {"records": [record_to_dict(r) for r in records], "summary": summary}
     assert capsys.readouterr().out == canonical_json(doc)
+
+
+def test_conjecture_exits_one_on_full_rank_hard_fail(monkeypatch, capsys):
+    def run_trial_hard_fail(trial_seed, dims, reachable, cfg=None, tol=None):
+        return ConjectureRecord(
+            seed=trial_seed, dims=dims, reachable=reachable, value=0.5, gap=0.0,
+            scale=2.0, herm_defect=0.0, min_eig=-1.0, verdict=VERDICT_NEAR,
+            zero_eigenvalue=False, min_abs_eig=0.25, kernel_dim=0,
+            classification=CLASS_UNDECIDED, converged=True, iterations=1,
+            completions_tried=0, completion_certifies=False, full_rank_hard_fail=True,
+        )
+
+    monkeypatch.setattr(experiments, "run_trial", run_trial_hard_fail)
+    assert main(["conjecture", "--trials", "2", "--seed", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"]["full_rank_hard_fails"] == 2
+    assert doc["summary"]["errors"] == 0

@@ -20,7 +20,6 @@ from chancert.objectives import (
 from chancert.serialize import (
     SchemaError,
     canonical_json,
-    certificate_from_dict,
     certificate_to_dict,
     decode_matrix,
     encode_matrix,
@@ -270,11 +269,11 @@ def test_certificate_document_round_trip():
     doc = certificate_to_dict(cert, res)
     text = canonical_json(doc, indent=2)
     assert canonical_json(json.loads(text), indent=2) == text
-    back = certificate_from_dict(json.loads(text))
-    assert back.verdict == cert.verdict
-    assert back.bound == cert.bound
-    assert back.min_eig == cert.min_eig
-    assert np.array_equal(back.z.mat, cert.z.mat)
+    back = json.loads(text)
+    assert back["verdict"] == cert.verdict
+    assert back["bound"] == cert.bound
+    assert back["min_eig"] == cert.min_eig
+    assert np.array_equal(decode_matrix(back["z"]), cert.z.mat)
 
 
 def test_certificate_infinite_bound_uses_string_sentinel():
@@ -289,25 +288,7 @@ def test_certificate_infinite_bound_uses_string_sentinel():
     doc = certificate_to_dict(replace(cert, verdict="NotCertified", bound=math.inf))
     text = canonical_json(doc)
     assert '"bound":"inf"' in text.replace(" ", "")
-    assert certificate_from_dict(json.loads(text)).bound == math.inf
-
-
-def test_certificate_document_rejections():
-    ens, povm = _helstrom_bits()
-    from chancert.choi import q2c_choi
-
-    _, cert = certify_objective(
-        LinearObjective(discrimination_objective(ens), 2, 2), q2c_choi(povm)
-    )
-    doc = json.loads(canonical_json(certificate_to_dict(cert)))
-    bad = dict(doc, verdict="Great")
-    with pytest.raises(SchemaError):
-        certificate_from_dict(bad)
-    missing = {k: v for k, v in doc.items() if k != "z"}
-    with pytest.raises(SchemaError):
-        certificate_from_dict(missing)
-    with pytest.raises(SchemaError):
-        certificate_from_dict("verdict")
+    assert json.loads(text)["bound"] == "inf"
 
 
 def test_hykl_and_trace_documents_are_canonical():
