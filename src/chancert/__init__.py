@@ -2,9 +2,10 @@
 
 The pieces: ``linalg`` (tolerance-aware Hermitian primitives), ``choi``
 (Choi operators, measurement channels, the environment-assisted
-evaluation map), ``objectives`` (objective families and their
-subgradients), ``certifier`` (the two-condition optimality check, its
-quantitative near-miss bound, and the measurement specialization),
+evaluation map), ``objectives`` (objective families, their subgradients,
+and the family table that parses and draws documents), ``certifier`` (the
+two-condition optimality check, its quantitative near-miss bound, and the
+measurement specialization),
 ``solvers`` (Dykstra projection, projected subgradient descent, reference
 brute force), ``serialize`` (canonical JSON problem/result files),
 ``experiments`` (the sign-witness optimality experiment), and ``cli``.

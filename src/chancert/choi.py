@@ -55,6 +55,7 @@ __all__ = [
     "compress_environment",
     "depolarizing_choi",
     "identity_choi",
+    "random_density",
 ]
 
 
@@ -308,3 +309,10 @@ def identity_choi(dim: int, tol: Tolerances = TOL) -> ChoiOp:
     """Choi operator of the identity channel on a ``dim``-dimensional system."""
     vec = np.eye(dim, dtype=np.complex128).reshape(dim * dim)
     return ChoiOp(HermOp(np.outer(vec, vec.conj()), tol), dim, dim, tol)
+
+
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank-almost-surely random density matrix (normalized G G^dagger)."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    return m / float(np.real(np.trace(m)))

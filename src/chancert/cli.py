@@ -34,17 +34,17 @@ import numpy as np
 from .certifier import VERDICT_NEAR, VERDICT_OPTIMAL, certify_objective, hykl_check
 from .experiments import record_to_dict, run_conjecture
 from .linalg import TOL, Tolerances
+from .objectives import FAMILIES
 from .serialize import (
     SchemaError,
     canonical_json,
-    encode_matrix,
     loads_problem,
     problem_to_dict,
     certificate_to_dict,
     hykl_to_dict,
     trace_to_dict,
 )
-from .solvers import STEP_RULES, SolverConfig, random_channel_choi, random_density, solve
+from .solvers import STEP_RULES, SolverConfig, random_channel_choi, solve
 
 __all__ = ["main"]
 
@@ -54,14 +54,7 @@ EXIT_INPUT = 2
 EXIT_NEAR = 3
 EXIT_NOT = 4
 
-GEN_FAMILIES = (
-    "linear",
-    "discrimination",
-    "trace-distance",
-    "fidelity",
-    "relative-entropy",
-    "fidelity-squared",
-)
+GEN_FAMILIES = tuple(cls.gen_name for cls in FAMILIES)
 
 
 class InputProblem(ValueError):
@@ -129,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, nargs=3, default=(2, 2, 1),
                    metavar=("IN", "OUT", "ENV"),
                    help="channel input and output dims and the environment dim; ENV is "
-                        "used only by trace-distance, fidelity and relative-entropy, "
-                        "the other families write env 1")
+                        "used only by " + ", ".join(c.gen_name for c in FAMILIES if c.uses_env)
+                        + "; the other families write env 1")
     p.add_argument("--count", type=int, default=2,
                    help="ensemble size for fidelity-squared")
     p.add_argument("--with-channel", action="store_true",
@@ -238,61 +231,16 @@ def cmd_gen(args) -> int:
         raise InputProblem("gen: dims must be positive")
     if args.count < 1:
         raise InputProblem("gen: --count must be at least 1")
+    cls = {c.gen_name: c for c in FAMILIES}[args.family]
+    if d_env != 1 and not cls.uses_env:
+        print(f"chancert: gen {args.family} ignores ENV {d_env} and writes env 1", file=sys.stderr)
+        d_env = 1
+    dims = (d_in, d_out, d_env)
     rng = np.random.default_rng(args.seed)
-    channel = None
-    if args.family == "linear":
-        objective = {
-            "family": "Linear",
-            "h0": encode_matrix(random_density(d_out * d_in, rng)),
-        }
-        dims = (d_in, d_out, 1)
-    elif args.family == "discrimination":
-        # d_out plays the role of the number of hypotheses.
-        m = d_out
-        probs = rng.dirichlet(np.ones(m))
-        objective = {
-            "family": "Discrimination",
-            "probs": [float(x) for x in probs],
-            "states": [encode_matrix(random_density(d_in, rng)) for _ in range(m)],
-        }
-        dims = (d_in, m, 1)
-        if args.with_channel:
-            u = np.linalg.qr(
-                rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
-            )[0]
-            projectors = [np.outer(u[:, k], u[:, k].conj()) for k in range(d_in)]
-            if m < d_in:
-                # exactly m elements: the last one takes the surplus projectors
-                projectors[m - 1:] = [sum(projectors[m - 1:])]
-            elements = [encode_matrix(p) for p in projectors]
-            while len(elements) < m:
-                elements.append(encode_matrix(np.zeros((d_in, d_in))))
-            channel = {"kind": "povm", "elements": elements}
-    elif args.family == "fidelity-squared":
-        objective = {
-            "family": "FidelitySquaredEnsemble",
-            "probs": [1.0 / args.count] * args.count,
-            "inputs": [encode_matrix(random_density(d_in, rng)) for _ in range(args.count)],
-            "targets": [encode_matrix(random_density(d_out, rng)) for _ in range(args.count)],
-        }
-        dims = (d_in, d_out, 1)
-    else:
-        family = {
-            "trace-distance": "TraceDistance",
-            "fidelity": "Fidelity",
-            "relative-entropy": "RelativeEntropy",
-        }[args.family]
-        objective = {
-            "family": family,
-            "rho": encode_matrix(random_density(d_in * d_env, rng)),
-            "sigma": encode_matrix(random_density(d_out * d_env, rng)),
-        }
-        dims = (d_in, d_out, d_env)
+    fields, channel = cls.draw(rng, dims, args.count, args.with_channel)
     if args.with_channel and channel is None:
-        channel = {
-            "kind": "choi",
-            "matrix": encode_matrix(random_channel_choi(d_in, d_out, rng)),
-        }
+        channel = {"kind": "choi", "matrix": random_channel_choi(d_in, d_out, rng).mat}
+    objective = {"family": cls.family, **fields}
     text = canonical_json(problem_to_dict(dims, objective, channel), indent=args.json_indent)
     if args.out == "-":
         sys.stdout.write(text)

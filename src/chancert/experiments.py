@@ -41,10 +41,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .certifier import VERDICT_OPTIMAL, certify
-from .choi import BipartiteState, ChoiOp, eval_map_adjoint, eval_map_apply
+from .choi import BipartiteState, ChoiOp, eval_map_adjoint, eval_map_apply, random_density
 from .linalg import TOL, HermOp, Tolerances, _eigh, _herm, _sign_witness, spectral_norm
 from .objectives import TraceDistanceObjective
-from .solvers import SolverConfig, random_channel_choi, random_density, solve
+from .solvers import SolverConfig, random_channel_choi, solve
 
 __all__ = [
     "GAP_TOL",

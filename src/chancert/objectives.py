@@ -5,11 +5,18 @@ returns a subgradient element ``H`` alongside the value, packaged as a
 :class:`SubgradResult`.  A family class owns everything that depends on
 the family: ``dims`` (the channel dimensions it demands), ``_evaluate``
 (value and subgradient, called through :func:`evaluate`, which checks the
-dims first) and ``value_floor()`` (a lower bound over all channels).  The
-five families:
+dims first), ``value_floor()`` (a lower bound over all channels) and its
+problem document: the JSON name ``family``, the ``gen`` name ``gen_name``,
+whether it reads ``dims.env`` (``uses_env``), ``parse`` (build the spec
+from a field reader with ``op``/``ops``/``probs`` and ``tol``, which
+``serialize`` supplies; returns the spec and, for ``Discrimination``, the
+ensemble) and ``draw`` (random document fields as ndarrays, and a channel
+when the family draws its own).  :data:`FAMILIES` lists them in ``gen``
+order.  The five families:
 
 * ``Linear`` — ``f(J) = <H0, J>`` for a fixed Hermitian ``H0``; covers
-  minimum-error state discrimination through ``discrimination_objective``.
+  minimum-error state discrimination, whose document family
+  :class:`Discrimination` lowers to it.
 * ``Fidelity`` — ``f(J) = -F(sigma, (Phi (x) 1)(rho))`` for bipartite
   states sharing an environment factor.
 * ``FidelitySquaredEnsemble`` — ``f(J) = -sum_k p_k F(sigma_k, Phi(rho_k))^2``
@@ -50,6 +57,7 @@ from .choi import (
     compress_environment,
     eval_map_adjoint,
     eval_map_apply,
+    random_density,
 )
 from .linalg import (
     TOL,
@@ -84,6 +92,8 @@ __all__ = [
     "TraceDistanceObjective",
     "RelativeEntropyObjective",
     "ObjectiveSpec",
+    "Discrimination",
+    "FAMILIES",
     "discrimination_objective",
     "evaluate",
 ]
@@ -180,6 +190,8 @@ class LinearObjective:
     """``f(J) = <H0, J>`` on channels from ``C^dim_in`` to ``C^dim_out``."""
 
     family: ClassVar[str] = "Linear"
+    gen_name: ClassVar[str] = "linear"
+    uses_env: ClassVar[bool] = False
 
     h0: HermOp
     dim_out: int
@@ -205,6 +217,16 @@ class LinearObjective:
         value = float(np.real(np.vdot(self.h0.mat, j.mat)))
         return SubgradResult(value, self.h0, exact_gradient=True, valid_subgradient=True)
 
+    @classmethod
+    def parse(cls, doc, dims):
+        d_in, d_out, _ = dims
+        return cls(doc.op("h0", d_out * d_in), d_out, d_in), None
+
+    @staticmethod
+    def draw(rng, dims, count, with_channel):
+        d_in, d_out, _ = dims
+        return {"h0": random_density(d_out * d_in, rng)}, None
+
 
 @dataclass(frozen=True)
 class _StatePairObjective:
@@ -213,6 +235,8 @@ class _StatePairObjective:
     ``rho`` lives on ``in (x) env`` and ``sigma`` on ``out (x) env``; the
     environment factor is shared.
     """
+
+    uses_env: ClassVar[bool] = True
 
     rho: BipartiteState
     sigma: BipartiteState
@@ -228,11 +252,25 @@ class _StatePairObjective:
         """Channel dimensions ``(dim_out, dim_in)`` demanded by the objective."""
         return self.sigma.dim_sys, self.rho.dim_sys
 
+    @classmethod
+    def parse(cls, doc, dims):
+        d_in, d_out, d_env = dims
+        rho = BipartiteState(doc.op("rho", d_in * d_env), d_in, d_env, doc.tol)
+        sigma = BipartiteState(doc.op("sigma", d_out * d_env), d_out, d_env, doc.tol)
+        return cls(rho, sigma), None
+
+    @staticmethod
+    def draw(rng, dims, count, with_channel):
+        d_in, d_out, d_env = dims
+        rho = random_density(d_in * d_env, rng)
+        return {"rho": rho, "sigma": random_density(d_out * d_env, rng)}, None
+
 
 class FidelityObjective(_StatePairObjective):
     """``f(J) = -F(sigma, (Phi (x) 1)(rho))`` with a shared environment."""
 
     family: ClassVar[str] = "Fidelity"
+    gen_name: ClassVar[str] = "fidelity"
 
     def value_floor(self) -> float:
         """``-sqrt(Tr sigma Tr rho)``: ``F(a, b) <= sqrt(Tr a Tr b)``, channels keep traces."""
@@ -270,6 +308,8 @@ class FidelitySquaredObjective:
     """``f(J) = -sum_k p_k F(sigma_k, Phi(rho_k))^2`` over ensemble pairs."""
 
     family: ClassVar[str] = "FidelitySquaredEnsemble"
+    gen_name: ClassVar[str] = "fidelity-squared"
+    uses_env: ClassVar[bool] = False
 
     probs: np.ndarray
     inputs: tuple[HermOp, ...]
@@ -294,6 +334,19 @@ class FidelitySquaredObjective:
     @property
     def pairs(self):
         return tuple(zip(self.probs, self.inputs, self.targets))
+
+    @classmethod
+    def parse(cls, doc, dims):
+        d_in, d_out, _ = dims
+        probs, inputs = doc.probs("probs"), doc.ops("inputs", d_in)
+        return cls(probs, inputs, doc.ops("targets", d_out), doc.tol), None
+
+    @staticmethod
+    def draw(rng, dims, count, with_channel):
+        d_in, d_out, _ = dims
+        inputs = [random_density(d_in, rng) for _ in range(count)]
+        targets = [random_density(d_out, rng) for _ in range(count)]
+        return {"probs": [1.0 / count] * count, "inputs": inputs, "targets": targets}, None
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -347,6 +400,7 @@ class TraceDistanceObjective(_StatePairObjective):
     """``f(J) = ||sigma - (Phi (x) 1)(rho)||_1`` with a shared environment."""
 
     family: ClassVar[str] = "TraceDistance"
+    gen_name: ClassVar[str] = "trace-distance"
 
     def value_floor(self) -> float:
         """A trace norm is nonnegative."""
@@ -383,6 +437,7 @@ class RelativeEntropyObjective(_StatePairObjective):
     """``f(J) = D(sigma || (Phi (x) 1)(rho))`` with a shared environment."""
 
     family: ClassVar[str] = "RelativeEntropy"
+    gen_name: ClassVar[str] = "relative-entropy"
 
     def value_floor(self) -> float:
         """``Tr sigma log(Tr sigma / Tr rho)``: the trace map does not raise ``D``."""
@@ -491,6 +546,50 @@ def discrimination_objective(ens: Ensemble, tol: Tolerances = TOL) -> HermOp:
     for k, (p, s) in enumerate(zip(ens.probs, ens.states)):
         h0[k * d : (k + 1) * d, k * d : (k + 1) * d] = (mean - p * s.mat).T
     return HermOp(h0, tol)
+
+
+class Discrimination:
+    """Document family of minimum-error discrimination: ``dims.out`` states
+    ``rho_k`` on ``C^dims.in`` with priors ``p_k``.  It parses to the
+    ``Linear`` objective of :func:`discrimination_objective` over
+    measure-and-record channels, keeping the :class:`Ensemble`, and draws
+    a projective measurement as its channel."""
+
+    family: ClassVar[str] = "Discrimination"
+    gen_name: ClassVar[str] = "discrimination"
+    uses_env: ClassVar[bool] = False
+
+    @classmethod
+    def parse(cls, doc, dims):
+        d_in, d_out, _ = dims
+        ens = Ensemble(doc.probs("probs"), doc.ops("states", d_in, count=d_out), doc.tol)
+        return LinearObjective(discrimination_objective(ens, doc.tol), d_out, d_in), ens
+
+    @staticmethod
+    def draw(rng, dims, count, with_channel):
+        d_in, m, _ = dims
+        probs = list(rng.dirichlet(np.ones(m)))
+        fields = {"probs": probs, "states": [random_density(d_in, rng) for _ in range(m)]}
+        if not with_channel:
+            return fields, None
+        g = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
+        u = np.linalg.qr(g)[0]
+        projectors = [np.outer(u[:, k], u[:, k].conj()) for k in range(d_in)]
+        if m < d_in:
+            # exactly m elements: the last one takes the surplus projectors
+            projectors[m - 1:] = [sum(projectors[m - 1:])]
+        projectors += [np.zeros((d_in, d_in))] * (m - len(projectors))
+        return fields, {"kind": "povm", "elements": projectors}
+
+
+FAMILIES = (
+    LinearObjective,
+    Discrimination,
+    TraceDistanceObjective,
+    FidelityObjective,
+    RelativeEntropyObjective,
+    FidelitySquaredObjective,
+)
 
 
 def _fid_direction(

@@ -24,12 +24,10 @@ The problem-file schema is versioned at ``"1"``::
       "tolerances": {"tau_psd": ..., ...}                    // optional
     }
 
-Families: ``Linear`` (``h0`` on out (x) in), ``Fidelity`` /
-``TraceDistance`` / ``RelativeEntropy`` (``rho`` on in (x) env, ``sigma``
-on out (x) env), ``FidelitySquaredEnsemble`` (``probs``, ``inputs``,
-``targets``), and the convenience family ``Discrimination`` (``probs``,
-``states``), which lowers to a ``Linear`` objective over measure-and-record
-channels and is the input format for the measurement-optimality command.
+The families are the classes of ``objectives.FAMILIES``; each parses its
+own ``objective`` fields through the reader this module passes it, so the
+JSON encoding stays here.  Families that do not read ``dims.env`` require
+it to be 1.
 """
 
 from __future__ import annotations
@@ -41,19 +39,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .certifier import Certificate, HyklReport
-from .choi import BipartiteState, ChoiOp, Povm, choi_from_kraus, q2c_choi
+from .choi import ChoiOp, Povm, choi_from_kraus, q2c_choi
 from .linalg import TOL, HermOp, Tolerances, as_array
-from .objectives import (
-    Ensemble,
-    FidelityObjective,
-    FidelitySquaredObjective,
-    LinearObjective,
-    ObjectiveSpec,
-    RelativeEntropyObjective,
-    SubgradResult,
-    TraceDistanceObjective,
-    discrimination_objective,
-)
+from .objectives import FAMILIES, Ensemble, ObjectiveSpec, SubgradResult
 
 __all__ = [
     "SchemaError",
@@ -72,15 +60,6 @@ __all__ = [
 ]
 
 VERSION = "1"
-
-FAMILIES = (
-    "Linear",
-    "Fidelity",
-    "FidelitySquaredEnsemble",
-    "TraceDistance",
-    "RelativeEntropy",
-    "Discrimination",
-)
 
 
 class SchemaError(ValueError):
@@ -107,7 +86,8 @@ def _fmt_float(x: float) -> str:
 def _emit(obj, out: list[str], indent: int | None, level: int) -> None:
     pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
     endpad = "" if indent is None else "\n" + " " * (indent * level)
-    sep = "," if indent is None else ","
+    if isinstance(obj, np.ndarray):
+        obj = encode_matrix(obj)
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -115,7 +95,7 @@ def _emit(obj, out: list[str], indent: int | None, level: int) -> None:
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
-                out.append(sep)
+                out.append(",")
             out.append(pad)
             out.append(json.dumps(str(k)))
             out.append(": " if indent is not None else ":")
@@ -129,7 +109,7 @@ def _emit(obj, out: list[str], indent: int | None, level: int) -> None:
         out.append("[")
         for i, v in enumerate(obj):
             if i:
-                out.append(sep)
+                out.append(",")
             out.append(pad)
             _emit(v, out, indent, level + 1)
         out.append(endpad)
@@ -149,7 +129,8 @@ def _emit(obj, out: list[str], indent: int | None, level: int) -> None:
 
 
 def canonical_json(obj, indent: int | None = None) -> str:
-    """Deterministic JSON text for a tree of dicts/lists/scalars."""
+    """Deterministic JSON text for a tree of dicts/lists/scalars and 2-D
+    ndarrays (written as ``[re, im]`` matrices)."""
     out: list[str] = []
     _emit(obj, out, indent, 0)
     out.append("\n")
@@ -183,13 +164,6 @@ def decode_matrix(data, what: str = "matrix") -> np.ndarray:
                 raise SchemaError(f"{what}[{i}][{j}]: expected an [re, im] pair")
             out[i, j] = complex(cell[0], cell[1])
     return out
-
-
-def _decode_square(data, dim: int, what: str) -> np.ndarray:
-    m = decode_matrix(data, what)
-    if m.shape != (dim, dim):
-        raise SchemaError(f"{what}: shape {m.shape} != ({dim}, {dim})")
-    return m
 
 
 def _num(data, what: str) -> float:
@@ -255,10 +229,44 @@ def _parse_tolerances(data) -> Tolerances:
         raise SchemaError(f"tolerances: unknown keys {sorted(bad)}")
     vals = {}
     for k, v in data.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            raise SchemaError(f"tolerances.{k}: expected a positive number")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+            raise SchemaError(f"tolerances.{k}: expected a positive finite number")
         vals[k] = float(v)
     return Tolerances(**vals)
+
+
+class _Fields:
+    """Reads the fields of one document object; each error names its path."""
+
+    def __init__(self, data: dict, path: str, tol: Tolerances):
+        self.data, self.path, self.tol = data, path, tol
+
+    def _square(self, data, dim: int, what: str) -> HermOp:
+        m = decode_matrix(data, what)
+        if m.shape != (dim, dim):
+            raise SchemaError(f"{what}: shape {m.shape} != ({dim}, {dim})")
+        try:
+            return HermOp(m, self.tol)
+        except ValueError as exc:
+            raise SchemaError(f"{what}: {exc}") from exc
+
+    def _array(self, key: str) -> list:
+        items = _require(self.data, key, self.path)
+        if not isinstance(items, list):
+            raise SchemaError(f"{self.path}.{key}: expected an array")
+        return items
+
+    def op(self, key: str, dim: int) -> HermOp:
+        return self._square(_require(self.data, key, self.path), dim, f"{self.path}.{key}")
+
+    def ops(self, key: str, dim: int, count: int | None = None) -> tuple[HermOp, ...]:
+        items = self._array(key)
+        if count is not None and len(items) != count:
+            raise SchemaError(f"{self.path}.{key}: expected {count} matrices, got {len(items)}")
+        return tuple(self._square(m, dim, f"{self.path}.{key}[{k}]") for k, m in enumerate(items))
+
+    def probs(self, key: str) -> np.ndarray:
+        return np.array([_num(p, f"{self.path}.{key}") for p in self._array(key)])
 
 
 def _parse_objective(
@@ -267,72 +275,12 @@ def _parse_objective(
     if not isinstance(data, dict):
         raise SchemaError("objective: expected an object")
     family = _require(data, "family", "objective")
-    if family not in FAMILIES:
+    cls = {c.family: c for c in FAMILIES}.get(family) if isinstance(family, str) else None
+    if cls is None:
         raise SchemaError(f"objective.family: unknown family {family!r}")
-    d_in, d_out, d_env = dims
-
-    if family == "Linear":
-        h0 = _decode_square(_require(data, "h0", "objective"), d_out * d_in, "objective.h0")
-        return LinearObjective(HermOp(h0, tol), d_out, d_in), None
-
-    if family == "Discrimination":
-        if d_env != 1:
-            raise SchemaError("Discrimination: dims.env must be 1")
-        probs = _require(data, "probs", "objective")
-        states = _require(data, "states", "objective")
-        if not isinstance(probs, list) or not isinstance(states, list):
-            raise SchemaError("Discrimination: probs and states must be arrays")
-        if len(states) != d_out:
-            raise SchemaError(
-                f"Discrimination: {len(states)} states but dims.out = {d_out}"
-            )
-        mats = tuple(
-            HermOp(_decode_square(s, d_in, f"objective.states[{k}]"), tol)
-            for k, s in enumerate(states)
-        )
-        ens = Ensemble(np.array([_num(p, "objective.probs") for p in probs]), mats, tol)
-        return LinearObjective(discrimination_objective(ens, tol), d_out, d_in), ens
-
-    if family == "FidelitySquaredEnsemble":
-        if d_env != 1:
-            raise SchemaError("FidelitySquaredEnsemble: dims.env must be 1")
-        probs = _require(data, "probs", "objective")
-        ins = _require(data, "inputs", "objective")
-        outs = _require(data, "targets", "objective")
-        if not (isinstance(probs, list) and isinstance(ins, list) and isinstance(outs, list)):
-            raise SchemaError("FidelitySquaredEnsemble: probs/inputs/targets must be arrays")
-        spec = FidelitySquaredObjective(
-            np.array([_num(p, "objective.probs") for p in probs]),
-            tuple(
-                HermOp(_decode_square(s, d_in, f"objective.inputs[{k}]"), tol)
-                for k, s in enumerate(ins)
-            ),
-            tuple(
-                HermOp(_decode_square(s, d_out, f"objective.targets[{k}]"), tol)
-                for k, s in enumerate(outs)
-            ),
-            tol,
-        )
-        return spec, None
-
-    rho = BipartiteState(
-        HermOp(_decode_square(_require(data, "rho", "objective"), d_in * d_env, "objective.rho"), tol),
-        d_in,
-        d_env,
-        tol,
-    )
-    sigma = BipartiteState(
-        HermOp(_decode_square(_require(data, "sigma", "objective"), d_out * d_env, "objective.sigma"), tol),
-        d_out,
-        d_env,
-        tol,
-    )
-    cls = {
-        "Fidelity": FidelityObjective,
-        "TraceDistance": TraceDistanceObjective,
-        "RelativeEntropy": RelativeEntropyObjective,
-    }[family]
-    return cls(rho, sigma), None
+    if dims[2] != 1 and not cls.uses_env:
+        raise SchemaError(f"{family}: dims.env must be 1")
+    return cls.parse(_Fields(data, "objective", tol), dims)
 
 
 def _parse_channel(
@@ -344,9 +292,9 @@ def _parse_channel(
         raise SchemaError("channel: expected an object")
     kind = _require(data, "kind", "channel")
     d_in, d_out, _ = dims
+    doc = _Fields(data, "channel", tol)
     if kind == "choi":
-        m = _decode_square(_require(data, "matrix", "channel"), d_out * d_in, "channel.matrix")
-        return ChoiOp(HermOp(m, tol), d_out, d_in, tol), None
+        return ChoiOp(doc.op("matrix", d_out * d_in), d_out, d_in, tol), None
     if kind == "kraus":
         ops = _require(data, "operators", "channel")
         if not isinstance(ops, list) or not ops:
@@ -361,16 +309,7 @@ def _parse_channel(
             mats.append(m)
         return choi_from_kraus(mats, tol), None
     if kind == "povm":
-        els = _require(data, "elements", "channel")
-        if not isinstance(els, list) or len(els) != d_out:
-            raise SchemaError(f"channel.elements: expected {d_out} matrices")
-        povm = Povm(
-            tuple(
-                HermOp(_decode_square(e, d_in, f"channel.elements[{k}]"), tol)
-                for k, e in enumerate(els)
-            ),
-            tol,
-        )
+        povm = Povm(doc.ops("elements", d_in, count=d_out), tol)
         return q2c_choi(povm, tol), povm
     raise SchemaError(f"channel.kind: unknown kind {kind!r}")
 

@@ -25,7 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certifier import certify
-from .choi import BipartiteState, ChoiOp, Povm, choi_from_kraus, depolarizing_choi
+from .choi import (
+    BipartiteState,
+    ChoiOp,
+    Povm,
+    choi_from_kraus,
+    depolarizing_choi,
+    random_density,
+)
 from .linalg import (
     TOL,
     DimensionMismatchError,
@@ -50,7 +57,6 @@ __all__ = [
     "solve",
     "helstrom_povm",
     "brute_force_measurement",
-    "random_density",
     "random_channel_choi",
     "random_instance",
     "DIM_CAP",
@@ -313,13 +319,6 @@ def brute_force_measurement(
     if best_swap:
         first, second = second, first
     return Povm((HermOp(first, tol), HermOp(second, tol)), tol), best_err
-
-
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank-almost-surely random density matrix (normalized G G^dagger)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return m / float(np.real(np.trace(m)))
 
 
 def random_channel_choi(

@@ -311,12 +311,30 @@ def test_gen_rejects_unknown_family(capsys):
 
 
 def test_gen_all_families_parse(tmp_path, capsys):
+    from chancert import objectives as ob
     from chancert.cli import GEN_FAMILIES
     from chancert.serialize import loads_problem
 
-    for fam in GEN_FAMILIES:
+    # family: (parsed spec class, env written for --dims 2 2 3)
+    expected = {
+        "linear": (ob.LinearObjective, 1),
+        "discrimination": (ob.LinearObjective, 1),
+        "trace-distance": (ob.TraceDistanceObjective, 3),
+        "fidelity": (ob.FidelityObjective, 3),
+        "relative-entropy": (ob.RelativeEntropyObjective, 3),
+        "fidelity-squared": (ob.FidelitySquaredObjective, 1),
+    }
+    assert GEN_FAMILIES == tuple(expected)
+    for fam, (spec_cls, env) in expected.items():
         assert main(["gen", fam, "-", "--seed", "9"]) == 0
-        loads_problem(capsys.readouterr().out)
+        assert type(loads_problem(capsys.readouterr().out).spec) is spec_cls
+        assert main(["gen", fam, "-", "--dims", "2", "2", "3", "--seed", "9"]) == 0
+        captured = capsys.readouterr()
+        prob = loads_problem(captured.out)
+        assert type(prob.spec) is spec_cls and prob.dims == (2, 2, env)
+        # a dropped ENV is reported in one stderr line
+        assert captured.err.count("\n") == (env == 1)
+        assert ("ENV 3" in captured.err) == (env == 1)
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -5,6 +5,8 @@ call time, so one patched attribute counts, fails or pins every
 decomposition.  These tests guard that design: no other module calls the
 routines directly, the number of calls per objective evaluation and per
 certificate is pinned, and a solver failure surfaces as an input error.
+The same kind of ``ast`` guard keeps ``objectives.FAMILIES`` the one list
+of objective families.
 """
 
 import ast
@@ -19,7 +21,7 @@ import chancert
 from chancert.certifier import certify
 from chancert.cli import GEN_FAMILIES, main
 from chancert.linalg import EigDecompositionError, dist_to_psd
-from chancert.objectives import evaluate
+from chancert.objectives import FAMILIES, evaluate
 from chancert.serialize import loads_problem
 from conftest import forbid_svd
 
@@ -60,6 +62,56 @@ def test_guard_sees_a_direct_call():
                      "from numpy.linalg import qr, svd\n")
     assert sorted(_direct_calls(tree)) == ["line 2: np.linalg.eigvalsh",
                                            "line 4: from numpy.linalg import svd"]
+
+
+# The family table lives in ``objectives``: it may not depend on the modules
+# that read and write documents, and those name no family themselves.
+FAMILY_NAMES = {c.family for c in FAMILIES} | {c.gen_name for c in FAMILIES}
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.add((node.module or "").rsplit(".", 1)[-1])
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    return found
+
+
+def _family_literals(tree: ast.AST) -> list[str]:
+    """String constants naming a family, docstrings excepted."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    return [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in FAMILY_NAMES
+        and id(node) not in docstrings
+    ]
+
+
+def test_family_table_is_the_only_list_of_families():
+    objectives = ast.parse((SRC / "objectives.py").read_text(encoding="utf-8"))
+    assert not {"serialize", "cli"} & _imported_modules(objectives)
+    offenders = {}
+    for name in ("serialize.py", "cli.py"):
+        literals = _family_literals(ast.parse((SRC / name).read_text(encoding="utf-8")))
+        if literals:
+            offenders[name] = literals
+    assert offenders == {}
+
+
+def test_family_guard_sees_a_literal():
+    tree = ast.parse('"""Linear docstring."""\nfrom .serialize import x\n'
+                     'def f():\n    "linear"\n    return {"family": "TraceDistance"}\n')
+    assert _imported_modules(tree) == {"serialize", "x"}
+    assert _family_literals(tree) == ["line 5: 'TraceDistance'"]
 
 
 # (eigh, eigvalsh, svd) calls of one ``evaluate`` and one ``certify`` on
@@ -127,6 +179,7 @@ def test_certify_exits_two_when_eigh_fails(family, tmp_path, monkeypatch, capsys
     path = tmp_path / f"{family}.json"
     assert main(["gen", family, str(path), "--dims", "2", "2", "2", "--seed", "1",
                  "--with-channel"]) == 0
+    capsys.readouterr()  # gen's note when it drops ENV
     monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
     assert main(["certify", str(path)]) == 2
     captured = capsys.readouterr()

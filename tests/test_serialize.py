@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,10 +230,76 @@ def test_problem_rejections():
     for doc in cases:
         with pytest.raises(SchemaError):
             parse_problem(doc)
+    for family in ("Entropy", ["Linear"], {"Linear": 1}):  # unknown, unhashable
+        doc = json.loads(canonical_json(good))
+        doc["objective"]["family"] = family
+        with pytest.raises(SchemaError, match="objective.family"):
+            parse_problem(doc)
     with pytest.raises(SchemaError):
         loads_problem("{not json")
     with pytest.raises(SchemaError):
         parse_problem(["not", "an", "object"])
+
+
+# The objective fields of each family document: a matrix, an array of
+# matrices, or a probability array.
+FAMILY_FIELDS = {
+    "Linear": {"h0": "matrix"},
+    "Discrimination": {"probs": "probs", "states": "matrices"},
+    "TraceDistance": {"rho": "matrix", "sigma": "matrix"},
+    "Fidelity": {"rho": "matrix", "sigma": "matrix"},
+    "RelativeEntropy": {"rho": "matrix", "sigma": "matrix"},
+    "FidelitySquaredEnsemble": {"probs": "probs", "inputs": "matrices", "targets": "matrices"},
+}
+NO_ENV = ("Linear", "Discrimination", "FidelitySquaredEnsemble")
+ONE_BY_ONE = [[[1.0, 0.0]]]
+
+
+def _family_rejections():
+    for family, fields in FAMILY_FIELDS.items():
+        for key, kind in fields.items():
+            yield family, key, "missing", lambda o, k=key: o.pop(k)
+            yield family, key, "non-array", lambda o, k=key: o.update({k: 1.0})
+            if kind == "matrix":
+                yield family, key, "wrong-dim", lambda o, k=key: o.update({k: ONE_BY_ONE})
+            if kind == "matrices":
+                yield family, key, "wrong-dim", lambda o, k=key: o[k].__setitem__(0, ONE_BY_ONE)
+    for family in NO_ENV:
+        yield family, "dims.env", "env-2", None
+
+
+@pytest.mark.parametrize(
+    "family, key, mutate",
+    [pytest.param(f, k, m, id=f"{f}-{k}-{what}") for f, k, what, m in _family_rejections()],
+)
+def test_family_document_rejections_name_the_key(family, key, mutate):
+    doc = json.loads(canonical_json(_problem_docs()[family]))
+    if mutate is None:
+        doc["dims"]["env"] = 2
+    else:
+        mutate(doc["objective"])
+    with pytest.raises(SchemaError, match=re.escape(key)):
+        parse_problem(doc)
+
+
+def test_non_hermitian_matrices_name_their_path():
+    skew = _mat(np.array([[0.5, 1.0], [0.0, 0.5]]))
+    doc = json.loads(canonical_json(_problem_docs()["Discrimination"]))
+    doc["objective"]["states"][1] = skew
+    with pytest.raises(SchemaError, match=re.escape("objective.states[1]: matrix is not Hermitian")):
+        parse_problem(doc)
+    doc = json.loads(canonical_json(_problem_docs()["Discrimination"]))
+    doc["channel"]["elements"][0] = skew
+    with pytest.raises(SchemaError, match=re.escape("channel.elements[0]: matrix is not Hermitian")):
+        parse_problem(doc)
+
+
+def test_non_finite_tolerance_is_a_schema_error():
+    doc = _problem_docs()["RelativeEntropy"]
+    doc["tolerances"] = {"tau_psd": "overflow"}
+    text = canonical_json(doc).replace('"overflow"', "1e400")  # parses to inf
+    with pytest.raises(SchemaError, match="tolerances.tau_psd"):
+        loads_problem(text)
 
 
 def test_povm_element_count_must_match_dims_out():
