@@ -60,6 +60,7 @@ __all__ = [
     "HyklReport",
     "certify",
     "certify_objective",
+    "bound_and_scale",
     "subopt_bound",
     "hykl_check",
 ]
@@ -119,12 +120,29 @@ def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
     herm_defect = spectral_norm(z_raw - z_raw.conj().T)
     z = HermOp(_herm(z_raw))
     min_eig = _min_eig(_herm(h.mat - kron(np.eye(d_out), z.mat)))
-    epsilon, _ = _dist_to_psd(h.mat - kron(np.eye(d_out), z_raw))
+    epsilon = _epsilon(h.mat, z_raw, d_out)
     bound = epsilon * d_in
     scale = 1.0 + h.norm()
     passed = herm_defect <= tol.tau_herm * scale and min_eig >= -tol.tau_psd * scale
     verdict = VERDICT_OPTIMAL if passed else VERDICT_NEAR
     return Certificate(verdict, z, herm_defect, min_eig, epsilon, bound, scale)
+
+
+def _epsilon(h: np.ndarray, z_raw: np.ndarray, d_out: int):
+    """Distance from ``H - 1 (x) Z_raw`` to the PSD cone, ``Z_raw = Tr_out(HJ)``."""
+    return _dist_to_psd(h - kron(np.eye(d_out), z_raw))[0]
+
+
+def bound_and_scale(h: np.ndarray, j: np.ndarray, dims: tuple[int, int]):
+    """The ``bound`` and ``scale`` :func:`certify` reports for ``H`` at ``J``.
+
+    Takes the matrices of ``H`` and ``J`` (Choi dims ``(d_out, d_in)``), or
+    stacks ``(B, n, n)`` of them, and then returns two length-``B`` arrays;
+    each entry has the bits ``certify`` gives that slice.  It skips the
+    Hermiticity defect, ``Z`` and ``min_eig``, which only the verdict needs.
+    """
+    d_out, d_in = dims
+    return _epsilon(h, partial_trace(h @ j, dims, 0), d_out) * d_in, 1.0 + spectral_norm(h)
 
 
 def certify_objective(

@@ -124,8 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="channel input and output dims and the environment dim; ENV is "
                         "used only by " + ", ".join(c.gen_name for c in FAMILIES if c.uses_env)
                         + "; the other families write env 1")
-    p.add_argument("--count", type=int, default=2,
-                   help="ensemble size for fidelity-squared")
+    p.add_argument("--count", type=int, default=None,
+                   help="ensemble size, default 2; read only by "
+                        + ", ".join(c.gen_name for c in FAMILIES if c.uses_count))
     p.add_argument("--with-channel", action="store_true",
                    help="attach a random channel (or measurement) to the file")
     _global_flags(p)
@@ -229,15 +230,18 @@ def cmd_gen(args) -> int:
     d_in, d_out, d_env = args.dims
     if min(args.dims) < 1:
         raise InputProblem("gen: dims must be positive")
-    if args.count < 1:
-        raise InputProblem("gen: --count must be at least 1")
     cls = {c.gen_name: c for c in FAMILIES}[args.family]
+    count = 2 if args.count is None else args.count
+    if args.count is not None and not cls.uses_count:
+        raise InputProblem(f"gen: {args.family} does not read --count")
+    if count < 1:
+        raise InputProblem("gen: --count must be at least 1")
     if d_env != 1 and not cls.uses_env:
         print(f"chancert: gen {args.family} ignores ENV {d_env} and writes env 1", file=sys.stderr)
         d_env = 1
     dims = (d_in, d_out, d_env)
     rng = np.random.default_rng(args.seed)
-    fields, channel = cls.draw(rng, dims, args.count, args.with_channel)
+    fields, channel = cls.draw(rng, dims, count, args.with_channel)
     if args.with_channel and channel is None:
         channel = {"kind": "choi", "matrix": random_channel_choi(d_in, d_out, rng).mat}
     objective = {"family": cls.family, **fields}

@@ -21,6 +21,9 @@ witness at the incumbent, certify, and classify:
   completion search then reports whether some other face member certifies.
 * ``undecided`` — everything else (unconverged solver, marginal defects).
 
+``run_conjecture`` draws its trials first and solves them together, in
+lock-step; each record is the one the trial gets when solved alone.
+
 Zero-eigenvalue detection at the incumbent uses the *problem* scale
 ``max(||sigma||, ||tau||)`` and the gap tolerance, not the norm of the
 difference operator itself: at a reachable optimum the difference is pure
@@ -44,7 +47,7 @@ from .certifier import VERDICT_OPTIMAL, certify
 from .choi import BipartiteState, ChoiOp, eval_map_adjoint, eval_map_apply, random_density
 from .linalg import TOL, HermOp, Tolerances, _eigh, _herm, _sign_witness, spectral_norm
 from .objectives import TraceDistanceObjective
-from .solvers import SolverConfig, random_channel_choi, solve
+from .solvers import SolverConfig, SolveTrace, random_channel_choi, solve, solve_batch
 
 __all__ = [
     "GAP_TOL",
@@ -54,14 +57,21 @@ __all__ = [
     "classify",
     "conjecture_witness",
     "completion_search",
+    "draw_trial",
     "record_to_dict",
+    "record_trial",
     "run_trial",
+    "run_trials",
     "run_conjecture",
     "summarize",
 ]
 
 GAP_TOL = 1e-7
 HARD_FAIL_FACTOR = 100.0
+# the acceptance configuration of the harness
+HARNESS_CONFIG = SolverConfig(step_rule="polyak", max_iters=1200, stall_window=150)
+# trials per lock-step solve in ``run_conjecture``: bounds its memory
+CHUNK = 100
 
 CLASS_SUPPORTS = "supports"
 CLASS_UNDECIDED = "undecided"
@@ -182,14 +192,14 @@ def completion_search(
     return tried, passed, best_min_eig
 
 
-def run_trial(
-    seed: int,
-    dims: tuple[int, int, int],
-    reachable: bool,
-    cfg: SolverConfig | None = None,
-    tol: Tolerances = TOL,
-) -> ConjectureRecord:
-    """Solve one random trace-distance instance and certify its witness."""
+def draw_trial(
+    seed: int, dims: tuple[int, int, int], reachable: bool, tol: Tolerances = TOL
+) -> TraceDistanceObjective:
+    """The random trace-distance instance of one trial.
+
+    ``rho`` is a random state; a reachable target is ``rho`` pushed through
+    a random channel, an unreachable one another random state.
+    """
     d_in, d_out, d_env = dims
     rng = np.random.default_rng(seed)
     rho = BipartiteState(HermOp(random_density(d_in * d_env, rng), tol), d_in, d_env, tol)
@@ -202,16 +212,25 @@ def run_trial(
         sigma = BipartiteState(
             HermOp(random_density(d_out * d_env, rng), tol), d_out, d_env, tol
         )
-    spec = TraceDistanceObjective(rho, sigma)
-    cfg = cfg or SolverConfig(step_rule="polyak", max_iters=1200, stall_window=150)
-    trace = solve(spec, cfg, tol)
-    j = trace.best_choi
+    return TraceDistanceObjective(rho, sigma)
 
+
+def record_trial(
+    seed: int,
+    dims: tuple[int, int, int],
+    reachable: bool,
+    spec: TraceDistanceObjective,
+    trace: SolveTrace,
+    tol: Tolerances = TOL,
+) -> ConjectureRecord:
+    """Certify the sign witness at a solved trial's incumbent and classify it."""
+    rho, sigma = spec.rho, spec.sigma
+    j = trace.best_choi
     y, w, v, thr = conjecture_witness(rho, sigma, j, tol)
     zero_mask = np.abs(w) <= thr
     kernel_dim = int(np.sum(zero_mask))
     min_abs = float(np.min(np.abs(w))) if w.size else 0.0
-    h = HermOp(-eval_map_adjoint(rho, y.mat, d_out).mat)
+    h = HermOp(-eval_map_adjoint(rho, y.mat, j.dim_out).mat)
     cert = certify(h, j, tol)
 
     near = trace.gap <= GAP_TOL * cert.scale
@@ -251,6 +270,51 @@ def run_trial(
     )
 
 
+def run_trial(
+    seed: int,
+    dims: tuple[int, int, int],
+    reachable: bool,
+    cfg: SolverConfig | None = None,
+    tol: Tolerances = TOL,
+) -> ConjectureRecord:
+    """Solve one random trace-distance instance and certify its witness."""
+    spec = draw_trial(seed, dims, reachable, tol)
+    trace = solve(spec, cfg or HARNESS_CONFIG, tol)
+    return record_trial(seed, dims, reachable, spec, trace, tol)
+
+
+def run_trials(
+    trials, dims: tuple[int, int, int], cfg: SolverConfig | None = None, tol: Tolerances = TOL
+) -> list[ConjectureRecord | TrialError]:
+    """:func:`run_trial` of each ``(seed, reachable)`` pair, with one
+    lock-step :func:`solve_batch` over all of them.
+
+    A trial that raises, while drawing, solving or certifying, becomes a
+    :class:`TrialError` with the message it raises alone.
+    """
+    specs: list = []
+    for seed, reachable in trials:
+        try:
+            specs.append(draw_trial(seed, dims, reachable, tol))
+        except Exception as exc:  # per-trial failures are data, not fatal
+            specs.append(exc)
+    drawn = [spec for spec in specs if not isinstance(spec, Exception)]
+    traces = iter(solve_batch(drawn, cfg or HARNESS_CONFIG, tol))
+    records: list[ConjectureRecord | TrialError] = []
+    for (seed, reachable), spec in zip(trials, specs):
+        try:
+            if isinstance(spec, Exception):
+                raise spec
+            trace = next(traces)
+            if isinstance(trace, Exception):
+                raise trace
+            rec = record_trial(seed, dims, reachable, spec, trace, tol)
+        except Exception as exc:
+            rec = TrialError(seed, dims, str(exc))
+        records.append(rec)
+    return records
+
+
 def run_conjecture(
     dims: tuple[int, int, int] = (2, 2, 2),
     trials: int = 100,
@@ -261,20 +325,19 @@ def run_conjecture(
     """Run ``trials`` seeded trials (alternating reachable targets) and tally.
 
     Returns the records in trial order; a trial that raises is kept as a
-    :class:`TrialError` and the run goes on.  Never asserts anything about
-    the open question — the summary reports evidence counts only.
-    ``full_rank_hard_fail`` entries indicate a build bug (the unique-witness
-    case cannot fail at a true optimum) and are surfaced prominently in the
-    summary.
+    :class:`TrialError` and the run goes on.  The trials are solved in
+    lock-step, ``CHUNK`` at a time, which bounds the memory and cannot
+    change any record.  Never asserts anything about the open question —
+    the summary reports evidence counts only.  ``full_rank_hard_fail``
+    entries indicate a build bug (the unique-witness case cannot fail at a
+    true optimum) and are surfaced prominently in the summary.
     """
     records: list[ConjectureRecord | TrialError] = []
-    for t in range(trials):
-        trial_seed = seed * 1000003 + t
-        try:
-            rec = run_trial(trial_seed, dims, reachable=(t % 2 == 0), cfg=cfg, tol=tol)
-        except Exception as exc:  # per-trial failures are data, not fatal
-            rec = TrialError(trial_seed, dims, str(exc))
-        records.append(rec)
+    for start in range(0, trials, CHUNK):
+        chunk = range(start, min(start + CHUNK, trials))
+        records += run_trials(
+            [(seed * 1000003 + t, t % 2 == 0) for t in chunk], dims, cfg, tol
+        )
     return records, summarize(records)
 
 

@@ -14,6 +14,11 @@ Conventions
   square roots inside ``fidelity``) use the Moore-Penrose convention:
   act on the image, annihilate the kernel, with the image determined by a
   relative eigenvalue cutoff ``tau_rank * max_eigenvalue``.
+* ``_herm``, ``kron``, ``partial_trace``, ``_eigh``, ``_eigvalsh``,
+  ``_min_eig``, ``_dist_to_psd`` and ``spectral_norm`` also take stacks
+  ``(..., n, n)`` and act on each slice; scalar results become arrays of
+  the leading shape.  A 2-D call gives the same bytes as before, and each
+  slice of a stacked call the same bytes as the 2-D call on that slice.
 * Every eigendecomposition and SVD of the package runs here, through
   ``_eigh``, ``_eigvalsh`` and ``spectral_norm``, and so do the idioms built
   on them (``_herm``, ``_min_eig``, ``_support``, ``_sign_witness``).  The
@@ -127,8 +132,8 @@ def as_array(x) -> np.ndarray:
     return np.asarray(m, dtype=np.complex128)
 
 
-def _check_square(m: np.ndarray, what: str = "matrix") -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def _check_square(m: np.ndarray, what: str = "matrix", stacked: bool = False) -> None:
+    if (m.ndim != 2 and not (stacked and m.ndim > 2)) or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
@@ -161,19 +166,24 @@ def _psd_violation(low: float, tau: float, op: HermOp) -> bool:
     return low < -tau and low < -tau * (1.0 + op.norm())
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each slice of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _herm(m: np.ndarray) -> np.ndarray:
     """Hermitian part ``(m + m^dagger) / 2``."""
-    return (m + m.conj().T) / 2.0
+    return (m + _dagger(m)) / 2.0
 
 
-def _herm_part(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Hermitian part of ``a`` and whether it equals ``a``.
+def _herm_part(a: np.ndarray):
+    """Hermitian part of ``a`` and whether it equals ``a`` (per slice).
 
     Elementwise equality holds exactly when ``spectral_norm(a - h) == 0``,
     so callers learn that the defect is zero without an SVD.
     """
     h = _herm(a)
-    return h, bool(np.array_equal(h, a))
+    return h, (h == a).all(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -260,18 +270,23 @@ class ScalarFunction:
 LOG_FN = ScalarFunction("log", math.log, lambda x: 1.0 / x, lambda x: x > 0.0)
 
 
-def spectral_norm(m) -> float:
+def _scalar(a: np.ndarray):
+    """A float for the result of a 2-D call, the array for a stacked one."""
+    return float(a) if a.ndim == 0 else a
+
+
+def spectral_norm(m):
     """Largest singular value; works for non-Hermitian input."""
     a = as_array(m)
     if a.size == 0:
-        return 0.0
+        return _scalar(np.zeros(a.shape[:-2]))
     # the LAPACK call np.linalg.norm(a, 2) makes, without its axis handling
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return _scalar(np.linalg.svd(a, compute_uv=False)[..., 0])
 
 
 def _eig_failure(routine: str, m: np.ndarray, exc: Exception) -> EigDecompositionError:
     return EigDecompositionError(
-        f"{routine} failed to converge (dim {m.shape[0]}, Frobenius norm {_fro(m):.3e}): {exc}"
+        f"{routine} failed to converge (dim {m.shape[-1]}, Frobenius norm {_fro(m):.3e}): {exc}"
     )
 
 
@@ -291,8 +306,8 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
         raise _eig_failure("eigvalsh", m, exc) from exc
 
 
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.min(_eigvalsh(m)))
+def _min_eig(m: np.ndarray):
+    return _scalar(_eigvalsh(m).min(axis=-1))
 
 
 def _support(w: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -341,7 +356,7 @@ def _psd_eigs(a: HermOp, tol: Tolerances, what: str) -> tuple[np.ndarray, np.nda
     nrm = float(np.max(np.abs(w))) if w.size else 0.0
     if w.size and w[0] < -tol.tau_psd * nrm:
         raise NotPSDError(f"{what} has eigenvalue {w[0]:.3e} < -tau_psd * {nrm:.3e}")
-    return np.clip(w, 0.0, None), v
+    return np.maximum(w, 0.0), v
 
 
 def pinv_psd(a: HermOp, tol: Tolerances = TOL) -> HermOp:
@@ -353,7 +368,11 @@ def pinv_psd(a: HermOp, tol: Tolerances = TOL) -> HermOp:
 
 def mat_sqrt(a: HermOp, tol: Tolerances = TOL) -> HermOp:
     """Principal square root of a PSD operator; tiny negatives are clamped to 0."""
-    w, v = _psd_eigs(a, tol, "mat_sqrt operand")
+    return _sqrt_from_eigs(*_psd_eigs(a, tol, "mat_sqrt operand"))
+
+
+def _sqrt_from_eigs(w: np.ndarray, v: np.ndarray) -> HermOp:
+    """``v diag(sqrt(w)) v^dagger`` from the clamped pairs of :func:`_psd_eigs`."""
     return HermOp(v @ (np.sqrt(w)[:, None] * v.conj().T))
 
 
@@ -412,8 +431,13 @@ def fidelity(p: HermOp, q: HermOp, tol: Tolerances = TOL) -> float:
     """Root fidelity between PSD operators: trace norm of ``sqrt(p) sqrt(q)``."""
     s = mat_sqrt(p, tol)
     _psd_eigs(q, tol, "fidelity operand")
-    w = _eigvalsh(_herm(s.mat @ q.mat @ s.mat))
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    return _trace_sqrt(_herm(s.mat @ q.mat @ s.mat))
+
+
+def _trace_sqrt(m: np.ndarray) -> float:
+    """``Tr sqrt(m)`` of a PSD ``m``, negative eigenvalues counted as 0; for
+    ``m = sqrt(p) q sqrt(p)`` it is the root fidelity of ``p`` and ``q``."""
+    return float(np.sum(np.sqrt(np.maximum(_eigvalsh(m), 0.0))))
 
 
 def rel_entropy(p: HermOp, q: HermOp, tol: Tolerances = TOL) -> float:
@@ -450,29 +474,31 @@ def partial_trace(m, dims: tuple[int, int], over: int) -> np.ndarray:
     """
     a = as_array(m)
     d0, d1 = dims
-    if a.shape != (d0 * d1, d0 * d1):
+    if a.ndim < 2 or a.shape[-2:] != (d0 * d1, d0 * d1):
         raise DimensionMismatchError(f"shape {a.shape} incompatible with dims {dims}")
-    t = a.reshape(d0, d1, d0, d1)
+    t = a.reshape(a.shape[:-2] + (d0, d1, d0, d1))
     if over == 0:
-        return np.einsum("ajak->jk", t)
+        return np.einsum("...ajak->...jk", t)
     if over == 1:
-        return np.einsum("jaka->jk", t)
+        return np.einsum("...jaka->...jk", t)
     raise ValueError("over must be 0 or 1")
 
 
-def _dist_to_psd(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Distance of square ``a`` to the PSD cone and the witness matrix
-    (see :func:`dist_to_psd`); callers that need only the distance skip
-    validating the witness."""
-    _check_square(a)
+def _dist_to_psd(a: np.ndarray):
+    """Distance of square ``a`` (or of each slice of a stack) to the PSD cone
+    and the witness matrix (see :func:`dist_to_psd`); callers that need only
+    the distance skip validating the witness."""
+    _check_square(a, stacked=True)
     h, exact = _herm_part(a)
     w, v = _eigh(h)
-    pos = v @ (np.clip(w, 0.0, None)[:, None] * v.conj().T)
-    if exact:
-        eps = max(0.0, -float(np.min(w))) if w.size else 0.0
-    else:
-        eps = spectral_norm(a - pos)
-    return eps, pos
+    pos = v @ (np.maximum(w, 0.0)[..., :, None] * _dagger(v))
+    if not np.any(exact):
+        return spectral_norm(a - pos), pos
+    neg = -np.min(w, axis=-1) if w.shape[-1] else np.zeros(exact.shape)
+    eps = np.where(neg > 0.0, neg, 0.0)  # max(0.0, -lambda_min)
+    if not np.all(exact):
+        eps[~exact] = spectral_norm((a - pos)[~exact])
+    return _scalar(eps), pos
 
 
 def dist_to_psd(m, tol: Tolerances = TOL) -> tuple[float, HermOp]:
@@ -488,16 +514,18 @@ def dist_to_psd(m, tol: Tolerances = TOL) -> tuple[float, HermOp]:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of 2-D operands, the left factor owning the slow index.
+    """Kronecker product of matrices, the left factor owning the slow index;
+    leading axes of stacked operands broadcast.
 
     Forms the same broadcast product ``np.kron`` forms, on the operands as
-    given (no dtype coercion), so the result is bitwise identical to
+    given (no dtype coercion), so a 2-D result is bitwise identical to
     ``np.kron(a, b)``, signed zeros included; it skips only the n-D axis
     bookkeeping around that product.
     """
     x, y = np.asarray(a), np.asarray(b)
-    (p, q), (r, s) = x.shape, y.shape
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(p * r, q * s)
+    (p, q), (r, s) = x.shape[-2:], y.shape[-2:]
+    prod = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (p * r, q * s))
 
 
 def _kernel_norm(p: np.ndarray, kernel: np.ndarray) -> float:

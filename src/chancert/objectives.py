@@ -7,7 +7,8 @@ the family: ``dims`` (the channel dimensions it demands), ``_evaluate``
 (value and subgradient, called through :func:`evaluate`, which checks the
 dims first), ``value_floor()`` (a lower bound over all channels) and its
 problem document: the JSON name ``family``, the ``gen`` name ``gen_name``,
-whether it reads ``dims.env`` (``uses_env``), ``parse`` (build the spec
+whether it reads ``dims.env`` (``uses_env``) and ``gen --count``
+(``uses_count``), ``parse`` (build the spec
 from a field reader with ``op``/``ops``/``probs`` and ``tol``, which
 ``serialize`` supplies; returns the spec and, for ``Discrimination``, the
 ensemble) and ``draw`` (random document fields as ndarrays, and a channel
@@ -68,15 +69,17 @@ from .linalg import (
     _eigh,
     _eigvalsh,
     _herm,
+    _kernel_norm,
     _min_eig,
+    _psd_eigs,
     _psd_violation,
     _sign_witness,
+    _sqrt_from_eigs,
     _support,
+    _trace_sqrt,
     dlog,
-    fidelity,
     image_inclusion_defect,
     kron,
-    mat_sqrt,
     partial_trace,
     rel_entropy,
     spectral_norm,
@@ -100,26 +103,36 @@ __all__ = [
 
 
 class InvalidEnsembleError(ValueError):
-    """Ensemble data fails probability or density-operator validation."""
+    """Ensemble data fails probability or density-operator validation.
+
+    ``field`` names the field at fault, ``"probs"`` or ``"states[k]"``, when
+    the error is about one field; a document reader prefixes it with the
+    path of the object it read.
+    """
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
-def _check_density(op: HermOp, tol: Tolerances, what: str) -> None:
+def _check_density(op: HermOp, tol: Tolerances, k: int) -> None:
+    what, field = f"ensemble state {k}", f"states[{k}]"
     low = _min_eig(op.mat)
     if _psd_violation(low, tol.tau_psd, op):
-        raise InvalidEnsembleError(f"{what} is not PSD (min eigenvalue {low:.3e})")
+        raise InvalidEnsembleError(f"{what} is not PSD (min eigenvalue {low:.3e})", field)
     tr = float(np.real(np.trace(op.mat)))
     if abs(tr - 1.0) > tol.tau_sum:
-        raise InvalidEnsembleError(f"{what} has trace {tr!r}, expected 1")
+        raise InvalidEnsembleError(f"{what} has trace {tr!r}, expected 1", field)
 
 
 def _check_probs(p: np.ndarray, tol: Tolerances) -> None:
     """Reject a probability vector that is not finite, nonnegative and normalized."""
     if not np.isfinite(p).all():
-        raise InvalidEnsembleError(f"probabilities are not all finite: {p.tolist()!r}")
+        raise InvalidEnsembleError(f"probabilities are not all finite: {p.tolist()!r}", "probs")
     if np.min(p) < -tol.tau_num:
-        raise InvalidEnsembleError(f"negative probability {float(np.min(p))!r}")
+        raise InvalidEnsembleError(f"negative probability {float(np.min(p))!r}", "probs")
     if abs(float(np.sum(p)) - 1.0) > tol.tau_sum:
-        raise InvalidEnsembleError(f"probabilities sum to {float(np.sum(p))!r}")
+        raise InvalidEnsembleError(f"probabilities sum to {float(np.sum(p))!r}", "probs")
 
 
 @dataclass(frozen=True)
@@ -143,7 +156,7 @@ class Ensemble:
         for k, s in enumerate(states):
             if s.dim != d:
                 raise InvalidEnsembleError("ensemble states have mixed dimensions")
-            _check_density(s, t, f"ensemble state {k}")
+            _check_density(s, t, k)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "states", states)
@@ -192,6 +205,7 @@ class LinearObjective:
     family: ClassVar[str] = "Linear"
     gen_name: ClassVar[str] = "linear"
     uses_env: ClassVar[bool] = False
+    uses_count: ClassVar[bool] = False
 
     h0: HermOp
     dim_out: int
@@ -237,6 +251,7 @@ class _StatePairObjective:
     """
 
     uses_env: ClassVar[bool] = True
+    uses_count: ClassVar[bool] = False
 
     rho: BipartiteState
     sigma: BipartiteState
@@ -286,15 +301,12 @@ class FidelityObjective(_StatePairObjective):
         value and subgradient are invariant under that isometric squeeze.
         """
         rho_c, sigma_c = compress_environment(self.rho, self.sigma, tol)
-        tau = eval_map_apply(rho_c, j)
-        tau_h = HermOp(tau, tol)
-        value = -fidelity(sigma_c.op, tau_h, tol)
-        g, exact = _fid_direction(sigma_c.mat, tau_h.mat, tol)
+        tau_h = HermOp(eval_map_apply(rho_c, j), tol)
+        f, g, exact, defect = _fidelity_terms(sigma_c.op, tau_h, tol)
         h = HermOp(-0.5 * eval_map_adjoint(rho_c, g, j.dim_out).mat)
-        defect = image_inclusion_defect(sigma_c.op, tau_h, tol)
         ok = defect <= tol.tau_rank * spectral_norm(sigma_c.mat)
         return SubgradResult(
-            value,
+            -f,
             h,
             exact_gradient=exact,
             valid_subgradient=exact,
@@ -310,6 +322,7 @@ class FidelitySquaredObjective:
     family: ClassVar[str] = "FidelitySquaredEnsemble"
     gen_name: ClassVar[str] = "fidelity-squared"
     uses_env: ClassVar[bool] = False
+    uses_count: ClassVar[bool] = True
 
     probs: np.ndarray
     inputs: tuple[HermOp, ...]
@@ -376,14 +389,11 @@ class FidelitySquaredObjective:
         ok = True
         defect = 0.0
         for p, rho_k, sig_k in self.pairs:
-            tau_k = apply_from_choi(j, rho_k.mat)
-            tau_h = HermOp(tau_k, tol)
-            f_k = fidelity(sig_k, tau_h, tol)
-            g_k, ex_k = _fid_direction(sig_k.mat, tau_h.mat, tol)
+            tau_h = HermOp(apply_from_choi(j, rho_k.mat), tol)
+            f_k, g_k, ex_k, d_k = _fidelity_terms(sig_k, tau_h, tol)
             value -= p * f_k * f_k
             h -= p * f_k * kron(g_k, rho_k.mat.T)
             exact = exact and ex_k
-            d_k = image_inclusion_defect(sig_k, tau_h, tol)
             defect = max(defect, d_k)
             ok = ok and d_k <= tol.tau_rank * spectral_norm(sig_k.mat)
         return SubgradResult(
@@ -558,6 +568,7 @@ class Discrimination:
     family: ClassVar[str] = "Discrimination"
     gen_name: ClassVar[str] = "discrimination"
     uses_env: ClassVar[bool] = False
+    uses_count: ClassVar[bool] = False
 
     @classmethod
     def parse(cls, doc, dims):
@@ -592,24 +603,32 @@ FAMILIES = (
 )
 
 
-def _fid_direction(
-    sigma: np.ndarray, tau: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, bool]:
-    """Fidelity dual direction ``G = sqrt(s) (sqrt(s) t sqrt(s))^{-1/2} sqrt(s)``.
+def _fidelity_terms(
+    sigma: HermOp, tau: HermOp, tol: Tolerances
+) -> tuple[float, np.ndarray, bool, float]:
+    """Root fidelity ``F(sigma, tau)``, its dual direction, whether that is a
+    gradient, and the image-inclusion defect of ``sigma`` in ``tau``.
 
-    The inverse root is Moore-Penrose on the relative-cutoff support.  The
-    boolean reports whether the sandwiched operator is positive definite on
-    the image of ``sigma`` (same support rank); when it is not the
-    differentiability argument breaks down and the subdifferential is empty.
+    The direction is ``G = sqrt(s) (sqrt(s) t sqrt(s))^{-1/2} sqrt(s)``, the
+    inverse root Moore-Penrose on the relative-cutoff support.  It is a
+    gradient when the sandwiched operator is positive definite on the image
+    of ``sigma`` (same support rank); otherwise the differentiability
+    argument breaks down and the subdifferential is empty.  The numbers are
+    those of ``fidelity``, the direction and ``image_inclusion_defect``
+    computed apart, with ``sigma`` and ``tau`` decomposed once each.
     """
-    s = mat_sqrt(HermOp(sigma, tol), tol).mat
-    w, v = _eigh(_herm(s @ tau @ s))
+    s = _sqrt_from_eigs(*_psd_eigs(sigma, tol, "mat_sqrt operand")).mat
+    wt, vt = _psd_eigs(tau, tol, "fidelity operand")
+    sandwich = _herm(s @ tau.mat @ s)
+    f = _trace_sqrt(sandwich)
+    w, v = _eigh(sandwich)
     kept = _support(w, tol)
     inv_root = np.zeros_like(w)
     inv_root[kept] = 1.0 / np.sqrt(w[kept])
     g = s @ ((v * inv_root) @ v.conj().T) @ s
-    rank_sigma = int(np.sum(_support(_eigvalsh(_herm(sigma)), tol)))
-    return _herm(g), int(np.sum(kept)) == rank_sigma
+    rank_sigma = int(np.sum(_support(_eigvalsh(_herm(sigma.mat)), tol)))
+    defect = _kernel_norm(sigma.mat, vt[:, ~_support(wt, tol)])
+    return f, _herm(g), int(np.sum(kept)) == rank_sigma, defect
 
 
 def evaluate(spec: ObjectiveSpec, j: ChoiOp, tol: Tolerances = TOL) -> SubgradResult:

@@ -41,7 +41,7 @@ import numpy as np
 from .certifier import Certificate, HyklReport
 from .choi import ChoiOp, Povm, choi_from_kraus, q2c_choi
 from .linalg import TOL, HermOp, Tolerances, as_array
-from .objectives import FAMILIES, Ensemble, ObjectiveSpec, SubgradResult
+from .objectives import FAMILIES, Ensemble, InvalidEnsembleError, ObjectiveSpec, SubgradResult
 
 __all__ = [
     "SchemaError",
@@ -280,7 +280,12 @@ def _parse_objective(
         raise SchemaError(f"objective.family: unknown family {family!r}")
     if dims[2] != 1 and not cls.uses_env:
         raise SchemaError(f"{family}: dims.env must be 1")
-    return cls.parse(_Fields(data, "objective", tol), dims)
+    try:
+        return cls.parse(_Fields(data, "objective", tol), dims)
+    except InvalidEnsembleError as exc:
+        if exc.field is None:
+            raise
+        raise SchemaError(f"objective.{exc.field}: {exc}") from exc
 
 
 def _parse_channel(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certifier import certify
+from .certifier import bound_and_scale
 from .choi import (
     BipartiteState,
     ChoiOp,
@@ -38,6 +38,7 @@ from .linalg import (
     DimensionMismatchError,
     HermOp,
     Tolerances,
+    _dagger,
     _eigh,
     _fro_settles,
     _herm,
@@ -55,6 +56,7 @@ __all__ = [
     "SolveTrace",
     "project_channel",
     "solve",
+    "solve_batch",
     "helstrom_povm",
     "brute_force_measurement",
     "random_channel_choi",
@@ -131,36 +133,154 @@ def project_channel(
     clipping, with the correction term) and the affine slice of
     unit-partial-trace operators ``X -> X + 1 (x) (1 - Tr_out X) / d_out``
     (affine, so no correction needed).  Sweeps until the PSD defect of the
-    affine-feasible iterate is at most ``tol_feas``.
+    affine-feasible iterate is at most ``tol_feas``.  The batch of one of
+    :func:`_project_stack`.
     """
-    cfg = cfg or SolverConfig()
     d_out, d_in = dims
     a = as_array(x)
     if a.shape != (d_out * d_in, d_out * d_in):
         raise DimensionMismatchError(f"shape {a.shape} incompatible with dims {dims}")
-    cur = _herm(a)
-    corr = np.zeros_like(cur)
+    return _project_stack(a[None], dims, cfg or SolverConfig(), tol)[0]
+
+
+def _project_stack(
+    xs: np.ndarray, dims: tuple[int, int], cfg: SolverConfig, tol: Tolerances
+) -> list[ChoiOp]:
+    """:func:`project_channel` of each slice of a ``(B, n, n)`` stack.
+
+    A feasible slice short-circuits to its Hermitian part, which makes the
+    projection exactly idempotent.  The partial-trace test needs no
+    decomposition, so it runs first, and a slice it rejects goes straight to
+    the sweeps without the ``eigvalsh`` of the PSD test.  The sweeps run on
+    the stack of the slices still moving; each slice stops at its own sweep,
+    so its result has the bits of projecting it alone.
+    """
+    d_out, d_in = dims
     eye_out = np.eye(d_out)
     eye_in = np.eye(d_in)
-    # Feasible input short-circuits: makes the projection exactly idempotent.
-    low = _min_eig(cur)
-    if max(0.0, -low) <= cfg.tol_feas:
-        tr_diff = partial_trace(cur, dims, 0) - eye_in
-        if _fro_settles(tr_diff, cfg.tol_feas) or spectral_norm(tr_diff) <= cfg.tol_feas:
-            return ChoiOp(HermOp(cur, tol), d_out, d_in, tol)
+    out: list[ChoiOp | None] = [None] * len(xs)
+    cur = _herm(xs)
+    live = np.arange(len(xs))
+    tr_diff = partial_trace(cur, dims, 0) - eye_in
+    # ``max |entry| <= ||tr_diff||``: past twice ``tol_feas`` the exact test
+    # fails too (the factor 2 absorbs rounding), so only the others run it
+    unsettled = np.flatnonzero(~(np.abs(tr_diff).max(axis=(-2, -1)) > 2.0 * cfg.tol_feas))
+    for k in unsettled:
+        unit_trace = (_fro_settles(tr_diff[k], cfg.tol_feas)
+                      or spectral_norm(tr_diff[k]) <= cfg.tol_feas)
+        if unit_trace and max(0.0, -_min_eig(cur[k])) <= cfg.tol_feas:
+            out[k] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
+    if len(unsettled):
+        live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
+        if not len(live):
+            return out
+        cur = cur[live]
+    corr = np.zeros_like(cur)
     for _ in range(cfg.max_iters):
         shifted = cur + corr
         w, v = _eigh(shifted)
-        psd = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        psd = (v * np.maximum(w, 0.0)[:, None, :]) @ _dagger(v)
         corr = shifted - psd
         tr = partial_trace(psd, dims, 0)
         cur = psd + kron(eye_out, (eye_in - tr) / d_out)
         low = _min_eig(cur)
-        if max(0.0, -low) <= cfg.tol_feas:
-            return ChoiOp(HermOp(cur, tol), d_out, d_in, tol)
+        moving = low < -cfg.tol_feas  # max(0, -low) > tol_feas, as for one slice
+        if moving.all():
+            continue
+        for k in np.flatnonzero(~moving):
+            out[live[k]] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
+        if not moving.any():
+            return out
+        live, cur, corr, low = live[moving], cur[moving], corr[moving], low[moving]
     raise MaxItersExceededError(
-        f"projection defect {max(0.0, -low):.3e} after {cfg.max_iters} sweeps"
+        f"projection defect {max(0.0, -float(low[0])):.3e} after {cfg.max_iters} sweeps"
     )
+
+
+def _by_slice(fn, *stacks) -> list:
+    """``fn(*stacks)``, a list with one entry per slice; if it raises, ``fn``
+    runs again slice by slice and a failing slice's entry is its exception.
+
+    ``fn`` must give each slice the bits it gives that slice alone.
+    """
+    try:
+        return fn(*stacks)
+    except Exception as exc:  # the failing slice owns it; find which
+        if len(stacks[0]) == 1:
+            return [exc]
+    entries = []
+    for k in range(len(stacks[0])):
+        try:
+            entries.extend(fn(*(s[k : k + 1] for s in stacks)))
+        except Exception as exc:
+            entries.append(exc)
+    return entries
+
+
+class _Run:
+    """One problem of a :func:`solve_batch` group: its iterate and its log."""
+
+    def __init__(self, spec: ObjectiveSpec, j: ChoiOp, tol: Tolerances) -> None:
+        self.spec = spec
+        self.j = j
+        self.error: Exception | None = None
+        self.values: list[float] = []
+        self.best_value = math.inf
+        self.best_j = j
+        self.best_res = None  # set together with a finite best_value
+        self.best_bound = math.inf
+        self.best_t = 0
+        self.converged = False
+        self.iterations = 0
+        self.eta = 0.0
+        try:
+            self.res = evaluate(spec, j, tol)
+            self.lower = spec.value_floor()
+        except Exception as exc:  # this problem's failure, not the group's
+            self.error = exc
+
+    def record(self, t: int, bound: float, scale: float, cfg: SolverConfig) -> bool:
+        """Log iteration ``t`` with the certificate bound and scale of the
+        iterate; whether the run goes on, with its step size in ``eta``."""
+        res = self.res
+        self.iterations = t
+        self.values.append(res.value)
+        if res.value < self.best_value:
+            self.best_value, self.best_j, self.best_res = res.value, self.j, res
+            self.best_bound, self.best_t = bound, t
+        if res.valid_subgradient and not math.isinf(res.value):
+            self.lower = max(self.lower, res.value - bound)
+            if res.exact_gradient and bound <= cfg.tol_gap * scale:
+                self.converged = True
+                return False
+        if t - self.best_t > cfg.stall_window or t == cfg.max_iters:
+            return False
+
+        gnorm2 = float(np.real(np.vdot(res.h.mat, res.h.mat)))
+        if gnorm2 <= 0.0 or math.isinf(res.value):
+            return False  # nowhere to go (zero direction or infinite start)
+        if cfg.step_rule == "constant":
+            self.eta = cfg.step_c
+        elif cfg.step_rule == "polyak" and not math.isinf(self.lower) and res.value > self.lower:
+            self.eta = (res.value - self.lower) / gnorm2
+        else:
+            self.eta = cfg.step_c / math.sqrt(t)
+        return True
+
+    def trace(self) -> SolveTrace | Exception:
+        if self.error is not None:
+            return self.error
+        # ``lower`` already holds the incumbent's bound, folded in at its iteration.
+        finite = not math.isinf(self.best_value)
+        return SolveTrace(
+            best_value=self.best_value,
+            best_choi=self.best_j,
+            iterations=self.iterations,
+            values=tuple(self.values),
+            converged=self.converged,
+            final_bound=self.best_bound if finite and self.best_res.valid_subgradient else math.inf,
+            gap=self.best_value - self.lower if finite else math.inf,
+        )
 
 
 def solve(
@@ -172,76 +292,82 @@ def solve(
     keeping the smooth families differentiable and the relative entropy
     finite whenever any channel makes it finite).  Best-effort: exhausting
     the iteration or stall budget returns the trace with
-    ``converged=False`` rather than raising.
+    ``converged=False`` rather than raising.  The batch of one of
+    :func:`solve_batch`.
     """
+    (trace,) = solve_batch([spec], cfg, tol)
+    if isinstance(trace, Exception):
+        raise trace
+    return trace
+
+
+def solve_batch(
+    specs, cfg: SolverConfig | None = None, tol: Tolerances = TOL
+) -> list[SolveTrace | Exception]:
+    """:func:`solve` of each problem of a group with equal dims, in lock-step.
+
+    Every round advances each problem still running by one iteration; the
+    certificate bounds and the projections of a round run on ``(B, n, n)``
+    stacks, and ``evaluate`` once per problem.  Entry ``i`` is the trace
+    ``solve(specs[i])`` returns, bit for bit, or the exception it raises;
+    a failing problem leaves the others running.
+    """
+    if not specs:
+        return []
     cfg = cfg or SolverConfig()
-    d_out, d_in = spec.dims
+    dims = specs[0].dims
+    if any(spec.dims != dims for spec in specs):
+        raise DimensionMismatchError(f"solve_batch needs equal dims, got {[s.dims for s in specs]}")
+    d_out, d_in = dims
     # The projection gets its own sweep budget: a tiny subgradient budget
     # must not starve Dykstra (best-effort means no raising from inside).
     proj_cfg = replace(cfg, max_iters=max(cfg.max_iters, 500))
     j = depolarizing_choi(d_in, d_out, tol)
-    res = evaluate(spec, j, tol)
-
-    values: list[float] = []
-    best_value = math.inf
-    best_j = j
-    best_res = best_cert = None  # set together with a finite best_value
-    best_t = 0
-    lower = spec.value_floor()
-    converged = False
-    iterations = 0
+    runs = [_Run(spec, j, tol) for spec in specs]
+    active = [run for run in runs if run.error is None]
 
     for t in range(1, cfg.max_iters + 1):
-        iterations = t
-        cert = certify(res.h, j, tol)
-        values.append(res.value)
-        if res.value < best_value:
-            best_value, best_j, best_res, best_cert, best_t = res.value, j, res, cert, t
-        if res.valid_subgradient and not math.isinf(res.value):
-            lower = max(lower, res.value - cert.bound)
-            if res.exact_gradient and cert.bound <= cfg.tol_gap * cert.scale:
-                converged = True
-                break
-        if t - best_t > cfg.stall_window or t == cfg.max_iters:
+        if not active:
             break
-
-        gnorm2 = float(np.real(np.vdot(res.h.mat, res.h.mat)))
-        if gnorm2 <= 0.0 or math.isinf(res.value):
-            break  # nowhere to go (zero direction or infinite start)
-        if cfg.step_rule == "constant":
-            eta = cfg.step_c
-        elif cfg.step_rule == "polyak" and not math.isinf(lower) and res.value > lower:
-            eta = (res.value - lower) / gnorm2
-        else:
-            eta = cfg.step_c / math.sqrt(t)
-
+        bounds = _by_slice(
+            lambda hs, js: list(zip(*(a.tolist() for a in bound_and_scale(hs, js, dims)))),
+            np.stack([run.res.h.mat for run in active]),
+            np.stack([run.j.mat for run in active]),
+        )
+        moving = []
+        for run, entry in zip(active, bounds):
+            if isinstance(entry, Exception):
+                run.error = entry
+            elif run.record(t, *entry, cfg):
+                moving.append(run)
         # Only the relative entropy can be infinite: halve the step until the
         # candidate lands inside its finite domain.
+        stepping, active = moving, []
         for _ in range(60):
-            cand = project_channel(j.mat - eta * res.h.mat, (d_out, d_in), proj_cfg, tol)
-            cand_res = evaluate(spec, cand, tol)
-            if not math.isinf(cand_res.value):
+            if not stepping:
                 break
-            eta /= 2.0
-        else:
-            break  # every step lands outside the finite domain
-        j, res = cand, cand_res
-
-    # ``lower`` already holds the incumbent's bound, folded in at its iteration.
-    if not math.isinf(best_value) and best_res.valid_subgradient:
-        final_bound = best_cert.bound
-    else:
-        final_bound = math.inf
-    gap = best_value - lower if not math.isinf(best_value) else math.inf
-    return SolveTrace(
-        best_value=best_value,
-        best_choi=best_j,
-        iterations=iterations,
-        values=tuple(values),
-        converged=converged,
-        final_bound=final_bound,
-        gap=gap,
-    )
+            cands = _by_slice(
+                lambda xs: _project_stack(xs, dims, proj_cfg, tol),
+                np.stack([run.j.mat - run.eta * run.res.h.mat for run in stepping]),
+            )
+            retry = []
+            for run, cand in zip(stepping, cands):
+                try:
+                    if isinstance(cand, Exception):
+                        raise cand
+                    cand_res = evaluate(run.spec, cand, tol)
+                except Exception as exc:
+                    run.error = exc
+                    continue
+                if math.isinf(cand_res.value):
+                    run.eta /= 2.0
+                    retry.append(run)
+                else:
+                    run.j, run.res = cand, cand_res
+                    active.append(run)
+            stepping = retry
+        # a run left in ``stepping`` lands outside the finite domain at every step
+    return [run.trace() for run in runs]
 
 
 def helstrom_povm(ens: Ensemble, tol: Tolerances = TOL) -> tuple[Povm, float]:

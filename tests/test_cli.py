@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chancert.cli import main
+from chancert.cli import GEN_FAMILIES, main
 from chancert.linalg import HermOp
 from chancert.objectives import Ensemble
 from chancert.serialize import canonical_json, encode_matrix, problem_to_dict
@@ -289,6 +289,19 @@ def test_gen_rejects_nonpositive_count(count, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "--count" in err
+
+
+@pytest.mark.parametrize("family", GEN_FAMILIES)
+def test_gen_count_only_for_families_that_read_it(family, capsys):
+    assert main(["gen", family, "-", "--seed", "3"]) == 0
+    default = capsys.readouterr().out
+    code = main(["gen", family, "-", "--seed", "3", "--count", "2"])
+    out, err = capsys.readouterr()
+    if family == "fidelity-squared":  # the default count is 2
+        assert (code, out) == (0, default)
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"chancert: gen: {family} does not read --count\n"
 
 
 @pytest.mark.parametrize("family", ["fidelity-squared", "discrimination"])

@@ -147,14 +147,14 @@ def test_records_serialize_canonically():
 def test_run_conjecture_keeps_failed_trials_as_data(monkeypatch, capsys):
     seed, trials = 7, 3
     failing = seed * 1000003 + 1
-    original = experiments.run_trial
+    original = experiments.record_trial
 
-    def run_trial_failing_once(trial_seed, *args, **kwargs):
+    def record_trial_failing_once(trial_seed, *args, **kwargs):
         if trial_seed == failing:
             raise ValueError("injected failure")
         return original(trial_seed, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_trial", run_trial_failing_once)
+    monkeypatch.setattr(experiments, "record_trial", record_trial_failing_once)
     cfg = SolverConfig(step_rule="polyak", max_iters=2, stall_window=150)
     records, summary = run_conjecture((2, 2, 2), trials, seed, cfg)
     assert records[1] == TrialError(failing, (2, 2, 2), "injected failure")
@@ -171,7 +171,7 @@ def test_run_conjecture_keeps_failed_trials_as_data(monkeypatch, capsys):
 
 
 def test_conjecture_exits_one_on_full_rank_hard_fail(monkeypatch, capsys):
-    def run_trial_hard_fail(trial_seed, dims, reachable, cfg=None, tol=None):
+    def record_trial_hard_fail(trial_seed, dims, reachable, spec, trace, tol=None):
         return ConjectureRecord(
             seed=trial_seed, dims=dims, reachable=reachable, value=0.5, gap=0.0,
             scale=2.0, herm_defect=0.0, min_eig=-1.0, verdict=VERDICT_NEAR,
@@ -180,8 +180,82 @@ def test_conjecture_exits_one_on_full_rank_hard_fail(monkeypatch, capsys):
             completions_tried=0, completion_certifies=False, full_rank_hard_fail=True,
         )
 
-    monkeypatch.setattr(experiments, "run_trial", run_trial_hard_fail)
+    monkeypatch.setattr(experiments, "record_trial", record_trial_hard_fail)
     assert main(["conjecture", "--trials", "2", "--seed", "3"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["full_rank_hard_fails"] == 2
     assert doc["summary"]["errors"] == 0
+
+
+# ---------------------------------------------------------- batch invariance
+
+# seed 1, 5 trials: trial 2 converges at iteration 105, the others run out
+BATCH_CFG = SolverConfig(step_rule="polyak", max_iters=150, stall_window=40)
+BATCH_SEED, BATCH_TRIALS = 1, 5
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        assert a == b
+        assert canonical_json(record_to_dict(a)) == canonical_json(record_to_dict(b))
+
+
+def _trials():
+    return [(BATCH_SEED * 1000003 + t, t % 2 == 0) for t in range(BATCH_TRIALS)]
+
+
+def test_records_do_not_depend_on_the_batch(monkeypatch):
+    alone = [run_trial(s, (2, 2, 2), r, BATCH_CFG) for s, r in _trials()]
+    assert [r.converged for r in alone] == [False, False, True, False, False]
+    assert alone[2].iterations < BATCH_CFG.max_iters
+    for chunk in (1, 2, 5, 50):
+        monkeypatch.setattr(experiments, "CHUNK", chunk)
+        records, summary = run_conjecture((2, 2, 2), BATCH_TRIALS, BATCH_SEED, BATCH_CFG)
+        _assert_same_records(records, alone)
+        assert summary == summarize(alone)
+    reverse = experiments.run_trials(_trials()[::-1], (2, 2, 2), BATCH_CFG)
+    _assert_same_records(reverse[::-1], alone)
+
+
+def test_a_trial_whose_evaluate_raises_is_its_own_error(monkeypatch):
+    from chancert import solvers
+
+    baseline, _ = run_conjecture((2, 2, 2), BATCH_TRIALS, BATCH_SEED, BATCH_CFG)
+    failing_seed = _trials()[3][0]
+    rho = experiments.draw_trial(failing_seed, (2, 2, 2), False).rho.mat.tobytes()
+    calls = []
+    original = solvers.evaluate
+
+    def evaluate_failing(spec, j, tol):
+        if spec.rho.mat.tobytes() == rho:
+            calls.append(1)
+            if len(calls) == 20:
+                raise ValueError("injected evaluate failure")
+        return original(spec, j, tol)
+
+    monkeypatch.setattr(solvers, "evaluate", evaluate_failing)
+    records, summary = run_conjecture((2, 2, 2), BATCH_TRIALS, BATCH_SEED, BATCH_CFG)
+    assert records[3] == TrialError(failing_seed, (2, 2, 2), "injected evaluate failure")
+    _assert_same_records(records[:3] + records[4:], baseline[:3] + baseline[4:])
+    assert (summary["trials"], summary["errors"]) == (BATCH_TRIALS - 1, 1)
+    calls.clear()
+    with pytest.raises(ValueError, match="injected evaluate failure"):
+        run_trial(failing_seed, (2, 2, 2), False, BATCH_CFG)
+
+
+def test_a_trial_that_fails_to_draw_is_its_own_error(monkeypatch):
+    baseline, _ = run_conjecture((2, 2, 2), 3, BATCH_SEED, BATCH_CFG)
+    failing_seed = _trials()[1][0]
+    original = experiments.draw_trial
+
+    def draw_failing(seed, *args, **kwargs):
+        if seed == failing_seed:
+            raise ValueError("injected draw failure")
+        return original(seed, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "draw_trial", draw_failing)
+    records, _ = run_conjecture((2, 2, 2), 3, BATCH_SEED, BATCH_CFG)
+    assert records[1] == TrialError(failing_seed, (2, 2, 2), "injected draw failure")
+    _assert_same_records([records[0], records[2]], [baseline[0], baseline[2]])

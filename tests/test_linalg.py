@@ -397,3 +397,60 @@ def test_partial_trace_dim_mismatch():
 def test_rel_entropy_domain_error_on_negative():
     with pytest.raises((NotPSDError, DomainError)):
         rel_entropy(HermOp(np.diag([1.0, -0.2])), HermOp(np.eye(2)))
+
+
+# ------------------------------------------------------------ stacked inputs
+
+
+def _same_bytes(stacked, per_slice):
+    """A stacked result against the list of 2-D results, slice by slice."""
+    stacked = np.asarray(stacked)
+    assert stacked.shape[0] == len(per_slice)
+    for got, want in zip(stacked, per_slice):
+        want = np.asarray(want)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,dims", [(4, (2, 2)), (6, (3, 2)), (16, (4, 4))])
+def test_stacked_helpers_match_each_slice_bytewise(n, dims):
+    from chancert.linalg import _dist_to_psd, _eigh, _eigvalsh, _herm, _min_eig
+
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    h = np.stack([rand_herm(n, rng) for _ in range(5)])
+    h[2] = _herm(h[2])  # one exactly Hermitian slice among inexact ones
+    small = g[:, : dims[1], : dims[1]]
+    cases = {
+        "herm": (_herm, (g,)),
+        "kron": (kron, (np.eye(dims[0]), small)),
+        "kron_both": (kron, (g[:, :2, :2], small)),
+        "partial_trace_0": (lambda m: partial_trace(m, dims, 0), (g,)),
+        "partial_trace_1": (lambda m: partial_trace(m, dims, 1), (g,)),
+        "eigh_w": (lambda m: _eigh(m)[0], (h,)),
+        "eigh_v": (lambda m: _eigh(m)[1], (h,)),
+        "eigvalsh": (_eigvalsh, (h,)),
+        "min_eig": (_min_eig, (h,)),
+        "spectral_norm": (spectral_norm, (g,)),
+        "dist_to_psd": (lambda m: _dist_to_psd(m)[0], (g,)),
+        "dist_to_psd_exact": (lambda m: _dist_to_psd(m)[0], (h,)),
+        "dist_to_psd_mixed": (lambda m: _dist_to_psd(m)[0], (np.where(
+            np.arange(5)[:, None, None] % 2 == 0, h, g),)),
+        "dist_to_psd_pos": (lambda m: _dist_to_psd(m)[1], (g,)),
+    }
+    for name, (fn, args) in cases.items():
+        stacked = fn(*args)
+        per_slice = []
+        for k in range(5):
+            one = fn(*(a[k] if a.ndim == 3 else a for a in args))
+            assert np.ndim(one) == np.ndim(stacked) - 1, name
+            per_slice.append(one)
+        _same_bytes(stacked, per_slice)
+    # an exactly Hermitian slice gets max(0, -lambda_min), whatever its neighbours
+    exact_eps = max(0.0, -float(np.linalg.eigh(h[2])[0][0]))
+    assert _dist_to_psd(h)[0][2] == exact_eps == _dist_to_psd(h[2])[0]
+    assert _dist_to_psd(np.stack([g[0], h[2], g[1]]))[0][1] == exact_eps
+    # a 2-D call returns Python floats where a stacked call returns arrays
+    assert type(_min_eig(h[0])) is float
+    assert type(spectral_norm(g[0])) is float
+    assert type(_dist_to_psd(g[0])[0]) is float
+    assert type(_dist_to_psd(h[2])[0]) is float

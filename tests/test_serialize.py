@@ -294,6 +294,30 @@ def test_non_hermitian_matrices_name_their_path():
         parse_problem(doc)
 
 
+def test_ensemble_state_errors_name_their_path():
+    doc = json.loads(canonical_json(_problem_docs()["Discrimination"]))
+    doc["objective"]["states"][1] = _mat(np.diag([1.5, 0.5]))  # trace 2
+    with pytest.raises(SchemaError) as info:
+        parse_problem(doc)
+    assert str(info.value).startswith("objective.states[1]: ")
+    assert "has trace 2.0, expected 1" in str(info.value)
+    doc["objective"]["states"][1] = _mat(np.diag([1.5, -0.5]))  # trace 1, not PSD
+    with pytest.raises(SchemaError) as info:
+        parse_problem(doc)
+    assert str(info.value).startswith("objective.states[1]: ensemble state 1 is not PSD")
+
+
+@pytest.mark.parametrize("family", ["Discrimination", "FidelitySquaredEnsemble"])
+@pytest.mark.parametrize("probs", [[1.2, -0.2], [0.5, 0.6]])
+def test_prior_errors_name_their_path(family, probs):
+    doc = json.loads(canonical_json(_problem_docs()[family]))
+    doc["objective"]["probs"] = probs
+    with pytest.raises(SchemaError) as info:
+        parse_problem(doc)
+    assert str(info.value).startswith("objective.probs: ")
+    assert "probab" in str(info.value)
+
+
 def test_non_finite_tolerance_is_a_schema_error():
     doc = _problem_docs()["RelativeEntropy"]
     doc["tolerances"] = {"tau_psd": "overflow"}

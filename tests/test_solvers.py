@@ -10,12 +10,13 @@ from chancert import solvers
 from chancert.certifier import certify
 from chancert.cli import GEN_FAMILIES, main
 from chancert.choi import BipartiteState, Povm
-from chancert.linalg import DimensionMismatchError, HermOp, partial_trace
+from chancert.linalg import DimensionMismatchError, EigDecompositionError, HermOp, partial_trace
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
     LinearObjective,
     RelativeEntropyObjective,
+    TraceDistanceObjective,
     discrimination_objective,
     evaluate,
 )
@@ -31,6 +32,7 @@ from chancert.solvers import (
     random_density,
     random_instance,
     solve,
+    solve_batch,
 )
 from conftest import THRESHOLD_FACTORS, rand_herm
 
@@ -300,16 +302,19 @@ def test_solver_config_rejects_non_finite(field, value):
 
 @pytest.mark.parametrize("family", GEN_FAMILIES)
 def test_solve_evaluates_each_iterate_once(family, tmp_path, monkeypatch, capsys):
-    """An unconverged n-iteration solve: n evaluations and certifications,
+    """An unconverged n-iteration solve: n evaluations and certificate bounds,
     n - 1 projections (none after the last iteration, none evaluated twice)."""
     path = str(tmp_path / "p.json")
     assert main(["gen", family, path, "--dims", "2", "2", "2", "--seed", "1"]) == 0
-    counts = dict.fromkeys(("evaluate", "certify", "project_channel"), 0)
-    for name in counts:
+    # the solve loop's seams: one call per problem, or per stack of problems
+    seams = {"evaluate": "evaluate", "certify": "bound_and_scale",
+             "project_channel": "_project_stack"}
+    counts = dict.fromkeys(seams, 0)
+    for key, name in seams.items():
         original = getattr(solvers, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+        def counted(*args, _key=key, _original=original, **kwargs):
+            counts[_key] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(solvers, name, counted)
@@ -317,3 +322,130 @@ def test_solve_evaluates_each_iterate_once(family, tmp_path, monkeypatch, capsys
     doc = json.loads(capsys.readouterr().out)
     assert (doc["converged"], doc["iterations"]) == (False, 30)
     assert counts == {"evaluate": 30, "certify": 30, "project_channel": 29}
+
+
+# ------------------------------------------------------------ batched solve
+
+
+def _decompositions(monkeypatch):
+    """Counters of the eigh and eigvalsh calls made from here on."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_off_trace_projection_skips_the_psd_precheck(monkeypatch):
+    """An input whose partial trace is not the identity is infeasible before any
+    decomposition: one eigh and one eigvalsh per sweep, plus the eigvalsh of
+    the result's ChoiOp check (the seed code also ran a pre-check eigvalsh)."""
+    x = rand_herm(4, np.random.default_rng(5), scale=3.0)
+    calls = _decompositions(monkeypatch)
+    project_channel(x, (2, 2))
+    assert calls["eigh"] >= 1
+    assert calls["eigvalsh"] == calls["eigh"] + 1
+    # with unit partial trace the PSD test still decides first
+    vec = np.eye(2).reshape(4)
+    j_id = np.outer(vec, vec)
+    calls.update(eigh=0, eigvalsh=0)
+    project_channel(1.5 * j_id - 0.25 * np.eye(4), (2, 2))
+    assert calls["eigh"] >= 1
+    assert calls["eigvalsh"] == calls["eigh"] + 2
+
+
+def _same_trace(a, b):
+    assert type(a) is type(b) is SolveTrace
+    assert a.values == b.values
+    assert np.array(a.values).tobytes() == np.array(b.values).tobytes()
+    assert a.best_choi.mat.tobytes() == b.best_choi.mat.tobytes()
+    for name in ("best_value", "iterations", "converged", "final_bound", "gap"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert type(x) is type(y) and np.array(x).tobytes() == np.array(y).tobytes(), name
+
+
+def _group_specs():
+    """Problems with Choi dims (2, 2) from four families; the discrimination
+    problem converges after a few iterations, the relative entropy never."""
+    rng = np.random.default_rng(8)
+    rho = BipartiteState(HermOp(random_density(4, rng)), 2, 2)
+    sigma = BipartiteState(HermOp(random_density(4, rng)), 2, 2)
+    rho1 = BipartiteState(HermOp(random_density(2, rng)), 2, 1)
+    sigma1 = BipartiteState(HermOp(random_density(2, rng)), 2, 1)
+    return [
+        TraceDistanceObjective(rho, sigma),
+        LinearObjective(discrimination_objective(_helstrom_ensemble()), 2, 2),
+        FidelityObjective(rho, sigma),
+        RelativeEntropyObjective(rho1, sigma1),
+        TraceDistanceObjective(sigma, rho),
+    ]
+
+
+def test_solve_batch_gives_each_problem_its_solo_bits():
+    cfg = SolverConfig(step_rule="polyak", max_iters=60, stall_window=30)
+    specs = _group_specs()
+    alone = [solve(spec, cfg) for spec in specs]
+    assert alone[1].converged and alone[1].iterations < 60
+    for group in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [0, 1], [2, 3, 4]):
+        for k, trace in zip(group, solve_batch([specs[k] for k in group], cfg)):
+            _same_trace(trace, alone[k])
+
+
+def test_solve_batch_keeps_a_failing_problem_to_itself(monkeypatch):
+    cfg = SolverConfig(step_rule="polyak", max_iters=40, stall_window=30)
+    specs = _group_specs()
+    alone = [solve(spec, cfg) for spec in specs]
+    calls = {}
+    original = solvers.evaluate
+
+    def evaluate_failing(spec, j, tol):
+        calls[id(spec)] = calls.get(id(spec), 0) + 1
+        if spec is specs[2] and calls[id(spec)] == 7:
+            raise ValueError("injected evaluate failure")
+        return original(spec, j, tol)
+
+    monkeypatch.setattr(solvers, "evaluate", evaluate_failing)
+    traces = solve_batch(specs, cfg)
+    assert isinstance(traces[2], ValueError) and str(traces[2]) == "injected evaluate failure"
+    for k in (0, 1, 3, 4):
+        _same_trace(traces[k], alone[k])
+    calls.clear()
+    with pytest.raises(ValueError, match="injected evaluate failure"):
+        solve(specs[2], cfg)
+
+
+def test_failed_stacked_decomposition_is_redone_per_slice(monkeypatch):
+    """An eigh that fails on a stack is rerun slice by slice: each problem gets
+    the trace or the error it gets alone."""
+    cfg = SolverConfig(step_rule="polyak", max_iters=20, stall_window=30)
+    specs = _group_specs()
+    eigh = np.linalg.eigh
+
+    def eigh_failing_on_real(a, *args, **kwargs):
+        # the discrimination problem's matrices are real, the trace distances' are not
+        if np.any(np.all(np.asarray(a).imag == 0, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on_real)
+    traces = solve_batch(specs, cfg)
+    for spec, trace in zip(specs, traces):
+        try:
+            alone = solve(spec, cfg)
+        except EigDecompositionError as exc:
+            assert type(trace) is EigDecompositionError and str(trace) == str(exc)
+        else:
+            _same_trace(trace, alone)
+    assert isinstance(traces[1], EigDecompositionError)
+    assert isinstance(traces[0], SolveTrace) and isinstance(traces[4], SolveTrace)
+
+
+def test_solve_batch_rejects_mixed_dims():
+    spec = LinearObjective(HermOp(np.eye(6)), 3, 2)
+    with pytest.raises(DimensionMismatchError):
+        solve_batch([spec, LinearObjective(HermOp(np.eye(4)), 2, 2)])
