@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from .certifier import VERDICT_NEAR, VERDICT_OPTIMAL, certify_objective, hykl_check
-from .experiments import record_to_dict, run_conjecture
+from .experiments import HARNESS_CONFIG, record_to_dict, run_conjecture
 from .linalg import TOL, Tolerances
 from .objectives import FAMILIES
 from .serialize import (
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, nargs=3, default=(2, 2, 2),
                    metavar=("IN", "OUT", "ENV"))
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-iters", type=int, default=1200)
+    p.add_argument("--max-iters", type=int, default=HARNESS_CONFIG.max_iters)
     _global_flags(p)
     _seed_flag(p)
     p.set_defaults(func=cmd_conjecture)
@@ -215,7 +215,7 @@ def cmd_conjecture(args) -> int:
         raise InputProblem("conjecture: dims must be positive")
     if args.trials < 1:
         raise InputProblem("conjecture: --trials must be at least 1")
-    cfg = SolverConfig(step_rule="polyak", max_iters=args.max_iters, stall_window=150)
+    cfg = replace(HARNESS_CONFIG, max_iters=args.max_iters)
     records, summary = run_conjecture(
         tuple(args.dims), args.trials, args.seed, cfg, _tolerances(args, TOL)
     )

@@ -10,10 +10,11 @@ Conventions
   ``tau * scale`` where ``scale`` is derived from the spectral norm of the
   operand (usually ``1 + norm`` so that tiny operators are not held to an
   impossible absolute standard).
-* Functions of positive semidefinite operators (``pinv_psd``, ``dlog``,
-  square roots inside ``fidelity``) use the Moore-Penrose convention:
-  act on the image, annihilate the kernel, with the image determined by a
-  relative eigenvalue cutoff ``tau_rank * max_eigenvalue``.
+* Functions of positive semidefinite operators (``pinv_psd``, and the
+  fidelity and relative entropy that ``objectives`` builds on ``_psd_eigs``
+  and ``_support``) use the Moore-Penrose convention: act on the image,
+  annihilate the kernel, with the image determined by a relative eigenvalue
+  cutoff ``tau_rank * max_eigenvalue``.
 * ``_herm``, ``kron``, ``partial_trace``, ``_eigh``, ``_eigvalsh``,
   ``_min_eig``, ``_dist_to_psd`` and ``spectral_norm`` also take stacks
   ``(..., n, n)`` and act on each slice; scalar results become arrays of
@@ -31,8 +32,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
-from typing import Callable, Sequence
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -41,21 +41,14 @@ __all__ = [
     "TOL",
     "HermOp",
     "SpectralDecomp",
-    "ScalarFunction",
-    "LOG_FN",
     "NotPSDError",
-    "DomainError",
     "SingularLogError",
     "DimensionMismatchError",
     "EigDecompositionError",
     "as_array",
     "eig_herm",
     "pinv_psd",
-    "mat_sqrt",
-    "mat_func_deriv",
     "dlog",
-    "fidelity",
-    "rel_entropy",
     "spectral_norm",
     "partial_trace",
     "dist_to_psd",
@@ -66,10 +59,6 @@ __all__ = [
 
 class NotPSDError(ValueError):
     """Operand required to be positive semidefinite is not (within tolerance)."""
-
-
-class DomainError(ValueError):
-    """An eigenvalue lies outside the domain of the requested scalar function."""
 
 
 class SingularLogError(ValueError):
@@ -257,19 +246,6 @@ class SpectralDecomp:
         return self.projectors[0].shape[0]
 
 
-@dataclass(frozen=True)
-class ScalarFunction:
-    """Real scalar function with derivative and domain, lifted to operators."""
-
-    name: str
-    fun: Callable[[float], float]
-    deriv: Callable[[float], float]
-    in_domain: Callable[[float], bool]
-
-
-LOG_FN = ScalarFunction("log", math.log, lambda x: 1.0 / x, lambda x: x > 0.0)
-
-
 def _scalar(a: np.ndarray):
     """A float for the result of a 2-D call, the array for a stacked one."""
     return float(a) if a.ndim == 0 else a
@@ -366,47 +342,32 @@ def pinv_psd(a: HermOp, tol: Tolerances = TOL) -> HermOp:
     return HermOp(v @ (inv[:, None] * v.conj().T))
 
 
-def mat_sqrt(a: HermOp, tol: Tolerances = TOL) -> HermOp:
-    """Principal square root of a PSD operator; tiny negatives are clamped to 0."""
-    return _sqrt_from_eigs(*_psd_eigs(a, tol, "mat_sqrt operand"))
+def dlog(y: HermOp, z: HermOp, tol: Tolerances = TOL) -> HermOp:
+    """Derivative of the operator logarithm at ``y`` (positive definite) along ``z``.
 
-
-def _sqrt_from_eigs(w: np.ndarray, v: np.ndarray) -> HermOp:
-    """``v diag(sqrt(w)) v^dagger`` from the clamped pairs of :func:`_psd_eigs`."""
-    return HermOp(v @ (np.sqrt(w)[:, None] * v.conj().T))
-
-
-def _loewner_kernel(
-    reps: Sequence[float], fn: ScalarFunction
-) -> np.ndarray:
-    """Divided-difference kernel over cluster representatives."""
+    Uses the divided-difference (Loewner) form on clustered eigenvalues:
+    equal-cluster pairs contribute ``1 / lambda``, distinct pairs the
+    difference quotient of ``log``.
+    """
+    w = _eigvalsh(y.mat)
+    top = float(np.max(w)) if w.size else 0.0
+    if top <= 0.0 or float(np.min(w)) <= tol.tau_rank * top:
+        raise SingularLogError(
+            f"operator is singular within tau_rank (min eig {float(np.min(w)):.3e})"
+        )
+    if y.dim != z.dim:
+        raise DimensionMismatchError(f"operand dims differ: {y.dim} vs {z.dim}")
+    w, v = _eigh(y.mat)
+    slices = _cluster_slices(w, tol)
+    reps = [float(np.mean(w[s])) for s in slices]
     k = len(reps)
     ker = np.empty((k, k))
     for i in range(k):
         for j in range(k):
             if i == j:
-                ker[i, j] = fn.deriv(reps[i])
+                ker[i, j] = 1.0 / reps[i]
             else:
-                ker[i, j] = (fn.fun(reps[i]) - fn.fun(reps[j])) / (reps[i] - reps[j])
-    return ker
-
-
-def mat_func_deriv(fn: ScalarFunction, a: HermOp, z: HermOp, tol: Tolerances = TOL) -> HermOp:
-    """Directional derivative of the spectral lift of ``fn`` at ``a`` along ``z``.
-
-    Uses the divided-difference (Loewner) form on clustered eigenvalues:
-    equal-cluster pairs contribute ``fn.deriv``, distinct pairs contribute
-    the difference quotient.
-    """
-    if a.dim != z.dim:
-        raise DimensionMismatchError(f"operand dims differ: {a.dim} vs {z.dim}")
-    w, v = _eigh(a.mat)
-    slices = _cluster_slices(w, tol)
-    reps = [float(np.mean(w[s])) for s in slices]
-    for r in reps:
-        if not fn.in_domain(r):
-            raise DomainError(f"eigenvalue {r:.6e} outside domain of {fn.name}")
-    ker = _loewner_kernel(reps, fn)
+                ker[i, j] = (math.log(reps[i]) - math.log(reps[j])) / (reps[i] - reps[j])
     # expand cluster kernel to one entry per eigenvector pair
     idx = np.empty(len(w), dtype=int)
     for c, s in enumerate(slices):
@@ -414,54 +375,6 @@ def mat_func_deriv(fn: ScalarFunction, a: HermOp, z: HermOp, tol: Tolerances = T
     full = ker[np.ix_(idx, idx)]
     zt = v.conj().T @ z.mat @ v
     return HermOp(v @ (full * zt) @ v.conj().T)
-
-
-def dlog(y: HermOp, z: HermOp, tol: Tolerances = TOL) -> HermOp:
-    """Derivative of the operator logarithm at ``y`` (positive definite) along ``z``."""
-    w = _eigvalsh(y.mat)
-    top = float(np.max(w)) if w.size else 0.0
-    if top <= 0.0 or float(np.min(w)) <= tol.tau_rank * top:
-        raise SingularLogError(
-            f"operator is singular within tau_rank (min eig {float(np.min(w)):.3e})"
-        )
-    return mat_func_deriv(LOG_FN, y, z, tol)
-
-
-def fidelity(p: HermOp, q: HermOp, tol: Tolerances = TOL) -> float:
-    """Root fidelity between PSD operators: trace norm of ``sqrt(p) sqrt(q)``."""
-    s = mat_sqrt(p, tol)
-    _psd_eigs(q, tol, "fidelity operand")
-    return _trace_sqrt(_herm(s.mat @ q.mat @ s.mat))
-
-
-def _trace_sqrt(m: np.ndarray) -> float:
-    """``Tr sqrt(m)`` of a PSD ``m``, negative eigenvalues counted as 0; for
-    ``m = sqrt(p) q sqrt(p)`` it is the root fidelity of ``p`` and ``q``."""
-    return float(np.sum(np.sqrt(np.maximum(_eigvalsh(m), 0.0))))
-
-
-def rel_entropy(p: HermOp, q: HermOp, tol: Tolerances = TOL) -> float:
-    """Quantum relative entropy ``Tr(p log p) - Tr(p log q)`` in nats.
-
-    Returns ``math.inf`` when the image of ``p`` is not contained in the
-    image of ``q`` (``p`` compressed onto the kernel of ``q`` has norm above
-    ``tau_rank * ||p||``); callers must treat that as a sentinel and never
-    feed it back into arithmetic.  The ``0 log 0`` contribution is 0 by
-    convention.
-    """
-    wp, _ = _psd_eigs(p, tol, "rel_entropy first operand")
-    wq, vq = _psd_eigs(q, tol, "rel_entropy second operand")
-    keep = _support(wq, tol)
-    defect = _kernel_norm(p.mat, vq[:, ~keep])
-    # a zero defect passes whatever ||p|| is, so that SVD is skipped
-    if defect > 0.0 and defect > tol.tau_rank * spectral_norm(p.mat):
-        return math.inf
-    supp = _support(wp, tol)
-    plogp = float(np.sum(wp[supp] * np.log(wp[supp])))
-    # Tr(p log q) summed over q's supported eigenvectors
-    overlaps = np.real(np.sum(vq[:, keep].conj() * (p.mat @ vq[:, keep]), axis=0))
-    plogq = float(np.sum(np.log(wq[keep]) * overlaps))
-    return plogp - plogq
 
 
 def partial_trace(m, dims: tuple[int, int], over: int) -> np.ndarray:

@@ -74,14 +74,11 @@ from .linalg import (
     _psd_eigs,
     _psd_violation,
     _sign_witness,
-    _sqrt_from_eigs,
     _support,
-    _trace_sqrt,
     dlog,
     image_inclusion_defect,
     kron,
     partial_trace,
-    rel_entropy,
     spectral_norm,
 )
 
@@ -472,62 +469,53 @@ class RelativeEntropyObjective(_StatePairObjective):
         d_out = j.dim_out
         zero_h = HermOp(np.zeros((d_out * rho.dim_sys, d_out * rho.dim_sys)))
 
+        def infinite(defect: float) -> SubgradResult:
+            return SubgradResult(
+                math.inf,
+                zero_h,
+                exact_gradient=False,
+                valid_subgradient=False,
+                inclusion_ok=False,
+                inclusion_defect=defect,
+            )
+
         # Weight of sigma outside Y (x) im(Tr_sys rho) makes the objective
         # identically infinite; detect before the squeeze discards those rows.
         red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env), 0)
         reach = HermOp(kron(np.eye(d_out), _herm(red)), tol)
         pre_defect = image_inclusion_defect(sigma.op, reach, tol)
         if pre_defect > tol.tau_rank * spectral_norm(sigma.mat):
-            return SubgradResult(
-                math.inf,
-                zero_h,
-                exact_gradient=False,
-                valid_subgradient=False,
-                inclusion_ok=False,
-                inclusion_defect=pre_defect,
-            )
+            return infinite(pre_defect)
 
         rho_c, sigma_c = compress_environment(rho, sigma, tol)
         tau_h = HermOp(eval_map_apply(rho_c, j), tol)
-        value = rel_entropy(sigma_c.op, tau_h, tol)
-        defect = image_inclusion_defect(sigma_c.op, tau_h, tol)
+        value, a, defect = _rel_entropy_terms(sigma_c.op, tau_h, tol)
         if math.isinf(value):
-            return SubgradResult(
-                math.inf,
-                zero_h,
-                exact_gradient=False,
-                valid_subgradient=False,
-                inclusion_ok=False,
-                inclusion_defect=defect,
-            )
+            return infinite(defect)
 
-        # Restrict to the image of sigma, differentiate the log there, embed back.
-        ws, vs = _eigh(sigma_c.mat)
-        a = vs[:, _support(ws, tol)]
-        try:
-            dl = dlog(
-                HermOp(a.conj().T @ tau_h.mat @ a, tol),
-                HermOp(a.conj().T @ sigma_c.mat @ a, tol),
-                tol,
-            )
-        except SingularLogError:
-            # Finite value but the compressed output is numerically singular
-            # on im(sigma); no trustworthy gradient at this point.
-            return SubgradResult(
-                value,
-                zero_h,
-                exact_gradient=False,
-                valid_subgradient=False,
-                inclusion_ok=True,
-                inclusion_defect=defect,
-            )
-        g = a @ dl.mat @ a.conj().T
-        h = HermOp(-eval_map_adjoint(rho_c, g, d_out).mat)
+        # Restrict to the image of sigma, differentiate the log there, embed
+        # back.  sigma = 0 has an empty image and D(0 || tau) = 0 for every
+        # channel, so the zero H is then an exact gradient.
+        h, exact = zero_h, True
+        if a.shape[1]:
+            try:
+                dl = dlog(
+                    HermOp(a.conj().T @ tau_h.mat @ a, tol),
+                    HermOp(a.conj().T @ sigma_c.mat @ a, tol),
+                    tol,
+                )
+            except SingularLogError:
+                # Finite value but the compressed output is numerically
+                # singular on im(sigma); no trustworthy gradient at this point.
+                exact = False
+            else:
+                g = a @ dl.mat @ a.conj().T
+                h = HermOp(-eval_map_adjoint(rho_c, g, d_out).mat)
         return SubgradResult(
             value,
             h,
-            exact_gradient=True,
-            valid_subgradient=True,
+            exact_gradient=exact,
+            valid_subgradient=exact,
             inclusion_ok=True,
             inclusion_defect=defect,
         )
@@ -613,14 +601,16 @@ def _fidelity_terms(
     inverse root Moore-Penrose on the relative-cutoff support.  It is a
     gradient when the sandwiched operator is positive definite on the image
     of ``sigma`` (same support rank); otherwise the differentiability
-    argument breaks down and the subdifferential is empty.  The numbers are
-    those of ``fidelity``, the direction and ``image_inclusion_defect``
-    computed apart, with ``sigma`` and ``tau`` decomposed once each.
+    argument breaks down and the subdifferential is empty.  ``sigma`` and
+    ``tau`` are decomposed once each; the defect is the number
+    ``image_inclusion_defect`` gives.
     """
-    s = _sqrt_from_eigs(*_psd_eigs(sigma, tol, "mat_sqrt operand")).mat
-    wt, vt = _psd_eigs(tau, tol, "fidelity operand")
+    ws, vs = _psd_eigs(sigma, tol, "fidelity target")
+    s = HermOp(vs @ (np.sqrt(ws)[:, None] * vs.conj().T)).mat
+    wt, vt = _psd_eigs(tau, tol, "fidelity output")
     sandwich = _herm(s @ tau.mat @ s)
-    f = _trace_sqrt(sandwich)
+    # Tr sqrt of the sandwich, negative eigenvalues counted as 0
+    f = float(np.sum(np.sqrt(np.maximum(_eigvalsh(sandwich), 0.0))))
     w, v = _eigh(sandwich)
     kept = _support(w, tol)
     inv_root = np.zeros_like(w)
@@ -629,6 +619,37 @@ def _fidelity_terms(
     rank_sigma = int(np.sum(_support(_eigvalsh(_herm(sigma.mat)), tol)))
     defect = _kernel_norm(sigma.mat, vt[:, ~_support(wt, tol)])
     return f, _herm(g), int(np.sum(kept)) == rank_sigma, defect
+
+
+def _rel_entropy_terms(
+    sigma: HermOp, tau: HermOp, tol: Tolerances
+) -> tuple[float, np.ndarray, float]:
+    """Relative entropy ``D(sigma || tau) = Tr sigma log sigma - Tr sigma log tau``
+    in nats, an orthonormal basis of the image of ``sigma`` (its columns)
+    and the image-inclusion defect of ``sigma`` in ``tau``.
+
+    The value is ``math.inf`` when the image of ``sigma`` is not contained in
+    the image of ``tau`` (``sigma`` compressed onto the kernel of ``tau`` has
+    norm above ``tau_rank * ||sigma||``); callers must treat that as a
+    sentinel and never feed it back into arithmetic.  The ``0 log 0``
+    contribution is 0 by convention.  ``sigma`` and ``tau`` are decomposed
+    once each; the defect is the number ``image_inclusion_defect`` gives.
+    """
+    ws, vs = _psd_eigs(sigma, tol, "relative entropy target")
+    wt, vt = _psd_eigs(tau, tol, "relative entropy output")
+    keep = _support(wt, tol)
+    defect = _kernel_norm(sigma.mat, vt[:, ~keep])
+    # the clamped eigenvalues have the support of the raw ones
+    supp = _support(ws, tol)
+    image = vs[:, supp]
+    # a zero defect passes whatever ||sigma|| is, so that SVD is skipped
+    if defect > 0.0 and defect > tol.tau_rank * spectral_norm(sigma.mat):
+        return math.inf, image, defect
+    plogp = float(np.sum(ws[supp] * np.log(ws[supp])))
+    # Tr(sigma log tau) summed over tau's supported eigenvectors
+    overlaps = np.real(np.sum(vt[:, keep].conj() * (sigma.mat @ vt[:, keep]), axis=0))
+    plogq = float(np.sum(np.log(wt[keep]) * overlaps))
+    return plogp - plogq, image, defect
 
 
 def evaluate(spec: ObjectiveSpec, j: ChoiOp, tol: Tolerances = TOL) -> SubgradResult:

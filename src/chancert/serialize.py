@@ -345,7 +345,7 @@ def parse_problem(data) -> Problem:
 def loads_problem(text: str) -> Problem:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the stack
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return parse_problem(data)
 

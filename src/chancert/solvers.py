@@ -69,8 +69,12 @@ DIM_CAP = 8
 STEP_RULES = ("constant", "diminishing", "polyak")
 
 
-class MaxItersExceededError(RuntimeError):
-    """Iteration budget exhausted before reaching the requested tolerance."""
+class MaxItersExceededError(ValueError):
+    """Iteration budget exhausted before reaching the requested tolerance.
+
+    A ``ValueError``: like a failed eigensolver, an input the numerics
+    cannot handle, so the command line reports it in one line and exits 2.
+    """
 
 
 @dataclass(frozen=True)

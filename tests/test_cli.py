@@ -119,6 +119,32 @@ def test_certify_input_errors_exit_two(tmp_path, capsys):
     assert err.strip() != ""
 
 
+def test_certify_deeply_nested_json_exits_two(tmp_path, capsys):
+    # nesting past the JSON parser's stack is a schema error, not a traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    assert main(["certify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "invalid JSON" in err
+
+
+def test_relative_entropy_zero_target_is_optimal(tmp_path, capsys):
+    # D(0 || tau) = 0 for every channel: any channel is optimal
+    path = tmp_path / "zero.json"
+    assert main(["gen", "relative-entropy", str(path), "--dims", "2", "2", "2", "--seed", "1",
+                 "--with-channel"]) == 0
+    doc = json.loads(path.read_text())
+    doc["objective"]["sigma"] = _mat(np.zeros((4, 4)))
+    path.write_text(canonical_json(doc))
+    assert main(["certify", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["verdict"], payload["value"]) == ("CertifiedOptimal", 0.0)
+    assert main(["solve", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["converged"], payload["iterations"], payload["best_value"]) == (True, 1, 0.0)
+
+
 def test_certify_overflowing_matrix_exits_two_without_warnings(tmp_path, capsys):
     h0 = np.array([[0.0, 1e308], [1e308, 0.0]])
     doc = problem_to_dict((2, 1, 1), {"family": "Linear", "h0": _mat(h0)},
@@ -158,6 +184,19 @@ def test_solve_budget_one_is_still_exit_zero(helstrom_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is False
     assert payload["iterations"] == 1
+
+
+def test_solve_projection_out_of_sweeps_exits_two(tmp_path, capsys):
+    # at this scale the first projected step does not converge in the
+    # projection's 500 Dykstra sweeps
+    doc = problem_to_dict((2, 2, 1), {"family": "TraceDistance",
+                                      "rho": _mat(np.diag([1e154, 0.0])),
+                                      "sigma": _mat(np.diag([0.0, 1e154]))}, None)
+    path = _write(tmp_path, "far.json", doc)
+    assert main(["solve", path, "--max-iters", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "sweeps" in err
 
 
 # -------------------------------------------------------------------- hykl

@@ -118,15 +118,16 @@ def test_family_guard_sees_a_literal():
 # ``gen FAMILY --dims 2 2 2 --seed 1 --with-channel``.  The relative entropy
 # decides image inclusion from the eigendecomposition of the output it already
 # holds, two eigh and one SVD fewer than deciding it from scratch.  The
-# fidelity families decompose the target and the output once per pair, where
-# separate fidelity, direction and inclusion steps took three and two eigh.
+# fidelity families and the relative entropy decompose the target and the
+# output once per pair, where separate value, direction and inclusion steps
+# took three and two eigh.
 CERTIFY_CALLS = (1, 1, 3)
 EVALUATE_CALLS = {
     "linear": (0, 0, 0),
     "discrimination": (0, 0, 0),
     "trace-distance": (1, 0, 0),
     "fidelity": (4, 4, 1),
-    "relative-entropy": (9, 3, 1),
+    "relative-entropy": (6, 3, 1),
     "fidelity-squared": (6, 4, 2),
 }
 

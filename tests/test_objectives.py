@@ -13,7 +13,7 @@ from chancert.choi import (
     identity_choi,
     q2c_choi,
 )
-from chancert.linalg import TOL, HermOp, spectral_norm
+from chancert.linalg import TOL, HermOp, NotPSDError, spectral_norm
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
@@ -22,6 +22,8 @@ from chancert.objectives import (
     LinearObjective,
     RelativeEntropyObjective,
     TraceDistanceObjective,
+    _fidelity_terms,
+    _rel_entropy_terms,
     discrimination_objective,
     evaluate,
 )
@@ -265,6 +267,73 @@ def test_rel_entropy_infinite_on_support_escape():
     res = evaluate(spec, identity_choi(2))
     assert res.value == math.inf
     assert not res.valid_subgradient
+
+
+def _identity_value(kind, sigma, rho):
+    """``evaluate`` at the identity channel with ENV 1: ``-F(sigma, rho)`` for
+    the fidelity, ``D(sigma || rho)`` for the relative entropy."""
+    d = rho.shape[0]
+    return evaluate(_pair_spec(kind, rho, sigma, d, 1), identity_choi(d)).value
+
+
+E0, E1, PLUS, HALF = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.full((2, 2), 0.5), np.eye(2) / 2
+
+
+@pytest.mark.parametrize("kind,sigma,rho,want", [
+    (FidelityObjective, E0, E1, 0.0),  # orthogonal pure states
+    # pure |0> against pure |+>: overlap 1/2, so root fidelity is 1/sqrt(2)
+    (FidelityObjective, E0, PLUS, -1.0 / math.sqrt(2.0)),
+    (RelativeEntropyObjective, E1, HALF, math.log(2.0)),
+    (RelativeEntropyObjective, E0, np.eye(2), 0.0),
+    (RelativeEntropyObjective, np.zeros((2, 2)), HALF, 0.0),  # D(0 || tau) = 0
+    (RelativeEntropyObjective, HALF, E1, math.inf),  # support escapes
+    (RelativeEntropyObjective, E0, PLUS, math.inf),
+], ids=["fid-orthogonal", "fid-plus", "re-log2", "re-identity", "re-zero", "re-escape",
+        "re-plus"])
+def test_identity_channel_pinned_values(kind, sigma, rho, want):
+    value = _identity_value(kind, sigma, rho)
+    if math.isinf(want):
+        assert value == want
+    else:
+        assert value == pytest.approx(want, abs=1e-12)
+
+
+@given(seeds, st.sampled_from([2, 3, 4, 5]))
+def test_fidelity_basics(seed, d):
+    rng = np.random.default_rng(seed)
+    p = rand_density(d, rng)
+    q = rand_density(d, rng)
+
+    def fid(a, b):
+        return -_identity_value(FidelityObjective, a, b)
+
+    f = fid(p, q)
+    # self-fidelity error grows with the condition number of the draw (the
+    # square-root step loses ~cond * eps); 1e-8 covers cond up to ~1e8
+    assert fid(p, p) == pytest.approx(1.0, abs=1e-8)
+    assert f == pytest.approx(fid(q, p), abs=1e-10)
+    assert -1e-12 <= f <= 1.0 + 1e-8
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    assert fid(u @ p @ u.conj().T, u @ q @ u.conj().T) == pytest.approx(f, abs=1e-10)
+
+
+@given(seeds, st.sampled_from([2, 3, 4, 5]))
+def test_rel_entropy_properties(seed, d):
+    rng = np.random.default_rng(seed)
+    p = rand_density(d, rng)
+    q = rand_density(d, rng)
+    assert _identity_value(RelativeEntropyObjective, p, p) == pytest.approx(0.0, abs=1e-10)
+    assert _identity_value(RelativeEntropyObjective, p, q) >= -1e-10
+    # a pure state's image lies in that of any PSD sum containing it
+    pure = rand_pure(d, rng)
+    assert math.isfinite(_identity_value(RelativeEntropyObjective, pure, pure + q))
+
+
+@pytest.mark.parametrize("terms", [_fidelity_terms, _rel_entropy_terms],
+                         ids=["fidelity", "relative-entropy"])
+def test_pair_terms_reject_negative_target(terms):
+    with pytest.raises(NotPSDError, match="target has eigenvalue"):
+        terms(HermOp(np.diag([1.0, -0.5])), HermOp(np.eye(2)), TOL)
 
 
 # ------------------------------------------------------ witness diagnostics
