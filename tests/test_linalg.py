@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chancert.linalg import (
     TOL,
     DimensionMismatchError,
     HermOp,
+    _psd_eigs,
     SingularLogError,
     Tolerances,
     dist_to_psd,
@@ -21,6 +22,7 @@ from chancert.linalg import (
     pinv_psd,
     spectral_norm,
 )
+from chancert.objectives import _fidelity_terms
 from conftest import (
     THRESHOLD_FACTORS,
     forbid_svd,
@@ -126,6 +128,32 @@ def test_pinv_axioms(seed, d):
 
 
 @given(seeds, dims)
+def test_mat_sqrt(seed, d):
+    # the square root _fidelity_terms builds from the clamped spectrum
+    rng = np.random.default_rng(seed)
+    a = rand_density(d, rng)
+    w, v = _psd_eigs(HermOp(a), TOL, "density")
+    s = v @ (np.sqrt(w)[:, None] * v.conj().T)
+    assert spectral_norm(s @ s - a) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(s)) >= -1e-13
+
+
+# the log lift is the one matrix function whose derivative the package computes
+@pytest.mark.parametrize("fn", [pytest.param(_log, id="fn1")])
+@given(seed=seeds, d=dims)
+@settings(max_examples=30)
+def test_mat_func_deriv_matches_finite_difference(fn, seed, d):
+    rng = np.random.default_rng(seed)
+    a = rand_density(d, rng) + 0.5 * np.eye(d)  # keep well inside the domain
+    z = rand_herm(d, rng)
+    z = z / spectral_norm(z)
+    t = 1e-6
+    der = dlog(HermOp(a), HermOp(z)).mat
+    fd = (fn(a + t * z) - fn(a - t * z)) / (2 * t)
+    assert spectral_norm(fd - der) <= 1e-5 * (1 + spectral_norm(der))
+
+
+@given(seeds, dims)
 def test_dlog_directional_derivative(seed, d):
     rng = np.random.default_rng(seed)
     y = rand_density(d, rng) + 0.3 * np.eye(d)
@@ -140,6 +168,25 @@ def test_dlog_directional_derivative(seed, d):
 def test_dlog_singular_raises():
     with pytest.raises(SingularLogError):
         dlog(HermOp(np.diag([1.0, 0.0])), HermOp(np.eye(2)))
+
+
+@given(seeds, dims)
+def test_fidelity_basics(seed, d):
+    rng = np.random.default_rng(seed)
+    p = rand_density(d, rng)
+    q = rand_density(d, rng)
+
+    def fid(a, b):
+        return _fidelity_terms(HermOp(a), HermOp(b), TOL)[0]
+
+    f = fid(p, q)
+    # self-fidelity error grows with the condition number of the draw (the
+    # square-root step loses ~cond * eps); 1e-8 covers cond up to ~1e8
+    assert fid(p, p) == pytest.approx(1.0, abs=1e-8)
+    assert f == pytest.approx(fid(q, p), abs=1e-10)
+    assert -1e-12 <= f <= 1.0 + 1e-8
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    assert fid(u @ p @ u.conj().T, u @ q @ u.conj().T) == pytest.approx(f, abs=1e-10)
 
 
 @given(seeds, st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 4)]))
