@@ -12,11 +12,14 @@ always also quantifies near-misses: ``epsilon`` is the spectral-norm
 distance from ``H - 1 (x) Z`` to the PSD cone, and ``epsilon * dim_in``
 upper-bounds ``f(J) - inf f`` whenever ``H`` really is a subgradient
 element, so a failed exact check still yields a certified suboptimality
-gap.  The certifier never recomputes subgradients itself — callers may
-bring analytic ``H`` — while :func:`certify_objective` wires in the
-``objectives`` module and downgrades the verdict when that module reports
-the subgradient as untrustworthy (empty subdifferential, infinite value,
-or a failed image-inclusion condition).
+gap.  One ``eigh`` of ``Herm(H - 1 (x) Tr_out(HJ))`` gives both ``epsilon``
+and the reported ``min_eig``; the solver reads its per-iterate bounds from
+the same computation, run on a stack of iterates.  The certifier never
+recomputes subgradients itself — callers may bring analytic ``H`` — while
+:func:`certify_objective` wires in the ``objectives`` module and downgrades
+the verdict when that module reports the subgradient as untrustworthy
+(empty subdifferential, infinite value, or a failed image-inclusion
+condition).
 
 For minimum-error discrimination the same conditions reduce to the
 classical measurement-optimality test (``sum_k p_k P_k rho_k`` Hermitian
@@ -43,6 +46,7 @@ from .linalg import (
     DimensionMismatchError,
     HermOp,
     Tolerances,
+    _dagger,
     _dist_to_psd,
     _herm,
     _min_eig,
@@ -60,7 +64,6 @@ __all__ = [
     "HyklReport",
     "certify",
     "certify_objective",
-    "bound_and_scale",
     "subopt_bound",
     "hykl_check",
 ]
@@ -76,7 +79,8 @@ class Certificate:
 
     ``z`` is the Hermitian part of ``Tr_out(H J)`` and ``herm_defect`` the
     spectral norm of its anti-Hermitian residue ``Tr_out(HJ) - Tr_out(HJ)^†``.
-    ``min_eig`` is the smallest eigenvalue of ``Herm(H - 1 (x) Z)``.
+    ``min_eig`` is the smallest eigenvalue of ``Herm(H - 1 (x) Tr_out(HJ))``,
+    from the same ``eigh`` that gives ``epsilon``.
     ``epsilon`` and ``bound = epsilon * dim_in`` are always populated (they
     are ~0 on success); both are ``math.inf`` when no sound bound exists
     because the supplied direction was not a genuine subgradient element.
@@ -103,6 +107,22 @@ class HyklReport:
     scale: float
 
 
+def _residuals(h: np.ndarray, j: np.ndarray, dims: tuple[int, int]) -> list[tuple]:
+    """``(herm_defect, Z, min_eig, epsilon, scale)`` of :class:`Certificate` for
+    each slice of ``(B, n, n)`` stacks of ``H`` and ``J``.
+
+    One ``eigh`` of ``Herm(H - 1 (x) Tr_out(HJ))`` gives ``min_eig`` and
+    ``epsilon``.  Each slice gets the bits it gets alone, so :func:`certify`
+    (a stack of one) and the solver (a stack of iterates) agree.
+    """
+    z_raw = partial_trace(h @ j, dims, 0)
+    herm_defect = spectral_norm(z_raw - _dagger(z_raw))
+    epsilon, _, min_eig = _dist_to_psd(h - kron(np.eye(dims[0]), z_raw))
+    scale = 1.0 + spectral_norm(h)
+    return list(zip(herm_defect.tolist(), _herm(z_raw), min_eig.tolist(), epsilon.tolist(),
+                    scale.tolist()))
+
+
 def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
     """Check the exact optimality conditions for ``H`` at ``J``.
 
@@ -115,34 +135,12 @@ def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
     """
     if h.dim != j.op.dim:
         raise DimensionMismatchError(f"H dim {h.dim} != Choi dim {j.op.dim}")
-    d_out, d_in = j.dim_out, j.dim_in
-    z_raw = partial_trace(h.mat @ j.mat, (d_out, d_in), 0)
-    herm_defect = spectral_norm(z_raw - z_raw.conj().T)
-    z = HermOp(_herm(z_raw))
-    min_eig = _min_eig(_herm(h.mat - kron(np.eye(d_out), z.mat)))
-    epsilon = _epsilon(h.mat, z_raw, d_out)
-    bound = epsilon * d_in
-    scale = 1.0 + h.norm()
+    ((herm_defect, z, min_eig, epsilon, scale),) = _residuals(
+        h.mat[None], j.mat[None], (j.dim_out, j.dim_in))
     passed = herm_defect <= tol.tau_herm * scale and min_eig >= -tol.tau_psd * scale
     verdict = VERDICT_OPTIMAL if passed else VERDICT_NEAR
-    return Certificate(verdict, z, herm_defect, min_eig, epsilon, bound, scale)
-
-
-def _epsilon(h: np.ndarray, z_raw: np.ndarray, d_out: int):
-    """Distance from ``H - 1 (x) Z_raw`` to the PSD cone, ``Z_raw = Tr_out(HJ)``."""
-    return _dist_to_psd(h - kron(np.eye(d_out), z_raw))[0]
-
-
-def bound_and_scale(h: np.ndarray, j: np.ndarray, dims: tuple[int, int]):
-    """The ``bound`` and ``scale`` :func:`certify` reports for ``H`` at ``J``.
-
-    Takes the matrices of ``H`` and ``J`` (Choi dims ``(d_out, d_in)``), or
-    stacks ``(B, n, n)`` of them, and then returns two length-``B`` arrays;
-    each entry has the bits ``certify`` gives that slice.  It skips the
-    Hermiticity defect, ``Z`` and ``min_eig``, which only the verdict needs.
-    """
-    d_out, d_in = dims
-    return _epsilon(h, partial_trace(h @ j, dims, 0), d_out) * d_in, 1.0 + spectral_norm(h)
+    return Certificate(verdict, HermOp(z), herm_defect, min_eig, epsilon, epsilon * j.dim_in,
+                       scale)
 
 
 def certify_objective(
@@ -190,14 +188,9 @@ def hykl_check(ens: Ensemble, p: Povm, tol: Tolerances = TOL) -> HyklReport:
         r_raw += pk * (povm_el.mat @ state.mat)
     herm_defect = spectral_norm(r_raw - r_raw.conj().T)
     r = HermOp(_herm(r_raw))
-    min_eigs = tuple(
-        _min_eig(r.mat - pk * state.mat) for pk, state in zip(ens.probs, ens.states)
-    )
-    mean = ens.mean()
-    scale = 1.0 + max(
-        spectral_norm(mean - pk * state.mat)
-        for pk, state in zip(ens.probs, ens.states)
-    )
+    weighted = ens.probs[:, None, None] * np.stack([state.mat for state in ens.states])
+    min_eigs = tuple(_min_eig(r.mat - weighted).tolist())
+    scale = 1.0 + max(spectral_norm(ens.mean() - weighted).tolist())
     optimal = (
         herm_defect <= tol.tau_herm * scale
         and min(min_eigs) >= -tol.tau_psd * scale

@@ -257,6 +257,8 @@ def cmd_gen(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.json_indent is not None and args.json_indent < 0:
+            raise InputProblem(f"--json-indent must be at least 0, got {args.json_indent}")
         return args.func(args)
     except (SchemaError, InputProblem, OSError) as exc:
         print(f"chancert: {exc}", file=sys.stderr)

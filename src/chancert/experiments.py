@@ -183,7 +183,7 @@ def completion_search(
     best_min_eig = -math.inf
     for w in ws:
         y = y0 + kernel_vecs @ w @ kernel_vecs.conj().T
-        h = HermOp(-eval_map_adjoint(rho, y, j.dim_out).mat)
+        h = eval_map_adjoint(rho, -y, j.dim_out)
         cert = certify(h, j, tol)
         tried += 1
         best_min_eig = max(best_min_eig, cert.min_eig)
@@ -230,7 +230,7 @@ def record_trial(
     zero_mask = np.abs(w) <= thr
     kernel_dim = int(np.sum(zero_mask))
     min_abs = float(np.min(np.abs(w))) if w.size else 0.0
-    h = HermOp(-eval_map_adjoint(rho, y.mat, j.dim_out).mat)
+    h = eval_map_adjoint(rho, -y.mat, j.dim_out)
     cert = certify(h, j, tol)
 
     near = trace.gap <= GAP_TOL * cert.scale

@@ -398,20 +398,19 @@ def partial_trace(m, dims: tuple[int, int], over: int) -> np.ndarray:
 
 
 def _dist_to_psd(a: np.ndarray):
-    """Distance of square ``a`` (or of each slice of a stack) to the PSD cone
-    and the witness matrix (see :func:`dist_to_psd`); callers that need only
-    the distance skip validating the witness."""
+    """Distance of square ``a`` (or of each slice of a stack) to the PSD cone,
+    the witness matrix (see :func:`dist_to_psd`) and the smallest eigenvalue
+    of ``Herm(a)``, all from one ``eigh``; callers that need only the numbers
+    skip validating the witness."""
     _check_square(a, stacked=True)
     h, exact = _herm_part(a)
     w, v = _eigh(h)
     pos = v @ (np.maximum(w, 0.0)[..., :, None] * _dagger(v))
-    if not np.any(exact):
-        return spectral_norm(a - pos), pos
-    neg = -np.min(w, axis=-1) if w.shape[-1] else np.zeros(exact.shape)
-    eps = np.where(neg > 0.0, neg, 0.0)  # max(0.0, -lambda_min)
+    low = np.min(w, axis=-1) if w.shape[-1] else np.zeros(exact.shape)
+    eps = np.where(-low > 0.0, -low, 0.0)  # max(0.0, -lambda_min)
     if not np.all(exact):
         eps[~exact] = spectral_norm((a - pos)[~exact])
-    return _scalar(eps), pos
+    return _scalar(eps), pos, _scalar(low)
 
 
 def dist_to_psd(m, tol: Tolerances = TOL) -> tuple[float, HermOp]:
@@ -422,7 +421,7 @@ def dist_to_psd(m, tol: Tolerances = TOL) -> tuple[float, HermOp]:
     the Hermitian part is used as the feasible point, which yields a sound
     upper bound on the true distance.
     """
-    eps, pos = _dist_to_psd(as_array(m))
+    eps, pos, _ = _dist_to_psd(as_array(m))
     return eps, HermOp(pos)
 
 

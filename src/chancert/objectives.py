@@ -300,7 +300,7 @@ class FidelityObjective(_StatePairObjective):
         rho_c, sigma_c = compress_environment(self.rho, self.sigma, tol)
         tau_h = HermOp(eval_map_apply(rho_c, j), tol)
         f, g, exact, defect = _fidelity_terms(sigma_c.op, tau_h, tol)
-        h = HermOp(-0.5 * eval_map_adjoint(rho_c, g, j.dim_out).mat)
+        h = eval_map_adjoint(rho_c, -0.5 * g, j.dim_out)
         ok = defect <= tol.tau_rank * spectral_norm(sigma_c.mat)
         return SubgradResult(
             -f,
@@ -430,7 +430,7 @@ class TraceDistanceObjective(_StatePairObjective):
         thr = tol.tau_rank * nrm
         y = _sign_witness(w, v, thr)
         exact = bool(np.all(np.abs(w) > thr))
-        h = HermOp(-eval_map_adjoint(self.rho, y, j.dim_out).mat)
+        h = eval_map_adjoint(self.rho, -y, j.dim_out)
         return SubgradResult(
             value,
             h,
@@ -510,7 +510,7 @@ class RelativeEntropyObjective(_StatePairObjective):
                 exact = False
             else:
                 g = a @ dl.mat @ a.conj().T
-                h = HermOp(-eval_map_adjoint(rho_c, g, d_out).mat)
+                h = eval_map_adjoint(rho_c, -g, d_out)
         return SubgradResult(
             value,
             h,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certifier import bound_and_scale
+from .certifier import _residuals
 from .choi import (
     BipartiteState,
     ChoiOp,
@@ -333,16 +333,16 @@ def solve_batch(
     for t in range(1, cfg.max_iters + 1):
         if not active:
             break
-        bounds = _by_slice(
-            lambda hs, js: list(zip(*(a.tolist() for a in bound_and_scale(hs, js, dims)))),
+        residuals = _by_slice(
+            lambda hs, js: _residuals(hs, js, dims),
             np.stack([run.res.h.mat for run in active]),
             np.stack([run.j.mat for run in active]),
         )
         moving = []
-        for run, entry in zip(active, bounds):
+        for run, entry in zip(active, residuals):
             if isinstance(entry, Exception):
                 run.error = entry
-            elif run.record(t, *entry, cfg):
+            elif run.record(t, entry[3] * d_in, entry[4], cfg):  # epsilon, scale
                 moving.append(run)
         # Only the relative entropy can be infinite: halve the step until the
         # candidate lands inside its finite domain.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chancert.certifier import (
+    _residuals,
     VERDICT_NEAR,
     VERDICT_NOT,
     VERDICT_OPTIMAL,
@@ -15,7 +16,7 @@ from chancert.certifier import (
     subopt_bound,
 )
 from chancert.choi import BipartiteState, ChoiOp, Povm, depolarizing_choi, identity_choi, q2c_choi
-from chancert.linalg import HermOp, dist_to_psd, partial_trace, spectral_norm
+from chancert.linalg import HermOp, _eigh, _herm, dist_to_psd, partial_trace, spectral_norm
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
@@ -201,18 +202,55 @@ def test_trace_distance_certificate_scale_and_z(seed):
     assert spectral_norm(cert.z.mat - (z_raw + z_raw.conj().T) / 2.0) <= 1e-14
 
 
+def _exact_h(d_out, d_in, rng):
+    """``H = D (x) 1_in``, which makes ``Tr_out(HJ)`` exactly Hermitian."""
+    return np.kron(np.diag(rng.standard_normal(d_out)), np.eye(d_in))
+
+
 @given(seeds, st.booleans())
 @settings(max_examples=30)
 def test_certify_epsilon_is_dist_to_psd_of_raw_residual(seed, exact):
     rng = np.random.default_rng(seed)
     d_out, d_in = 2, 3
     j = random_channel_choi(d_in, d_out, rng)
-    if exact:
-        # H = D (x) 1_in makes Tr_out(HJ) exactly Hermitian
-        h = HermOp(np.kron(np.diag(rng.standard_normal(d_out)), np.eye(d_in)))
-    else:
-        h = HermOp(rand_herm(d_out * d_in, rng))
+    h = HermOp(_exact_h(d_out, d_in, rng) if exact else rand_herm(d_out * d_in, rng))
     z_raw = partial_trace(h.mat @ j.mat, (d_out, d_in), 0)
     residual = h.mat - np.kron(np.eye(d_out), z_raw)
     assert np.array_equal(residual, residual.conj().T) == exact
     assert certify(h, j).epsilon == dist_to_psd(residual)[0]
+
+
+@pytest.mark.parametrize("kinds", ["exact", "inexact", "mixed"])
+def test_stacked_residuals_match_solo_calls_bytewise(kinds):
+    rng = np.random.default_rng(len(kinds))
+    d_out, d_in = 2, 3
+    pattern = {"exact": [True] * 4, "inexact": [False] * 4, "mixed": [True, False, False, True]}
+    hs = np.stack([_exact_h(d_out, d_in, rng) if exact else rand_herm(d_out * d_in, rng)
+                   for exact in pattern[kinds]])
+    chans = [random_channel_choi(d_in, d_out, rng) for _ in hs]
+    js = np.stack([j.mat for j in chans])
+    residual = hs - np.kron(np.eye(d_out), partial_trace(hs @ js, (d_out, d_in), 0))
+    assert [np.array_equal(r, r.conj().T) for r in residual] == pattern[kinds]
+    stacked = _residuals(hs, js, (d_out, d_in))
+    assert len(stacked) == len(hs)
+    for k, got in enumerate(stacked):
+        (solo,) = _residuals(hs[k : k + 1], js[k : k + 1], (d_out, d_in))
+        for name, a, b in zip(("herm_defect", "z", "min_eig", "epsilon", "scale"), got, solo):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        herm_defect, _, min_eig, epsilon, scale = got
+        cert = certify(HermOp(hs[k]), chans[k])
+        assert (cert.herm_defect, cert.min_eig, cert.epsilon, cert.scale) == (
+            herm_defect, min_eig, epsilon, scale)
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=30)
+def test_certify_min_eig_is_lowest_eigenvalue_of_raw_residual(seed, exact):
+    rng = np.random.default_rng(seed)
+    d_out, d_in = 2, 3
+    j = random_channel_choi(d_in, d_out, rng)
+    h = HermOp(_exact_h(d_out, d_in, rng) if exact else rand_herm(d_out * d_in, rng))
+    z_raw = partial_trace(h.mat @ j.mat, (d_out, d_in), 0)
+    residual = _herm(h.mat - np.kron(np.eye(d_out), z_raw))
+    assert certify(h, j).min_eig == _eigh(residual)[0][0]

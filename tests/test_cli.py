@@ -168,6 +168,16 @@ def test_certify_output_is_byte_deterministic(helstrom_file, capsys):
     assert pretty != first and json.loads(pretty) == json.loads(first)
 
 
+@pytest.mark.parametrize("command", ["certify", "solve", "hykl", "conjecture", "gen"])
+def test_negative_json_indent_exits_two(command, helstrom_file, tmp_path, capsys):
+    args = {"conjecture": ["--trials", "1"], "gen": ["linear", str(tmp_path / "out.json")]}
+    assert main([command, *args.get(command, [helstrom_file]), "--json-indent", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--json-indent" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 # ------------------------------------------------------------------- solve
 
 

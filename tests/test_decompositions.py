@@ -120,8 +120,10 @@ def test_family_guard_sees_a_literal():
 # holds, two eigh and one SVD fewer than deciding it from scratch.  The
 # fidelity families and the relative entropy decompose the target and the
 # output once per pair, where separate value, direction and inclusion steps
-# took three and two eigh.
-CERTIFY_CALLS = (1, 1, 3)
+# took three and two eigh.  ``certify`` reads ``min_eig`` and ``epsilon`` from
+# one eigh; the SVDs are the Hermiticity defect, ``||H||`` and the distance of
+# the non-Hermitian residual.
+CERTIFY_CALLS = (1, 0, 3)
 EVALUATE_CALLS = {
     "linear": (0, 0, 0),
     "discrimination": (0, 0, 0),

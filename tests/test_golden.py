@@ -10,6 +10,10 @@ test skips on any other combination.
 To re-record the fixture (only at a commit whose output is trusted)::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints to standard error each case whose exit code or stdout moved
+against the fixture it replaces: the JSON keys that moved, their old and
+new values, and the largest relative change.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import pathlib
 import sys
 
@@ -108,6 +113,55 @@ def test_golden_stdout_and_exit_code(case, inputs):
     assert out == case["stdout"]
 
 
+def _moved_leaves(old, new, path: str = "") -> list[tuple[str, object, object]]:
+    """``(key, old, new)`` for each leaf where two JSON trees differ; list
+    indices print as ``[]`` and a whole document as ``stdout``."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return [m for k in old for m in _moved_leaves(old[k], new[k], f"{path}.{k}".lstrip("."))]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [m for a, b in zip(old, new) for m in _moved_leaves(a, b, path + "[]")]
+    if type(old) is type(new) and old == new:
+        return []
+    return [(path or "stdout", old, new)]
+
+
+def _relative_change(old, new) -> float:
+    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new))
+    if not numbers:
+        return math.inf
+    return abs(new - old) / abs(old) if old else (0.0 if new == old else math.inf)
+
+
+def _report_moves(old_cases: list[dict], new_cases: list[dict]) -> None:
+    """Print to stderr each case whose exit code or stdout moved, the keys that
+    moved with their old and new values, and the largest relative change."""
+    recorded = {tuple(c["argv"]): c for c in old_cases}
+    moved = 0
+    for case in new_cases:
+        before = recorded.get(tuple(case["argv"]))
+        if before is None:
+            print(f"new case: {' '.join(case['argv'])}", file=sys.stderr)
+            continue
+        if before == case:
+            continue
+        moved += 1
+        leaves = [("exit", before["exit"], case["exit"])] if before["exit"] != case["exit"] else []
+        if before["stdout"] != case["stdout"]:
+            try:
+                keys = _moved_leaves(json.loads(before["stdout"]), json.loads(case["stdout"]))
+            except json.JSONDecodeError:
+                keys = []
+            # text that is not JSON, or equal JSON written differently
+            leaves += keys or [("stdout", before["stdout"], case["stdout"])]
+        keys = ", ".join(dict.fromkeys(key for key, _, _ in leaves))
+        worst = max(_relative_change(a, b) for _, a, b in leaves)
+        print(f"moved: {' '.join(case['argv'])}: {keys}; max relative change {worst:.2g}",
+              file=sys.stderr)
+        for key, a, b in leaves:
+            print(f"    {key}: {a!r} -> {b!r}", file=sys.stderr)
+    print(f"{moved} of {len(new_cases)} cases moved", file=sys.stderr)
+
+
 def _record() -> None:
     import tempfile
 
@@ -118,6 +172,7 @@ def _record() -> None:
         for argv in _case_argvs():
             code, out = _run(_in_dir(argv, directory))
             cases.append({"argv": argv, "exit": code, "stdout": out})
+    _report_moves(GOLDEN["cases"], cases)
     doc = {"environment": _environment(), "cases": cases}
     FIXTURE.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {FIXTURE}", file=sys.stderr)

@@ -390,6 +390,8 @@ def test_stacked_helpers_match_each_slice_bytewise(n, dims):
         "dist_to_psd_mixed": (lambda m: _dist_to_psd(m)[0], (np.where(
             np.arange(5)[:, None, None] % 2 == 0, h, g),)),
         "dist_to_psd_pos": (lambda m: _dist_to_psd(m)[1], (g,)),
+        "dist_to_psd_low": (lambda m: _dist_to_psd(m)[2], (g,)),
+        "dist_to_psd_low_exact": (lambda m: _dist_to_psd(m)[2], (h,)),
     }
     for name, (fn, args) in cases.items():
         stacked = fn(*args)

@@ -307,7 +307,7 @@ def test_solve_evaluates_each_iterate_once(family, tmp_path, monkeypatch, capsys
     path = str(tmp_path / "p.json")
     assert main(["gen", family, path, "--dims", "2", "2", "2", "--seed", "1"]) == 0
     # the solve loop's seams: one call per problem, or per stack of problems
-    seams = {"evaluate": "evaluate", "certify": "bound_and_scale",
+    seams = {"evaluate": "evaluate", "certify": "_residuals",
              "project_channel": "_project_stack"}
     counts = dict.fromkeys(seams, 0)
     for key, name in seams.items():
