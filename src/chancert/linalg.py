@@ -11,10 +11,10 @@ Conventions
   operand (usually ``1 + norm`` so that tiny operators are not held to an
   impossible absolute standard).
 * Functions of positive semidefinite operators (``pinv_psd``, and the
-  fidelity and relative entropy that ``objectives`` builds on ``_psd_eigs``
-  and ``_support``) use the Moore-Penrose convention: act on the image,
-  annihilate the kernel, with the image determined by a relative eigenvalue
-  cutoff ``tau_rank * max_eigenvalue``.
+  fidelity and relative entropy that ``objectives`` builds on ``_psd_eigs``,
+  ``_support`` and ``_dlog_eig``) use the Moore-Penrose convention: act on
+  the image, annihilate the kernel, with the image determined by a relative
+  eigenvalue cutoff ``tau_rank * max_eigenvalue``.
 * ``_herm``, ``kron``, ``partial_trace``, ``_eigh``, ``_eigvalsh``,
   ``_min_eig``, ``_dist_to_psd`` and ``spectral_norm`` also take stacks
   ``(..., n, n)`` and act on each slice; scalar results become arrays of
@@ -53,7 +53,6 @@ __all__ = [
     "partial_trace",
     "dist_to_psd",
     "kron",
-    "image_inclusion_defect",
 ]
 
 
@@ -301,8 +300,10 @@ def _sign_witness(w: np.ndarray, v: np.ndarray, thr: float) -> np.ndarray:
 
 def _cluster_slices(w: np.ndarray, tol: Tolerances) -> list[slice]:
     """Group ascending eigenvalues whose consecutive gaps are at most
-    ``tau_rank * max(1, max |lambda|)``."""
-    threshold = tol.tau_rank * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+    ``tau_rank * max(1, max |lambda|)``; none for an empty spectrum."""
+    if not len(w):
+        return []
+    threshold = tol.tau_rank * max(1.0, float(np.max(np.abs(w))))
     slices = []
     start = 0
     for i in range(1, len(w)):
@@ -349,15 +350,25 @@ def dlog(y: HermOp, z: HermOp, tol: Tolerances = TOL) -> HermOp:
     equal-cluster pairs contribute ``1 / lambda``, distinct pairs the
     difference quotient of ``log``.
     """
-    w = _eigvalsh(y.mat)
+    if y.dim != z.dim:
+        raise DimensionMismatchError(f"operand dims differ: {y.dim} vs {z.dim}")
+    w, v = _eigh(y.mat)
     top = float(np.max(w)) if w.size else 0.0
     if top <= 0.0 or float(np.min(w)) <= tol.tau_rank * top:
         raise SingularLogError(
             f"operator is singular within tau_rank (min eig {float(np.min(w)):.3e})"
         )
-    if y.dim != z.dim:
-        raise DimensionMismatchError(f"operand dims differ: {y.dim} vs {z.dim}")
-    w, v = _eigh(y.mat)
+    return HermOp(_dlog_eig(w, v, v.conj().T @ z.mat @ v, tol))
+
+
+def _dlog_eig(w: np.ndarray, v: np.ndarray, zt: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``v (K o zt) v^dagger`` with ``K`` the Loewner kernel of ``log`` on the
+    positive eigenvalues ``w`` (ascending) and ``zt`` the direction in the
+    basis of the columns ``v``.
+
+    With ``v`` the supported eigenvectors of a PSD ``y`` and ``zt`` a direction
+    supported there, this is ``Dlog_y[z]`` on the image of ``y``.
+    """
     slices = _cluster_slices(w, tol)
     reps = [float(np.mean(w[s])) for s in slices]
     k = len(reps)
@@ -373,8 +384,7 @@ def dlog(y: HermOp, z: HermOp, tol: Tolerances = TOL) -> HermOp:
     for c, s in enumerate(slices):
         idx[s] = c
     full = ker[np.ix_(idx, idx)]
-    zt = v.conj().T @ z.mat @ v
-    return HermOp(v @ (full * zt) @ v.conj().T)
+    return v @ (full * zt) @ v.conj().T
 
 
 def partial_trace(m, dims: tuple[int, int], over: int) -> np.ndarray:
@@ -445,10 +455,3 @@ def _kernel_norm(p: np.ndarray, kernel: np.ndarray) -> float:
     if kernel.shape[1] == 0:
         return 0.0
     return spectral_norm(kernel.conj().T @ p @ kernel)
-
-
-def image_inclusion_defect(p: HermOp, q: HermOp, tol: Tolerances = TOL) -> float:
-    """Norm of ``p`` compressed onto the kernel of ``q`` (0 when im p <= im q)."""
-    wq, vq = _psd_eigs(q, tol, "image_inclusion second operand")
-    _psd_eigs(p, tol, "image_inclusion first operand")
-    return _kernel_norm(p.mat, vq[:, ~_support(wq, tol)])

@@ -24,7 +24,9 @@ order.  The five families:
   over an ensemble of input/target pairs with no environment.
 * ``TraceDistance`` — ``f(J) = ||sigma - (Phi (x) 1)(rho)||_1``.
 * ``RelativeEntropy`` — ``f(J) = D(sigma || (Phi (x) 1)(rho))``, with
-  ``math.inf`` as the (sentinel) value when the image condition fails.
+  ``math.inf`` as the (sentinel) value when the image condition fails.  Its
+  value, image test and gradient ``-Dlog_tau[sigma]`` come from one
+  eigendecomposition of ``sigma`` and one of the output ``tau``.
 
 Sign convention for subgradients: all objectives are *minimized*, and the
 returned ``H`` satisfies ``f(J') - f(J) >= <H, J' - J>`` for every channel
@@ -64,8 +66,8 @@ from .linalg import (
     TOL,
     DimensionMismatchError,
     HermOp,
-    SingularLogError,
     Tolerances,
+    _dlog_eig,
     _eigh,
     _eigvalsh,
     _herm,
@@ -75,10 +77,7 @@ from .linalg import (
     _psd_violation,
     _sign_witness,
     _support,
-    dlog,
-    image_inclusion_defect,
     kron,
-    partial_trace,
     spectral_norm,
 )
 
@@ -441,7 +440,12 @@ class TraceDistanceObjective(_StatePairObjective):
 
 
 class RelativeEntropyObjective(_StatePairObjective):
-    """``f(J) = D(sigma || (Phi (x) 1)(rho))`` with a shared environment."""
+    """``f(J) = D(sigma || (Phi (x) 1)(rho))`` with a shared environment.
+
+    Evaluated on ``out (x) env`` as given: the environment is not compressed
+    to the image of ``Tr_sys rho``, since the image test on the output
+    already covers that factor.
+    """
 
     family: ClassVar[str] = "RelativeEntropy"
     gen_name: ClassVar[str] = "relative-entropy"
@@ -458,65 +462,29 @@ class RelativeEntropyObjective(_StatePairObjective):
         """Relative entropy from the target to the pushed-through state.
 
         Returns ``math.inf`` (with zero ``H`` and both flags false) when the
-        target has weight outside the reachable image — either outside
-        ``1 (x) im(Tr_sys rho)``, which no channel can fix, or outside the
-        image of the current output.  When finite, the gradient is the
-        log-derivative taken on the image of ``sigma`` and pulled back
-        through the evaluation map; the objective is differentiable on that
-        domain.
+        target has weight outside the image of the output ``tau``; that also
+        covers weight outside ``1 (x) im(Tr_sys rho)``, which contains the
+        image of every output.  When finite, the gradient is
+        ``-Dlog_tau[sigma]`` on the image of ``tau``, pulled back through the
+        evaluation map; the objective is differentiable there.
         """
-        rho, sigma = self.rho, self.sigma
-        d_out = j.dim_out
-        zero_h = HermOp(np.zeros((d_out * rho.dim_sys, d_out * rho.dim_sys)))
-
-        def infinite(defect: float) -> SubgradResult:
+        tau_h = HermOp(eval_map_apply(self.rho, j), tol)
+        value, g, defect = _rel_entropy_terms(self.sigma.op, tau_h, tol)
+        if math.isinf(value):
+            n = j.dim_out * j.dim_in
             return SubgradResult(
                 math.inf,
-                zero_h,
+                HermOp(np.zeros((n, n))),
                 exact_gradient=False,
                 valid_subgradient=False,
                 inclusion_ok=False,
                 inclusion_defect=defect,
             )
-
-        # Weight of sigma outside Y (x) im(Tr_sys rho) makes the objective
-        # identically infinite; detect before the squeeze discards those rows.
-        red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env), 0)
-        reach = HermOp(kron(np.eye(d_out), _herm(red)), tol)
-        pre_defect = image_inclusion_defect(sigma.op, reach, tol)
-        if pre_defect > tol.tau_rank * spectral_norm(sigma.mat):
-            return infinite(pre_defect)
-
-        rho_c, sigma_c = compress_environment(rho, sigma, tol)
-        tau_h = HermOp(eval_map_apply(rho_c, j), tol)
-        value, a, defect = _rel_entropy_terms(sigma_c.op, tau_h, tol)
-        if math.isinf(value):
-            return infinite(defect)
-
-        # Restrict to the image of sigma, differentiate the log there, embed
-        # back.  sigma = 0 has an empty image and D(0 || tau) = 0 for every
-        # channel, so the zero H is then an exact gradient.
-        h, exact = zero_h, True
-        if a.shape[1]:
-            try:
-                dl = dlog(
-                    HermOp(a.conj().T @ tau_h.mat @ a, tol),
-                    HermOp(a.conj().T @ sigma_c.mat @ a, tol),
-                    tol,
-                )
-            except SingularLogError:
-                # Finite value but the compressed output is numerically
-                # singular on im(sigma); no trustworthy gradient at this point.
-                exact = False
-            else:
-                g = a @ dl.mat @ a.conj().T
-                h = eval_map_adjoint(rho_c, -g, d_out)
         return SubgradResult(
             value,
-            h,
-            exact_gradient=exact,
-            valid_subgradient=exact,
-            inclusion_ok=True,
+            eval_map_adjoint(self.rho, -g, j.dim_out),
+            exact_gradient=True,
+            valid_subgradient=True,
             inclusion_defect=defect,
         )
 
@@ -602,8 +570,8 @@ def _fidelity_terms(
     gradient when the sandwiched operator is positive definite on the image
     of ``sigma`` (same support rank); otherwise the differentiability
     argument breaks down and the subdifferential is empty.  ``sigma`` and
-    ``tau`` are decomposed once each; the defect is the number
-    ``image_inclusion_defect`` gives.
+    ``tau`` are decomposed once each; the defect is the norm of ``sigma``
+    compressed onto the kernel of ``tau``.
     """
     ws, vs = _psd_eigs(sigma, tol, "fidelity target")
     s = HermOp(vs @ (np.sqrt(ws)[:, None] * vs.conj().T)).mat
@@ -616,40 +584,38 @@ def _fidelity_terms(
     inv_root = np.zeros_like(w)
     inv_root[kept] = 1.0 / np.sqrt(w[kept])
     g = s @ ((v * inv_root) @ v.conj().T) @ s
-    rank_sigma = int(np.sum(_support(_eigvalsh(_herm(sigma.mat)), tol)))
     defect = _kernel_norm(sigma.mat, vt[:, ~_support(wt, tol)])
-    return f, _herm(g), int(np.sum(kept)) == rank_sigma, defect
+    return f, _herm(g), int(np.sum(kept)) == int(np.sum(_support(ws, tol))), defect
 
 
 def _rel_entropy_terms(
     sigma: HermOp, tau: HermOp, tol: Tolerances
-) -> tuple[float, np.ndarray, float]:
+) -> tuple[float, np.ndarray | None, float]:
     """Relative entropy ``D(sigma || tau) = Tr sigma log sigma - Tr sigma log tau``
-    in nats, an orthonormal basis of the image of ``sigma`` (its columns)
-    and the image-inclusion defect of ``sigma`` in ``tau``.
+    in nats, its gradient ``Dlog_tau[sigma]`` in ``tau`` up to sign, and the
+    image-inclusion defect of ``sigma`` in ``tau``: the norm of ``sigma``
+    compressed onto the kernel of ``tau``.
 
-    The value is ``math.inf`` when the image of ``sigma`` is not contained in
-    the image of ``tau`` (``sigma`` compressed onto the kernel of ``tau`` has
-    norm above ``tau_rank * ||sigma||``); callers must treat that as a
-    sentinel and never feed it back into arithmetic.  The ``0 log 0``
-    contribution is 0 by convention.  ``sigma`` and ``tau`` are decomposed
-    once each; the defect is the number ``image_inclusion_defect`` gives.
+    The value is ``math.inf``, with no gradient, when the image of ``sigma``
+    is not contained in the image of ``tau`` (the defect is above
+    ``tau_rank * ||sigma||``); callers must treat that as a sentinel and
+    never feed it back into arithmetic.  The ``0 log 0`` contribution is 0 by
+    convention.  ``log tau`` and its derivative act on the supported
+    eigenpairs of ``tau``.  ``sigma`` and ``tau`` are decomposed once each.
     """
     ws, vs = _psd_eigs(sigma, tol, "relative entropy target")
     wt, vt = _psd_eigs(tau, tol, "relative entropy output")
     keep = _support(wt, tol)
     defect = _kernel_norm(sigma.mat, vt[:, ~keep])
-    # the clamped eigenvalues have the support of the raw ones
+    # the clamped eigenvalues are ascending, so the last is ||sigma||
+    if defect > tol.tau_rank * ws[-1]:
+        return math.inf, None, defect
     supp = _support(ws, tol)
-    image = vs[:, supp]
-    # a zero defect passes whatever ||sigma|| is, so that SVD is skipped
-    if defect > 0.0 and defect > tol.tau_rank * spectral_norm(sigma.mat):
-        return math.inf, image, defect
     plogp = float(np.sum(ws[supp] * np.log(ws[supp])))
-    # Tr(sigma log tau) summed over tau's supported eigenvectors
-    overlaps = np.real(np.sum(vt[:, keep].conj() * (sigma.mat @ vt[:, keep]), axis=0))
-    plogq = float(np.sum(np.log(wt[keep]) * overlaps))
-    return plogp - plogq, image, defect
+    wk, vk = wt[keep], vt[:, keep]
+    st = vk.conj().T @ sigma.mat @ vk
+    plogq = float(np.sum(np.log(wk) * np.real(np.diagonal(st))))
+    return plogp - plogq, _herm(_dlog_eig(wk, vk, st, tol)), defect
 
 
 def evaluate(spec: ObjectiveSpec, j: ChoiOp, tol: Tolerances = TOL) -> SubgradResult:

@@ -20,7 +20,7 @@ directions but never for terminal certification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +66,9 @@ __all__ = [
 
 DIM_CAP = 8
 
+# Dykstra sweep budget of one projection
+SWEEPS = 5000
+
 STEP_RULES = ("constant", "diminishing", "polyak")
 
 
@@ -85,14 +88,15 @@ class SolverConfig:
     (eta = c / sqrt(t), the default), or ``polyak`` (eta = gap / ||H||_F^2
     against the best certified lower bound, falling back to diminishing
     until one exists).  ``stall_window`` stops the loop after that many
-    iterations without a new incumbent.
+    iterations without a new incumbent.  The channel projection has its own
+    sweep budget (``SWEEPS``) and takes its feasibility tolerance from the
+    :class:`Tolerances` of the run.
     """
 
     max_iters: int = 5000
     step_rule: str = "diminishing"
     step_c: float = 1.0
     tol_gap: float = 1e-7
-    tol_feas: float = 1e-9
     stall_window: int = 200
 
     def __post_init__(self) -> None:
@@ -100,7 +104,7 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"unknown step rule {self.step_rule!r}")
-        for name in ("step_c", "tol_gap", "tol_feas"):
+        for name in ("step_c", "tol_gap"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be a positive finite number, got {v}")
@@ -128,28 +132,26 @@ class SolveTrace:
     gap: float
 
 
-def project_channel(
-    x, dims: tuple[int, int], cfg: SolverConfig | None = None, tol: Tolerances = TOL
-) -> ChoiOp:
+def project_channel(x, dims: tuple[int, int], tol: Tolerances = TOL) -> ChoiOp:
     """Frobenius-nearest channel Choi operator to an arbitrary matrix.
 
     Dykstra's alternating projections between the PSD cone (eigenvalue
     clipping, with the correction term) and the affine slice of
     unit-partial-trace operators ``X -> X + 1 (x) (1 - Tr_out X) / d_out``
     (affine, so no correction needed).  Sweeps until the PSD defect of the
-    affine-feasible iterate is at most ``tol_feas``.  The batch of one of
-    :func:`_project_stack`.
+    affine-feasible iterate is at most ``min(tau_psd / 10, tau_num)``, so
+    the result passes the ``ChoiOp`` check under the same tolerances; raises
+    :class:`MaxItersExceededError` after ``SWEEPS`` sweeps.  The batch of
+    one of :func:`_project_stack`.
     """
     d_out, d_in = dims
     a = as_array(x)
     if a.shape != (d_out * d_in, d_out * d_in):
         raise DimensionMismatchError(f"shape {a.shape} incompatible with dims {dims}")
-    return _project_stack(a[None], dims, cfg or SolverConfig(), tol)[0]
+    return _project_stack(a[None], dims, tol)[0]
 
 
-def _project_stack(
-    xs: np.ndarray, dims: tuple[int, int], cfg: SolverConfig, tol: Tolerances
-) -> list[ChoiOp]:
+def _project_stack(xs: np.ndarray, dims: tuple[int, int], tol: Tolerances) -> list[ChoiOp]:
     """:func:`project_channel` of each slice of a ``(B, n, n)`` stack.
 
     A feasible slice short-circuits to its Hermitian part, which makes the
@@ -160,19 +162,19 @@ def _project_stack(
     so its result has the bits of projecting it alone.
     """
     d_out, d_in = dims
+    feas = min(tol.tau_psd / 10, tol.tau_num)
     eye_out = np.eye(d_out)
     eye_in = np.eye(d_in)
     out: list[ChoiOp | None] = [None] * len(xs)
     cur = _herm(xs)
     live = np.arange(len(xs))
     tr_diff = partial_trace(cur, dims, 0) - eye_in
-    # ``max |entry| <= ||tr_diff||``: past twice ``tol_feas`` the exact test
+    # ``max |entry| <= ||tr_diff||``: past twice ``feas`` the exact test
     # fails too (the factor 2 absorbs rounding), so only the others run it
-    unsettled = np.flatnonzero(~(np.abs(tr_diff).max(axis=(-2, -1)) > 2.0 * cfg.tol_feas))
+    unsettled = np.flatnonzero(~(np.abs(tr_diff).max(axis=(-2, -1)) > 2.0 * feas))
     for k in unsettled:
-        unit_trace = (_fro_settles(tr_diff[k], cfg.tol_feas)
-                      or spectral_norm(tr_diff[k]) <= cfg.tol_feas)
-        if unit_trace and max(0.0, -_min_eig(cur[k])) <= cfg.tol_feas:
+        unit_trace = _fro_settles(tr_diff[k], feas) or spectral_norm(tr_diff[k]) <= feas
+        if unit_trace and max(0.0, -_min_eig(cur[k])) <= feas:
             out[k] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
     if len(unsettled):
         live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
@@ -180,7 +182,7 @@ def _project_stack(
             return out
         cur = cur[live]
     corr = np.zeros_like(cur)
-    for _ in range(cfg.max_iters):
+    for _ in range(SWEEPS):
         shifted = cur + corr
         w, v = _eigh(shifted)
         psd = (v * np.maximum(w, 0.0)[:, None, :]) @ _dagger(v)
@@ -188,7 +190,7 @@ def _project_stack(
         tr = partial_trace(psd, dims, 0)
         cur = psd + kron(eye_out, (eye_in - tr) / d_out)
         low = _min_eig(cur)
-        moving = low < -cfg.tol_feas  # max(0, -low) > tol_feas, as for one slice
+        moving = low < -feas  # max(0, -low) > feas, as for one slice
         if moving.all():
             continue
         for k in np.flatnonzero(~moving):
@@ -197,7 +199,7 @@ def _project_stack(
             return out
         live, cur, corr, low = live[moving], cur[moving], corr[moving], low[moving]
     raise MaxItersExceededError(
-        f"projection defect {max(0.0, -float(low[0])):.3e} after {cfg.max_iters} sweeps"
+        f"projection defect {max(0.0, -float(low[0])):.3e} after {SWEEPS} sweeps"
     )
 
 
@@ -323,9 +325,6 @@ def solve_batch(
     if any(spec.dims != dims for spec in specs):
         raise DimensionMismatchError(f"solve_batch needs equal dims, got {[s.dims for s in specs]}")
     d_out, d_in = dims
-    # The projection gets its own sweep budget: a tiny subgradient budget
-    # must not starve Dykstra (best-effort means no raising from inside).
-    proj_cfg = replace(cfg, max_iters=max(cfg.max_iters, 500))
     j = depolarizing_choi(d_in, d_out, tol)
     runs = [_Run(spec, j, tol) for spec in specs]
     active = [run for run in runs if run.error is None]
@@ -351,7 +350,7 @@ def solve_batch(
             if not stepping:
                 break
             cands = _by_slice(
-                lambda xs: _project_stack(xs, dims, proj_cfg, tol),
+                lambda xs: _project_stack(xs, dims, tol),
                 np.stack([run.j.mat - run.eta * run.res.h.mat for run in stepping]),
             )
             retry = []

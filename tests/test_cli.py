@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chancert import solvers
 from chancert.cli import GEN_FAMILIES, main
 from chancert.linalg import HermOp
 from chancert.objectives import Ensemble
@@ -196,9 +197,10 @@ def test_solve_budget_one_is_still_exit_zero(helstrom_file, capsys):
     assert payload["iterations"] == 1
 
 
-def test_solve_projection_out_of_sweeps_exits_two(tmp_path, capsys):
-    # at this scale the first projected step does not converge in the
-    # projection's 500 Dykstra sweeps
+def test_solve_projection_out_of_sweeps_exits_two(tmp_path, capsys, monkeypatch):
+    # at this scale the first projected step does not converge in 500
+    # Dykstra sweeps
+    monkeypatch.setattr(solvers, "SWEEPS", 500)
     doc = problem_to_dict((2, 2, 1), {"family": "TraceDistance",
                                       "rho": _mat(np.diag([1e154, 0.0])),
                                       "sigma": _mat(np.diag([0.0, 1e154]))}, None)
@@ -207,6 +209,26 @@ def test_solve_projection_out_of_sweeps_exits_two(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "sweeps" in err
+
+
+# The projection's feasibility tolerance follows --tol-psd, so every projected
+# iterate passes the Choi operator check under the tolerances of the run.
+@pytest.mark.parametrize("family", ["trace-distance", "relative-entropy", "fidelity-squared"])
+def test_solve_under_tight_psd_tolerance_exits_zero(family, tmp_path, capsys):
+    path = str(tmp_path / "p.json")
+    assert main(["gen", family, path, "--dims", "2", "2", "2", "--seed", "1"]) == 0
+    capsys.readouterr()  # gen's note when it drops ENV
+    assert main(["solve", path, "--tol-psd", "2e-10", "--max-iters", "100"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["iterations"] == 100
+
+
+def test_conjecture_under_tight_psd_tolerance_has_no_errors(capsys):
+    argv = ["conjecture", "--trials", "4", "--max-iters", "60", "--tol-psd", "2e-10"]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert (summary["trials"], summary["errors"]) == (4, 0)
 
 
 # -------------------------------------------------------------------- hykl

@@ -64,6 +64,43 @@ def test_guard_sees_a_direct_call():
                                            "line 4: from numpy.linalg import svd"]
 
 
+# A deletion must not leave stale imports behind: a module uses every name it
+# imports or re-exports it through ``__all__``.
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_import_is_used():
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if unused:
+            offenders[path.name] = unused
+    assert offenders == {}
+
+
+def test_import_guard_sees_an_unused_import():
+    tree = ast.parse("from __future__ import annotations\nimport math\nimport numpy as np\n"
+                     "from .linalg import TOL, kron\n__all__ = ['kron']\nx = np.eye(2)\n")
+    assert _unused_imports(tree) == ["line 2: math", "line 4: TOL"]
+
+
 # The family table lives in ``objectives``: it may not depend on the modules
 # that read and write documents, and those name no family themselves.
 FAMILY_NAMES = {c.family for c in FAMILIES} | {c.gen_name for c in FAMILIES}
@@ -116,21 +153,20 @@ def test_family_guard_sees_a_literal():
 
 # (eigh, eigvalsh, svd) calls of one ``evaluate`` and one ``certify`` on
 # ``gen FAMILY --dims 2 2 2 --seed 1 --with-channel``.  The relative entropy
-# decides image inclusion from the eigendecomposition of the output it already
-# holds, two eigh and one SVD fewer than deciding it from scratch.  The
-# fidelity families and the relative entropy decompose the target and the
-# output once per pair, where separate value, direction and inclusion steps
-# took three and two eigh.  ``certify`` reads ``min_eig`` and ``epsilon`` from
-# one eigh; the SVDs are the Hermiticity defect, ``||H||`` and the distance of
-# the non-Hermitian residual.
+# takes its value, image-inclusion test and gradient from one eigh of the
+# target and one of the output.  The fidelity families decompose the target
+# and the output once per pair and read the target's rank from its eigh;
+# each sandwich still costs an eigvalsh and an eigh.  ``certify`` reads
+# ``min_eig`` and ``epsilon`` from one eigh; the SVDs are the Hermiticity
+# defect, ``||H||`` and the distance of the non-Hermitian residual.
 CERTIFY_CALLS = (1, 0, 3)
 EVALUATE_CALLS = {
     "linear": (0, 0, 0),
     "discrimination": (0, 0, 0),
     "trace-distance": (1, 0, 0),
-    "fidelity": (4, 4, 1),
-    "relative-entropy": (6, 3, 1),
-    "fidelity-squared": (6, 4, 2),
+    "fidelity": (4, 3, 1),
+    "relative-entropy": (2, 0, 0),
+    "fidelity-squared": (6, 2, 2),
 }
 
 

@@ -16,13 +16,12 @@ from chancert.linalg import (
     dist_to_psd,
     dlog,
     eig_herm,
-    image_inclusion_defect,
     kron,
     partial_trace,
     pinv_psd,
     spectral_norm,
 )
-from chancert.objectives import _fidelity_terms
+from chancert.objectives import _fidelity_terms, _rel_entropy_terms
 from conftest import (
     THRESHOLD_FACTORS,
     forbid_svd,
@@ -333,19 +332,27 @@ def test_spectral_norm_is_bitwise_numpy_norm(seed, shape):
     assert spectral_norm(a) == float(np.linalg.norm(a, 2))
 
 
+# the relative entropy decides image inclusion: finite exactly when the
+# target's weight on the output's kernel is negligible
 @given(seeds, dims)
 def test_image_inclusion_psd_sum(seed, d):
     rng = np.random.default_rng(seed)
     p = rand_pure(d, rng)
     q = rand_density(d, rng)
-    assert image_inclusion_defect(HermOp(p), HermOp(p + q)) <= 1e-10
+    value, _, defect = _rel_entropy_terms(HermOp(p), HermOp(p + q), TOL)
+    assert defect <= 1e-10
+    assert math.isfinite(value)
 
 
 def test_image_inclusion_counterexample():
     e00 = np.diag([1.0, 0.0])
     plus = np.full((2, 2), 0.5)
-    assert image_inclusion_defect(HermOp(e00), HermOp(plus)) > 0.1
-    assert image_inclusion_defect(HermOp(e00), HermOp(np.eye(2))) == 0.0
+    value, grad, defect = _rel_entropy_terms(HermOp(e00), HermOp(plus), TOL)
+    assert defect > 0.1
+    assert value == math.inf and grad is None
+    value, _, defect = _rel_entropy_terms(HermOp(e00), HermOp(np.eye(2)), TOL)
+    assert defect == 0.0
+    assert value == 0.0
 
 
 def test_partial_trace_dim_mismatch():

@@ -51,8 +51,13 @@ def _mix(j, d_in, d_out, alpha=0.2):
     return ChoiOp(HermOp((1 - alpha) * j.mat + alpha * dep.mat), d_out, d_in)
 
 
-def _rand_spec(family, seed, dims=(2, 2, 2)):
-    d_in, d_out, d_env = dims
+# relative-entropy targets of rank 1 and 2, drawn on an output space wider
+# than the input so that the output need not have full rank either
+RANK_DEFICIENT = {"re-pure": 1, "re-rank2": 2}
+
+
+def _rand_spec(family, seed, dims=None):
+    d_in, d_out, d_env = dims or ((2, 3, 2) if family in RANK_DEFICIENT else (2, 2, 2))
     rng = np.random.default_rng(seed)
     if family == "linear":
         return LinearObjective(HermOp(rand_herm(d_out * d_in, rng)), d_out, d_in)
@@ -68,9 +73,16 @@ def _rand_spec(family, seed, dims=(2, 2, 2)):
         "fid": FidelityObjective,
         "td": TraceDistanceObjective,
         "re": RelativeEntropyObjective,
+        "re-pure": RelativeEntropyObjective,
+        "re-rank2": RelativeEntropyObjective,
     }[family]
     rho = rand_density(d_in * d_env, rng)
-    sigma = rand_density(d_out * d_env, rng)
+    n = d_out * d_env
+    if family in RANK_DEFICIENT:
+        r = RANK_DEFICIENT[family]
+        sigma = sum(rand_pure(n, rng) for _ in range(r)) / r
+    else:
+        sigma = rand_density(n, rng)
     return _pair_spec(kind, rho, sigma, d_in, d_env, d_out)
 
 
@@ -152,7 +164,7 @@ def test_helstrom_value_via_linear_objective():
 # ------------------------------------------------------- subgradient checks
 
 
-@pytest.mark.parametrize("family", ["linear", "fid", "fidsq", "td", "re"])
+@pytest.mark.parametrize("family", ["linear", "fid", "fidsq", "td", "re", "re-pure", "re-rank2"])
 @given(seed=seeds)
 @settings(max_examples=40)
 def test_subgradient_inequality(family, seed):
@@ -197,7 +209,7 @@ def test_trace_distance_sign_regression():
     assert violations > 10  # the wrong sign fails broadly, not marginally
 
 
-@pytest.mark.parametrize("family", ["fid", "fidsq", "re"])
+@pytest.mark.parametrize("family", ["fid", "fidsq", "re", "re-pure", "re-rank2"])
 @given(seed=seeds)
 @settings(max_examples=25)
 def test_gradient_matches_finite_difference(family, seed):
@@ -286,10 +298,11 @@ E0, E1, PLUS, HALF = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.full((2, 2), 0
     (RelativeEntropyObjective, E1, HALF, math.log(2.0)),
     (RelativeEntropyObjective, E0, np.eye(2), 0.0),
     (RelativeEntropyObjective, np.zeros((2, 2)), HALF, 0.0),  # D(0 || tau) = 0
+    (RelativeEntropyObjective, np.zeros((2, 2)), np.zeros((2, 2)), 0.0),  # also for tau = 0
     (RelativeEntropyObjective, HALF, E1, math.inf),  # support escapes
     (RelativeEntropyObjective, E0, PLUS, math.inf),
-], ids=["fid-orthogonal", "fid-plus", "re-log2", "re-identity", "re-zero", "re-escape",
-        "re-plus"])
+], ids=["fid-orthogonal", "fid-plus", "re-log2", "re-identity", "re-zero", "re-zero-output",
+        "re-escape", "re-plus"])
 def test_identity_channel_pinned_values(kind, sigma, rho, want):
     value = _identity_value(kind, sigma, rho)
     if math.isinf(want):

@@ -10,7 +10,7 @@ from chancert import solvers
 from chancert.certifier import certify
 from chancert.cli import GEN_FAMILIES, main
 from chancert.choi import BipartiteState, Povm
-from chancert.linalg import DimensionMismatchError, EigDecompositionError, HermOp, partial_trace
+from chancert.linalg import TOL, DimensionMismatchError, EigDecompositionError, HermOp, partial_trace
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
@@ -34,7 +34,7 @@ from chancert.solvers import (
     solve,
     solve_batch,
 )
-from conftest import THRESHOLD_FACTORS, rand_herm
+from conftest import THRESHOLD_FACTORS, rand_density, rand_herm, rand_pure
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -75,11 +75,13 @@ def test_projection_variational_inequality(seed):
         assert float(np.real(np.vdot(x - p.mat, c.mat - p.mat))) <= 1e-6
 
 
-def test_projection_budget_exhaustion_raises():
+def test_projection_budget_exhaustion_raises(monkeypatch):
     x = np.zeros((4, 4))
     x[0, 0] = 10.0
-    with pytest.raises(MaxItersExceededError):
-        project_channel(x, (2, 2), SolverConfig(max_iters=2))
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "SWEEPS", 2)
+        with pytest.raises(MaxItersExceededError):
+            project_channel(x, (2, 2))
     p = project_channel(x, (2, 2))  # default budget is plenty
     assert float(np.min(np.linalg.eigvalsh(p.mat))) >= -2e-9
 
@@ -87,13 +89,13 @@ def test_projection_budget_exhaustion_raises():
 @pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
 @pytest.mark.parametrize("defect", ["psd", "trace"])
 def test_projection_precheck_matches_exact_formula(defect, factor, monkeypatch):
-    d, feas = 2, SolverConfig().tol_feas
+    d, feas = 2, min(TOL.tau_psd / 10, TOL.tau_num)
     vec = np.eye(d).reshape(d * d)
     j_id = np.outer(vec, vec)
-    if defect == "psd":  # min eigenvalue -factor * tol_feas, Tr_out = 1
+    if defect == "psd":  # min eigenvalue -factor * feas, Tr_out = 1
         s = d * factor * feas
         x = (1 + s) * j_id - (s / d) * np.eye(d * d)
-    else:  # Tr_out = (1 + factor * tol_feas) 1
+    else:  # Tr_out = (1 + factor * feas) 1
         x = (1 + factor * feas) * j_id
     # the seed code's feasibility test, with the exact trace-defect norm
     low = float(np.min(np.linalg.eigvalsh(x)))
@@ -172,6 +174,17 @@ def test_solve_relative_entropy_smoke():
     assert tr.converged
     assert tr.best_value == pytest.approx(0.0, abs=1e-10)
     assert math.isfinite(tr.gap)
+
+
+def test_solve_relative_entropy_pure_target_gap_is_nonnegative():
+    """The gap is the incumbent's value minus a certified lower bound; with
+    a pure target the lower bound holds only if each gradient is exact."""
+    rng = np.random.default_rng(0)
+    rho = BipartiteState(HermOp(rand_density(4, rng)), 2, 2)
+    sigma = BipartiteState(HermOp(rand_pure(6, rng)), 3, 2)
+    tr = solve(RelativeEntropyObjective(rho, sigma), SolverConfig(max_iters=40))
+    assert math.isfinite(tr.best_value)
+    assert tr.gap >= 0.0
 
 
 # -------------------------------------------------------------- measurement
@@ -290,7 +303,7 @@ def test_solver_config_validation():
         SolverConfig(stall_window=0)
 
 
-@pytest.mark.parametrize("field", ["step_c", "tol_gap", "tol_feas"])
+@pytest.mark.parametrize("field", ["step_c", "tol_gap"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_solver_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
