@@ -26,6 +26,7 @@ beyond the PSD tolerance, so ``certify`` honestly reports it near-optimal
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -82,7 +83,10 @@ def _solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stall-window", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves it
+    unchanged, so every call of :func:`main` can share it."""
     parser = argparse.ArgumentParser(
         prog="chancert",
         description="certify and solve convex channel-optimization problems",

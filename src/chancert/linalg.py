@@ -42,13 +42,11 @@ __all__ = [
     "HermOp",
     "SpectralDecomp",
     "NotPSDError",
-    "SingularLogError",
     "DimensionMismatchError",
     "EigDecompositionError",
     "as_array",
     "eig_herm",
     "pinv_psd",
-    "dlog",
     "spectral_norm",
     "partial_trace",
     "dist_to_psd",
@@ -58,10 +56,6 @@ __all__ = [
 
 class NotPSDError(ValueError):
     """Operand required to be positive semidefinite is not (within tolerance)."""
-
-
-class SingularLogError(ValueError):
-    """Logarithm derivative requested at a singular (rank-deficient) operator."""
 
 
 class DimensionMismatchError(ValueError):
@@ -341,24 +335,6 @@ def pinv_psd(a: HermOp, tol: Tolerances = TOL) -> HermOp:
     w, v = _psd_eigs(a, tol, "pinv_psd operand")
     inv = np.where(_support(w, tol), np.divide(1.0, w, out=np.zeros_like(w), where=w > 0), 0.0)
     return HermOp(v @ (inv[:, None] * v.conj().T))
-
-
-def dlog(y: HermOp, z: HermOp, tol: Tolerances = TOL) -> HermOp:
-    """Derivative of the operator logarithm at ``y`` (positive definite) along ``z``.
-
-    Uses the divided-difference (Loewner) form on clustered eigenvalues:
-    equal-cluster pairs contribute ``1 / lambda``, distinct pairs the
-    difference quotient of ``log``.
-    """
-    if y.dim != z.dim:
-        raise DimensionMismatchError(f"operand dims differ: {y.dim} vs {z.dim}")
-    w, v = _eigh(y.mat)
-    top = float(np.max(w)) if w.size else 0.0
-    if top <= 0.0 or float(np.min(w)) <= tol.tau_rank * top:
-        raise SingularLogError(
-            f"operator is singular within tau_rank (min eig {float(np.min(w)):.3e})"
-        )
-    return HermOp(_dlog_eig(w, v, v.conj().T @ z.mat @ v, tol))
 
 
 def _dlog_eig(w: np.ndarray, v: np.ndarray, zt: np.ndarray, tol: Tolerances) -> np.ndarray:

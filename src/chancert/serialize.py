@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -60,6 +61,8 @@ __all__ = [
 ]
 
 VERSION = "1"
+# the leaf types of a matrix cell, by exact type: JSON numbers but not booleans
+_NUMBER_TYPES = frozenset({int, float})
 
 
 class SchemaError(ValueError):
@@ -148,22 +151,77 @@ def encode_matrix(m) -> list:
 
 
 def decode_matrix(data, what: str = "matrix") -> np.ndarray:
+    """Complex ``(n, m)`` matrix from row-major nested ``[re, im]`` pairs.
+
+    ``data`` is a non-empty list of rows of equal length; each cell is a
+    list of exactly two leaves, and a leaf must be an ``int`` or a ``float``
+    by exact type, so ``bool``, strings, ``None``, objects and deeper lists
+    are rejected.  Entry ``[i, j]`` has the bits of ``complex(re, im)``:
+    ``-0.0``, subnormals and ints past 2**53 included.
+
+    Errors are :class:`SchemaError`, reported at the first bad place in
+    row-major order:
+
+    * ``{what}: expected a non-empty array of rows`` for anything else at the
+      top level;
+    * ``{what}: ragged rows`` for a row that is not a list as long as the
+      first row;
+    * ``{what}[i][j]: expected an [re, im] pair`` for a bad cell or leaf;
+    * ``{what}[i][j]: number too large for a double`` for an int beyond the
+      double range.
+
+    The checks read a whole level at a time and one ``np.array`` call
+    converts every entry; the cell-by-cell walk runs only to name a failure.
+    """
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{what}: expected a non-empty array of rows")
-    n = len(data)
-    out = np.empty((n, len(data[0])), dtype=np.complex128)
+    if _is_pair_grid(data):
+        try:
+            pairs = np.array(data, dtype=np.float64)
+        except OverflowError:
+            pass  # an int beyond the double range; the walk names its cell
+        else:
+            # the reshape gives rows without cells their pair axis too
+            return pairs.reshape(len(data), len(data[0]), 2).view(np.complex128)[..., 0]
+    _raise_first_bad_cell(data, what)
+
+
+def _is_pair_grid(data: list) -> bool:
+    """Whether every row is a list of one length and every cell an
+    ``[re, im]`` list of ints and floats."""
+    if set(map(type, data)) != {list} or len(set(map(len, data))) != 1:
+        return False
+    cells = list(chain.from_iterable(data))
+    return (
+        set(map(type, cells)) <= {list}
+        and set(map(len, cells)) <= {2}
+        and set(map(type, chain.from_iterable(cells))) <= _NUMBER_TYPES
+    )
+
+
+def _raise_first_bad_cell(data: list, what: str) -> None:
+    """Raise the error of the first row or cell :func:`decode_matrix` rejects."""
+    width = len(data[0]) if type(data[0]) is list else -1
     for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != out.shape[1]:
+        if type(row) is not list or len(row) != width:
             raise SchemaError(f"{what}: ragged rows")
         for j, cell in enumerate(row):
             if (
-                not isinstance(cell, list)
+                type(cell) is not list
                 or len(cell) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
+                or not set(map(type, cell)) <= _NUMBER_TYPES
             ):
                 raise SchemaError(f"{what}[{i}][{j}]: expected an [re, im] pair")
-            out[i, j] = complex(cell[0], cell[1])
-    return out
+            for v in cell:
+                _float(v, f"{what}[{i}][{j}]")
+
+
+def _float(v, what: str) -> float:
+    """``float(v)``; an int beyond the double range is a schema error."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(f"{what}: number too large for a double") from None
 
 
 def _num(data, what: str) -> float:
@@ -173,7 +231,7 @@ def _num(data, what: str) -> float:
         return -math.inf
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         raise SchemaError(f"{what}: expected a number")
-    return float(data)
+    return _float(data, what)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +289,7 @@ def _parse_tolerances(data) -> Tolerances:
     for k, v in data.items():
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
             raise SchemaError(f"tolerances.{k}: expected a positive finite number")
-        vals[k] = float(v)
+        vals[k] = _float(v, f"tolerances.{k}")
     return Tolerances(**vals)
 
 

@@ -133,16 +133,23 @@ class SolveTrace:
 
 
 def project_channel(x, dims: tuple[int, int], tol: Tolerances = TOL) -> ChoiOp:
-    """Frobenius-nearest channel Choi operator to an arbitrary matrix.
+    """A channel Choi operator near an arbitrary matrix: the feasible point
+    where Dykstra's alternating projections stop.
 
-    Dykstra's alternating projections between the PSD cone (eigenvalue
-    clipping, with the correction term) and the affine slice of
-    unit-partial-trace operators ``X -> X + 1 (x) (1 - Tr_out X) / d_out``
-    (affine, so no correction needed).  Sweeps until the PSD defect of the
-    affine-feasible iterate is at most ``min(tau_psd / 10, tau_num)``, so
-    the result passes the ``ChoiOp`` check under the same tolerances; raises
+    Alternates between the PSD cone (eigenvalue clipping, with the
+    correction term) and the affine slice of unit-partial-trace operators
+    ``X -> X + 1 (x) (1 - Tr_out X) / d_out`` (affine, so no correction
+    needed).  Sweeps until the PSD defect of the affine-feasible iterate is
+    at most ``min(tau_psd / 10, tau_num)``, so the result passes the
+    ``ChoiOp`` check under the same tolerances; raises
     :class:`MaxItersExceededError` after ``SWEEPS`` sweeps.  The batch of
     one of :func:`_project_stack`.
+
+    The result is a channel but not, in general, the Frobenius-nearest one:
+    Dykstra converges to the projection only in the limit, and stopping at
+    the first feasible iterate can leave it 0.10 (Frobenius) from the true
+    projection on step-like inputs at dims ``(2, 2)``.  A feasible input
+    comes back as its Hermitian part, so the map is idempotent.
     """
     d_out, d_in = dims
     a = as_array(x)
@@ -341,7 +348,7 @@ def solve_batch(
         for run, entry in zip(active, residuals):
             if isinstance(entry, Exception):
                 run.error = entry
-            elif run.record(t, entry[3] * d_in, entry[4], cfg):  # epsilon, scale
+            elif run.record(t, entry[2] * d_in, entry[3], cfg):  # epsilon, scale
                 moving.append(run)
         # Only the relative entropy can be infinite: halve the step until the
         # candidate lands inside its finite domain.

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import chancert
 from chancert import solvers
 from chancert.cli import GEN_FAMILIES, main
 from chancert.linalg import HermOp
@@ -157,6 +162,72 @@ def test_certify_overflowing_matrix_exits_two_without_warnings(tmp_path, capsys)
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "overflows" in err
+
+
+# a 401-digit JSON integer: Python reads it exactly, but no double holds it
+HUGE = 10**400
+
+
+def _set_h0_entry(doc):
+    doc["objective"]["h0"][0][0][0] = HUGE
+
+
+def _set_tau_psd(doc):
+    doc["tolerances"] = {"tau_psd": HUGE}
+
+
+def _set_first_prob(doc):
+    doc["objective"]["probs"][0] = HUGE
+
+
+@pytest.mark.parametrize("family, mutate, path", [
+    ("linear", _set_h0_entry, "objective.h0[0][0]"),
+    ("linear", _set_tau_psd, "tolerances.tau_psd"),
+    ("discrimination", _set_first_prob, "objective.probs"),
+], ids=["h0-entry", "tau-psd", "prob"])
+def test_number_too_large_for_a_double_exits_two(family, mutate, path, tmp_path, capsys):
+    file = tmp_path / "p.json"
+    assert main(["gen", family, str(file), "--dims", "2", "2", "1", "--with-channel"]) == 0
+    doc = json.loads(file.read_text())
+    mutate(doc)
+    file.write_text(json.dumps(doc))
+    assert main(["certify", str(file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"chancert: {path}: number too large for a double\n"
+
+
+def _fresh_run(argv):
+    """Exit code and stdout of ``chancert argv`` in a new interpreter."""
+    src = str(pathlib.Path(chancert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "chancert", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout
+
+
+def test_main_calls_in_one_process_match_fresh_processes(helstrom_file, tmp_path, capsys):
+    """The parser is built once per process: a flag given to one call of
+    ``main`` must not reach the next."""
+    # Tr_out(H J) is exactly Hermitian; min_eig -0.5 passes only under a loose tau_psd
+    flat = _write(tmp_path, "flat.json", problem_to_dict(
+        (2, 2, 1), {"family": "Linear", "h0": _mat(np.kron(np.diag([1.0, 0.0]), np.eye(2)))},
+        {"kind": "choi", "matrix": _mat(np.eye(4) / 2.0)}))
+    polyak = ["solve", helstrom_file, "--step-rule", "polyak"]
+    calls = [
+        [*polyak, "--max-iters", "3"], polyak,
+        ["certify", flat, "--json-indent", "2"], ["certify", flat],
+        ["certify", flat, "--tol-psd", "1"], ["certify", flat],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert in_process == [_fresh_run(argv) for argv in calls]
+    # each flag changes its call's output, so a leaked flag would show
+    for flagged, bare in zip(in_process[::2], in_process[1::2]):
+        assert flagged != bare
+    assert [code for code, _ in in_process[4:]] == [0, 3]
 
 
 def test_certify_output_is_byte_deterministic(helstrom_file, capsys):

@@ -87,17 +87,52 @@ def test_matrix_codec_is_exact(seed):
     assert np.array_equal(out2, m)
 
 
+# JSON numbers of every kind a matrix leaf can be: ints (also past 2**53),
+# signed zeros, subnormals and the ends of the double range
+matrix_leaves = st.one_of(
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
+    finite_floats,
+)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=200)
+def test_decode_matrix_matches_complex_of_each_cell(n, m, data):
+    cells = data.draw(st.lists(st.lists(st.lists(matrix_leaves, min_size=2, max_size=2),
+                                        min_size=m, max_size=m), min_size=n, max_size=n))
+    ref = np.empty((n, m), dtype=np.complex128)
+    for i, row in enumerate(cells):
+        for j, (re_, im_) in enumerate(row):
+            ref[i, j] = complex(re_, im_)
+    out = decode_matrix(cells)
+    assert out.shape == (n, m) and out.dtype == np.complex128
+    assert out.tobytes() == ref.tobytes()
+
+
+def _rejection(data) -> str:
+    with pytest.raises(SchemaError) as info:
+        decode_matrix(data, "m")
+    return str(info.value)
+
+
 def test_matrix_codec_rejections():
-    with pytest.raises(SchemaError):
-        decode_matrix([])
-    with pytest.raises(SchemaError):
-        decode_matrix([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]])
-    with pytest.raises(SchemaError):
-        decode_matrix([[[1.0]]])
-    with pytest.raises(SchemaError):
-        decode_matrix([[[1.0, "zero"]]])
-    with pytest.raises(SchemaError):
-        decode_matrix([[[True, 0.0]]])
+    pair = [1.0, 0.0]
+    assert _rejection([]) == "m: expected a non-empty array of rows"
+    assert _rejection({"0": [pair]}) == "m: expected a non-empty array of rows"
+    assert _rejection([[pair], [pair, [2.0, 0.0]]]) == "m: ragged rows"
+    assert _rejection([[pair], 5]) == "m: ragged rows"  # a row that is not a list
+    assert _rejection([5, [pair]]) == "m: ragged rows"
+    assert _rejection([[[1.0]]]) == "m[0][0]: expected an [re, im] pair"
+    assert _rejection([[pair, [1.0, "zero"]]]) == "m[0][1]: expected an [re, im] pair"
+    assert _rejection([[pair], [[True, 0.0]]]) == "m[1][0]: expected an [re, im] pair"
+    assert _rejection([[pair, [None, 0.0]]]) == "m[0][1]: expected an [re, im] pair"
+    assert _rejection([[pair], [{"re": 1.0, "im": 0.0}]]) == "m[1][0]: expected an [re, im] pair"
+    assert _rejection([[[[1.0], 0.0]]]) == "m[0][0]: expected an [re, im] pair"  # 3 deep
+    assert _rejection([[pair, [0.0, -(10**400)]]]) == "m[0][1]: number too large for a double"
+    # the first failure in row-major order is the one reported
+    assert _rejection([[pair, [1.0]], [[10**400, 0]]]) == "m[0][1]: expected an [re, im] pair"
+    assert _rejection([[[10**400, 0]], 5]) == "m[0][0]: number too large for a double"
 
 
 # ------------------------------------------------------------ problem files

@@ -337,6 +337,27 @@ def test_solve_evaluates_each_iterate_once(family, tmp_path, monkeypatch, capsys
     assert counts == {"evaluate": 30, "certify": 30, "project_channel": 29}
 
 
+def test_solve_bounds_take_two_svds_per_round(tmp_path, monkeypatch, capsys):
+    """Each round of an n-iteration Linear solve makes one stacked SVD for the
+    scale ``1 + ||H||`` and one for the distance of the non-Hermitian residual
+    to the PSD cone; at the depolarizing start the residual is exactly
+    Hermitian, so 2n - 1 in all.  The Hermiticity defect of ``Tr_out(HJ)``,
+    which only ``certify`` reports, costs the solver no SVD (3n - 1 before)."""
+    path = str(tmp_path / "p.json")
+    assert main(["gen", "linear", path, "--dims", "2", "2", "1", "--seed", "1"]) == 0
+    calls = {"svd": 0}
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls["svd"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert main(["solve", path, "--max-iters", "30"]) == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 30
+    assert calls["svd"] == 2 * 30 - 1
+
+
 # ------------------------------------------------------------ batched solve
 
 
