@@ -143,6 +143,21 @@ def _dlog(y, z):
     return _dlog_eig(w, v, v.conj().T @ z @ v, TOL)
 
 
+# the log lift is the one matrix function whose derivative the package computes
+@pytest.mark.parametrize("fn", [pytest.param(_log, id="fn1")])
+@given(seed=seeds, d=dims)
+@settings(max_examples=30)
+def test_mat_func_deriv_matches_finite_difference(fn, seed, d):
+    rng = np.random.default_rng(seed)
+    a = rand_density(d, rng) + 0.5 * np.eye(d)  # keep well inside the domain
+    z = rand_herm(d, rng)
+    z = z / spectral_norm(z)
+    t = 1e-6
+    der = _dlog(a, z)
+    fd = (fn(a + t * z) - fn(a - t * z)) / (2 * t)
+    assert spectral_norm(fd - der) <= 1e-5 * (1 + spectral_norm(der))
+
+
 @given(seeds, dims)
 def test_dlog_directional_derivative(seed, d):
     rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chancert import solvers
@@ -63,6 +63,7 @@ def test_project_zero_gives_depolarizing():
 
 
 @given(seeds)
+@example(2428)  # one sweep lands inside the cone, 0.89 from the projection
 @settings(max_examples=25)
 def test_projection_variational_inequality(seed):
     rng = np.random.default_rng(seed)
