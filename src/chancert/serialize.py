@@ -14,6 +14,14 @@ Design constraints, in order of priority:
 * **Diffability**: complex matrices are nested row-major arrays of
   ``[re, im]`` pairs, so fixtures remain readable and diffable.
 
+The writer emits a matrix in one pass rather than one recursive call per
+row, cell and float: an ndarray, or a list that is a grid of
+``[float, float]`` cells (checked a whole level at a time), has its leaves
+formatted in one ``format(x, ".17g")`` pass and its cells and rows joined
+with their levels' pads.  A flat list of floats takes the same leaf pass.
+The bytes are those of the per-element rules above, for every indent;
+anything else, ints and numpy scalars included, takes the recursive path.
+
 The problem-file schema is versioned at ``"1"``::
 
     {
@@ -35,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -63,6 +71,8 @@ __all__ = [
 VERSION = "1"
 # the leaf types of a matrix cell, by exact type: JSON numbers but not booleans
 _NUMBER_TYPES = frozenset({int, float})
+# the leaf type of a grid the writer emits in one pass
+_FLOAT_TYPE = frozenset({float})
 
 
 class SchemaError(ValueError):
@@ -86,11 +96,60 @@ def _fmt_float(x: float) -> str:
     return s
 
 
+def _fmt_floats(xs: list) -> list[str]:
+    """:func:`_fmt_float` of each value of a list of exactly-``float`` values.
+
+    One ``format`` pass writes every leaf.  A text with a ``.`` or an
+    exponent is already :func:`_fmt_float`'s; the rest, the non-finite and
+    the integral values (``±0.0`` included), go through it again, so ``nan``
+    raises its error."""
+    out = list(map(format, xs, repeat(".17g")))
+    for i, s in enumerate(out):
+        if "." not in s and "e" not in s:
+            out[i] = _fmt_float(xs[i])
+    return out
+
+
+def _pads(indent: int | None, level: int) -> tuple[str, str]:
+    """The item separator pad and the closing pad of a container at ``level``."""
+    if indent is None:
+        return "", ""
+    return "\n" + " " * (indent * (level + 1)), "\n" + " " * (indent * level)
+
+
+def _list_text(items: list[str], indent: int | None, level: int) -> str:
+    """A list at ``level`` whose items are already text."""
+    if not items:
+        return "[]"
+    pad, endpad = _pads(indent, level)
+    return "[" + pad + ("," + pad).join(items) + endpad + "]"
+
+
+def _grid_text(rows: list, indent: int | None, level: int) -> str:
+    """A float grid (see :func:`_is_pair_grid`) at ``level``: its leaves in
+    one pass, set into a template of its cells and rows with their levels'
+    pads."""
+    leaves = _fmt_floats(list(chain.from_iterable(chain.from_iterable(rows))))
+    cell = _list_text(["%s", "%s"], indent, level + 2)
+    row = _list_text([cell] * len(rows[0]), indent, level + 1)
+    return _list_text([row] * len(rows), indent, level) % tuple(leaves)
+
+
 def _emit(obj, out: list[str], indent: int | None, level: int) -> None:
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    endpad = "" if indent is None else "\n" + " " * (indent * level)
     if isinstance(obj, np.ndarray):
         obj = encode_matrix(obj)
+        if obj:  # a grid by construction
+            out.append(_grid_text(obj, indent, level))
+            return
+    if type(obj) is list and obj:
+        # lists of exactly-float leaves, flat or a matrix grid, in one step
+        if set(map(type, obj)) == {float}:
+            out.append(_list_text(_fmt_floats(obj), indent, level))
+            return
+        if _is_pair_grid(obj, _FLOAT_TYPE):
+            out.append(_grid_text(obj, indent, level))
+            return
+    pad, endpad = _pads(indent, level)
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -146,8 +205,9 @@ def canonical_json(obj, indent: int | None = None) -> str:
 
 def encode_matrix(m) -> list:
     """Row-major nested lists of ``[re, im]`` pairs."""
-    a = as_array(m)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+    a = np.ascontiguousarray(as_array(m))
+    n, k = a.shape
+    return a.view(np.float64).reshape(n, k, 2).tolist()
 
 
 def decode_matrix(data, what: str = "matrix") -> np.ndarray:
@@ -186,16 +246,16 @@ def decode_matrix(data, what: str = "matrix") -> np.ndarray:
     _raise_first_bad_cell(data, what)
 
 
-def _is_pair_grid(data: list) -> bool:
+def _is_pair_grid(data: list, leaves: frozenset = _NUMBER_TYPES) -> bool:
     """Whether every row is a list of one length and every cell an
-    ``[re, im]`` list of ints and floats."""
+    ``[re, im]`` list of leaves whose exact types are in ``leaves``."""
     if set(map(type, data)) != {list} or len(set(map(len, data))) != 1:
         return False
     cells = list(chain.from_iterable(data))
     return (
         set(map(type, cells)) <= {list}
         and set(map(len, cells)) <= {2}
-        and set(map(type, chain.from_iterable(cells))) <= _NUMBER_TYPES
+        and set(map(type, chain.from_iterable(cells))) <= leaves
     )
 
 
@@ -324,7 +384,8 @@ class _Fields:
         return tuple(self._square(m, dim, f"{self.path}.{key}[{k}]") for k, m in enumerate(items))
 
     def probs(self, key: str) -> np.ndarray:
-        return np.array([_num(p, f"{self.path}.{key}") for p in self._array(key)])
+        items = self._array(key)
+        return np.array([_num(p, f"{self.path}.{key}[{k}]") for k, p in enumerate(items)])
 
 
 def _parse_objective(

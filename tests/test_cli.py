@@ -183,7 +183,7 @@ def _set_first_prob(doc):
 @pytest.mark.parametrize("family, mutate, path", [
     ("linear", _set_h0_entry, "objective.h0[0][0]"),
     ("linear", _set_tau_psd, "tolerances.tau_psd"),
-    ("discrimination", _set_first_prob, "objective.probs"),
+    ("discrimination", _set_first_prob, "objective.probs[0]"),
 ], ids=["h0-entry", "tau-psd", "prob"])
 def test_number_too_large_for_a_double_exits_two(family, mutate, path, tmp_path, capsys):
     file = tmp_path / "p.json"
@@ -195,6 +195,20 @@ def test_number_too_large_for_a_double_exits_two(family, mutate, path, tmp_path,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"chancert: {path}: number too large for a double\n"
+
+
+@pytest.mark.parametrize("family", ["discrimination", "fidelity-squared"])
+def test_non_number_prior_entry_exits_two_naming_its_index(family, tmp_path, capsys):
+    file = tmp_path / "p.json"
+    assert main(["gen", family, str(file), "--dims", "2", "2", "1"]) == 0
+    doc = json.loads(file.read_text())
+    doc["objective"]["probs"][1] = "half"
+    file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["certify", str(file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "chancert: objective.probs[1]: expected a number\n"
 
 
 def _fresh_run(argv):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chancert import cli, serialize
 from chancert.certifier import certify_objective, hykl_check
-from chancert.linalg import HermOp
+from chancert.cli import GEN_FAMILIES, main
+from chancert.linalg import HermOp, as_array
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
@@ -48,6 +52,7 @@ def test_float_formatting_rules():
     assert canonical_json(-math.inf) == '"-inf"\n'
     assert canonical_json(3) == "3\n"
     assert canonical_json(True) == "true\n"
+    assert canonical_json([[[3, 0.0]]]) == "[[[3,0.0]]]\n"  # an int leaf stays an int
     with pytest.raises(ValueError):
         canonical_json(float("nan"))
 
@@ -133,6 +138,230 @@ def test_matrix_codec_rejections():
     # the first failure in row-major order is the one reported
     assert _rejection([[pair, [1.0]], [[10**400, 0]]]) == "m[0][1]: expected an [re, im] pair"
     assert _rejection([[[10**400, 0]], 5]) == "m[0][0]: number too large for a double"
+
+
+# ------------------------------------- one-pass writer against the oracle
+#
+# The writer before grids were emitted in one pass: one recursive call per
+# row, per [re, im] cell and per float.  canonical_json must keep its bytes.
+
+
+def _ref_fmt_float(x: float) -> str:
+    if math.isnan(x):
+        raise ValueError("nan is not serializable")
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    s = format(x, ".17g")
+    if "." not in s and "e" not in s and "inf" not in s:
+        s += ".0"
+    return s
+
+
+def _ref_encode_matrix(m) -> list:
+    a = as_array(m)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+
+
+def _ref_emit(obj, out: list, indent, level: int) -> None:
+    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
+    endpad = "" if indent is None else "\n" + " " * (indent * level)
+    if isinstance(obj, np.ndarray):
+        obj = _ref_encode_matrix(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            out.append(pad)
+            out.append(json.dumps(str(k)))
+            out.append(": " if indent is not None else ":")
+            _ref_emit(v, out, indent, level + 1)
+        out.append(endpad)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            out.append("[]")
+            return
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            out.append(pad)
+            _ref_emit(v, out, indent, level + 1)
+        out.append(endpad)
+        out.append("]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_ref_fmt_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif obj is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _ref_json(obj, indent=None) -> str:
+    out: list = []
+    _ref_emit(obj, out, indent, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+INDENTS = [None, 0, 1, 3]
+# leaves whose text the one-pass format gets wrong, and the ends of the range
+SPECIAL_LEAVES = [-0.0, 0.0, 1.0, 1e16, -3.0, 5e-324, 1.7e308, math.inf, -math.inf]
+float_leaves = st.one_of(st.sampled_from(SPECIAL_LEAVES), finite_floats)
+
+
+def _grids(leaves, max_rows=4, min_cols=0, max_cols=4):
+    """Grids of ``[re, im]`` cells; 0 columns gives rows without cells."""
+    return st.integers(1, max_rows).flatmap(lambda n: st.integers(min_cols, max_cols).flatmap(
+        lambda m: st.lists(st.lists(st.lists(leaves, min_size=2, max_size=2),
+                                    min_size=m, max_size=m), min_size=n, max_size=n)))
+
+
+@given(_grids(float_leaves), st.lists(float_leaves, max_size=5), st.sampled_from(INDENTS))
+@settings(max_examples=300)
+def test_float_grids_match_the_recursive_writer(grid, flat, indent):
+    doc = {"m": grid, "values": flat, "nested": [grid, {"k": grid}]}
+    for obj in (grid, flat, doc):
+        assert canonical_json(obj, indent) == _ref_json(obj, indent)
+
+
+@given(_grids(st.floats(allow_nan=False, width=64), max_rows=1, min_cols=1, max_cols=1),
+       st.sampled_from(INDENTS))
+def test_one_by_one_grids_match_the_recursive_writer(grid, indent):
+    assert canonical_json(grid, indent) == _ref_json(grid, indent)
+    m = np.array([[complex(*grid[0][0])]])
+    assert canonical_json(m, indent) == _ref_json(m, indent)
+
+
+@given(st.sampled_from(INDENTS), st.integers(1, 5))
+def test_grids_of_empty_rows_match_the_recursive_writer(indent, rows):
+    grid = [[] for _ in range(rows)]
+    assert canonical_json(grid, indent) == _ref_json(grid, indent)
+    m = np.zeros((rows, 0), dtype=complex)
+    assert canonical_json(m, indent) == _ref_json(m, indent)
+    assert canonical_json(np.zeros((0, rows)), indent) == "[]\n"
+
+
+# leaves the one-pass path must not take: ints print without ".0", and
+# numpy scalars are not exactly float
+foreign_leaves = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(SPECIAL_LEAVES).map(np.float64),
+    finite_floats.map(np.float64),
+)
+
+
+@given(_grids(float_leaves, min_cols=1, max_cols=3), st.data(), st.sampled_from(INDENTS))
+@settings(max_examples=200)
+def test_grids_with_int_or_numpy_leaves_keep_the_general_path(grid, data, indent):
+    i = data.draw(st.integers(0, len(grid) - 1))
+    j = data.draw(st.integers(0, len(grid[i]) - 1))
+    grid[i][j] = [data.draw(foreign_leaves), grid[i][j][1]]
+    flat = [1.0, data.draw(foreign_leaves), -0.0]
+    for obj in (grid, flat, {"m": grid, "v": flat}):
+        assert canonical_json(obj, indent) == _ref_json(obj, indent)
+
+
+@pytest.mark.parametrize("obj", [
+    [[[1.0, math.nan]]],
+    [[[1.0, 0.0], [0.0, 1.0]], [[math.nan, 0.0], [1.0, 0.0]]],
+    [0.5, math.nan],
+    np.array([[1.0, complex(0.0, math.nan)]]),
+    {"z": np.array([[math.nan]])},
+])
+@pytest.mark.parametrize("indent", INDENTS)
+def test_nan_is_rejected_on_the_one_pass_path(obj, indent):
+    with pytest.raises(ValueError) as info:
+        canonical_json(obj, indent)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "nan is not serializable"
+
+
+def _gen_with_oracle(family: str, indent, monkeypatch):
+    """``gen`` stdout at benchmark scale, and the oracle's text of the same
+    document object."""
+    oracle = []
+
+    def writer(obj, indent=None):
+        oracle.append(_ref_json(obj, indent))
+        return canonical_json(obj, indent)
+
+    monkeypatch.setattr(cli, "canonical_json", writer)
+    argv = ["gen", family, "-", "--dims", "8", "8", "8", "--seed", "8", "--with-channel"]
+    if indent is not None:
+        argv += ["--json-indent", str(indent)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return out.getvalue(), oracle
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+@pytest.mark.parametrize("family", GEN_FAMILIES)
+def test_benchmark_scale_documents_match_the_oracle(family, indent, monkeypatch):
+    text, oracle = _gen_with_oracle(family, indent, monkeypatch)
+    assert oracle == [text]
+    parsed = json.loads(text)
+    assert canonical_json(parsed, indent) == text
+    assert _ref_json(parsed, indent) == text
+
+
+def _arrays():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    a[0, 0], a[1, 2], a[2, 1] = -0.0, complex(0.0, -0.0), complex(-0.0, 3.0)
+    yield "transposed", a.T
+    yield "conj-transposed", a.conj().T
+    yield "strided", a[::2, 1::2]
+    yield "reversed", a[::-1, ::-1]
+    yield "column", a[:, 3:4]
+    yield "fortran", np.asfortranarray(a)
+    yield "real", a.real.T
+    yield "int", np.arange(12).reshape(3, 4)
+    yield "hermop", HermOp(rand_herm(4, rng))
+    yield "no-columns", a[:, :0]
+
+
+@pytest.mark.parametrize("name, m", list(_arrays()), ids=[n for n, _ in _arrays()])
+def test_encode_matrix_matches_per_element_encoding(name, m):
+    got = encode_matrix(m)
+    assert repr(got) == repr(_ref_encode_matrix(m))  # repr tells -0.0 from 0.0
+    assert {type(x) for row in got for cell in row for x in cell} <= {float}
+
+
+def _count_emit(monkeypatch, obj) -> int:
+    """Calls of ``serialize._emit``, recursive ones included, to write ``obj``."""
+    calls = [0]
+    emit = serialize._emit
+
+    def counted(*args):
+        calls[0] += 1
+        return emit(*args)
+
+    monkeypatch.setattr(serialize, "_emit", counted)
+    canonical_json(obj)
+    monkeypatch.setattr(serialize, "_emit", emit)
+    return calls[0]
+
+
+def test_a_grid_is_emitted_in_one_call(monkeypatch):
+    """Per-cell recursion made 1 + 64 + 64 * 64 * 3 = 12 353 calls here."""
+    m = np.random.default_rng(3).standard_normal((64, 64)) * (1 + 1j)
+    assert _count_emit(monkeypatch, m) == 1
+    assert _count_emit(monkeypatch, encode_matrix(m)) == 1
+    assert _count_emit(monkeypatch, {"z": m, "values": [0.5] * 100}) == 3
 
 
 # ------------------------------------------------------------ problem files
