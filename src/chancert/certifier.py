@@ -117,7 +117,7 @@ def _residuals(h: np.ndarray, j: np.ndarray, dims: tuple[int, int]) -> list[tupl
     partial trace is returned as is: only :func:`certify` reports its
     Hermiticity defect and Hermitian part, and the solver skips their cost.
     """
-    z_raw = partial_trace(h @ j, dims, 0)
+    z_raw = partial_trace(h @ j, dims)
     epsilon, _, min_eig = _dist_to_psd(h - kron(np.eye(dims[0]), z_raw))
     scale = 1.0 + spectral_norm(h)
     return list(zip(z_raw, min_eig.tolist(), epsilon.tolist(), scale.tolist()))

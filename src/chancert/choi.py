@@ -98,7 +98,7 @@ class ChoiOp:
         low = _min_eig(op.mat)
         if _psd_violation(low, t.tau_psd, op):
             raise ValueError(f"Choi operator not PSD: min eigenvalue {low:.3e}")
-        tr_out = partial_trace(op.mat, (self.dim_out, self.dim_in), 0)
+        tr_out = partial_trace(op.mat, (self.dim_out, self.dim_in))
         diff = tr_out - np.eye(self.dim_in)
         if not _fro_settles(diff, t.tau_num):
             defect = spectral_norm(diff)
@@ -278,7 +278,7 @@ def compress_environment(
     pure basis change and the dimensions are unchanged.  The objective value
     of every state-transformation problem built from the pair is preserved.
     """
-    red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env), 0)
+    red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env))
     w, v = _eigh(_herm(red))
     keep = _support(w, tol)
     if not np.any(keep):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -174,17 +174,9 @@ def cmd_certify(args) -> int:
 
 def cmd_solve(args) -> int:
     prob, tol = _load(args)
-    kw = {}
-    if args.max_iters is not None:
-        kw["max_iters"] = args.max_iters
-    if args.step_rule is not None:
-        kw["step_rule"] = args.step_rule
-    if args.step_c is not None:
-        kw["step_c"] = args.step_c
-    if args.tol_gap is not None:
-        kw["tol_gap"] = args.tol_gap
-    if args.stall_window is not None:
-        kw["stall_window"] = args.stall_window
+    # the solver flags' dests are the config's field names
+    given = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
+    kw = {name: v for name, v in given.items() if v is not None}
     trace = solve(prob.spec, SolverConfig(**kw), tol)
     _emit(args, trace_to_dict(trace))
     return EXIT_OK

@@ -68,6 +68,8 @@ __all__ = [
 
 GAP_TOL = 1e-7
 HARD_FAIL_FACTOR = 100.0
+# random kernel directions ``completion_search`` tries, four scalings each
+RANDOM_COMPLETIONS = 6
 # the acceptance configuration of the harness
 HARNESS_CONFIG = SolverConfig(step_rule="polyak", max_iters=1200, stall_window=150)
 # trials per lock-step solve in ``run_conjecture``: bounds its memory
@@ -135,17 +137,18 @@ def conjecture_witness(
     sigma: BipartiteState,
     j: ChoiOp,
     tol: Tolerances = TOL,
-    zero_tol: float = GAP_TOL,
 ) -> tuple[HermOp, np.ndarray, np.ndarray, float]:
     """Sign witness of the difference operator with problem-scale zeros.
 
     Returns ``(Y, eigenvalues, eigenvectors, zero_threshold)``; eigenvalues
-    with ``|lambda| <= zero_threshold`` contribute sign 0.
+    with ``|lambda| <= zero_threshold`` contribute sign 0.  The threshold is
+    ``max(tau_rank, GAP_TOL)`` times the larger of ``||sigma||`` and
+    ``||tau||``.
     """
     tau = eval_map_apply(rho, j)
     w, v = _eigh(_herm(sigma.mat - tau))
     pscale = max(spectral_norm(sigma.mat), spectral_norm(tau), 1e-300)
-    thr = max(tol.tau_rank, zero_tol) * pscale
+    thr = max(tol.tau_rank, GAP_TOL) * pscale
     return HermOp(_sign_witness(w, v, thr)), w, v, thr
 
 
@@ -156,14 +159,14 @@ def completion_search(
     kernel_vecs: np.ndarray,
     seed: int,
     tol: Tolerances = TOL,
-    n_random: int = 6,
 ) -> tuple[int, bool, float]:
     """Scan witness completions ``Y = Y0 + V0 W V0^dagger`` with ``||W|| <= 1``.
 
-    Tries identity multiples and random Hermitian directions on the kernel;
-    returns (number tried, whether any completion's certificate passed, the
-    best min-eigenvalue seen).  The face is compact and convex but not
-    searched exhaustively — a pass is definitive, a miss is only evidence.
+    Tries identity multiples and ``RANDOM_COMPLETIONS`` random Hermitian
+    directions on the kernel; returns (number tried, whether any
+    completion's certificate passed, the best min-eigenvalue seen).  The
+    face is compact and convex but not searched exhaustively — a pass is
+    definitive, a miss is only evidence.
     """
     r0 = kernel_vecs.shape[1]
     if r0 == 0:
@@ -172,7 +175,7 @@ def completion_search(
     ws: list[np.ndarray] = []
     for c in np.linspace(-1.0, 1.0, 5):
         ws.append(c * np.eye(r0))
-    for _ in range(n_random):
+    for _ in range(RANDOM_COMPLETIONS):
         g = rng.standard_normal((r0, r0)) + 1j * rng.standard_normal((r0, r0))
         g = _herm(g)
         g = g / max(spectral_norm(g), 1e-300)

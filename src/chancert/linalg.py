@@ -363,24 +363,19 @@ def _dlog_eig(w: np.ndarray, v: np.ndarray, zt: np.ndarray, tol: Tolerances) -> 
     return v @ (full * zt) @ v.conj().T
 
 
-def partial_trace(m, dims: tuple[int, int], over: int) -> np.ndarray:
-    """Partial trace of an operator on a two-factor tensor product.
+def partial_trace(m, dims: tuple[int, int]) -> np.ndarray:
+    """Trace out the first factor of a two-factor tensor product.
 
     Args:
         m: operator on ``C^{d0} (x) C^{d1}`` with kron index ordering.
-        dims: ``(d0, d1)`` factor dimensions.
-        over: which factor to trace out, 0 (left) or 1 (right).
+        dims: ``(d0, d1)`` factor dimensions; the result lives on ``C^{d1}``.
     """
     a = as_array(m)
     d0, d1 = dims
     if a.ndim < 2 or a.shape[-2:] != (d0 * d1, d0 * d1):
         raise DimensionMismatchError(f"shape {a.shape} incompatible with dims {dims}")
     t = a.reshape(a.shape[:-2] + (d0, d1, d0, d1))
-    if over == 0:
-        return np.einsum("...ajak->...jk", t)
-    if over == 1:
-        return np.einsum("...jaka->...jk", t)
-    raise ValueError("over must be 0 or 1")
+    return np.einsum("...ajak->...jk", t)
 
 
 def _dist_to_psd(a: np.ndarray):

@@ -30,11 +30,12 @@ order.  The five families:
 
 Sign convention for subgradients: all objectives are *minimized*, and the
 returned ``H`` satisfies ``f(J') - f(J) >= <H, J' - J>`` for every channel
-``J'`` in the domain.  For the nonsmooth / composed families this makes
-``H`` equal to minus the evaluation-map adjoint applied to a dual witness
-of the outer convex function; the minus sign comes from the chain rule
-through ``sigma - (Phi (x) 1)(rho)`` and is load-bearing (tests pin it via
-the subgradient inequality).
+``J'`` in the domain.  For the composed families this makes ``H`` equal to
+minus the evaluation-map adjoint applied to a dual witness of the outer
+convex function; for the three state-pair families one method,
+``_StatePairObjective._evaluate``, applies that chain rule.  The minus sign
+comes from the chain rule through ``sigma - (Phi (x) 1)(rho)`` and is
+load-bearing (tests pin it via the subgradient inequality).
 
 ``exact_gradient`` marks points where the objective is differentiable and
 ``H`` is the gradient; ``valid_subgradient`` marks ``H`` as a genuine
@@ -78,7 +79,6 @@ from .linalg import (
     _sign_witness,
     _support,
     kron,
-    spectral_norm,
 )
 
 __all__ = [
@@ -178,8 +178,7 @@ class SubgradResult:
     """Value and subgradient element of an objective at a channel.
 
     ``value`` may be ``math.inf`` (relative entropy only); callers must
-    never feed an infinite value back into arithmetic.  ``witness`` is the
-    dual witness on the output space when one exists (trace distance).
+    never feed an infinite value back into arithmetic.
     ``inclusion_defect`` quantifies how much of the target state lives
     outside the image of the channel output; the certifier folds a failed
     inclusion into NotCertified.
@@ -189,7 +188,6 @@ class SubgradResult:
     h: HermOp
     exact_gradient: bool
     valid_subgradient: bool
-    witness: HermOp | None = None
     inclusion_ok: bool = True
     inclusion_defect: float = 0.0
 
@@ -240,10 +238,15 @@ class LinearObjective:
 
 @dataclass(frozen=True)
 class _StatePairObjective:
-    """Objective of the output ``(Phi (x) 1)(rho)`` against a target ``sigma``.
+    """Objective ``g(sigma, tau)`` of the output ``tau = (Phi (x) 1)(rho)``
+    against a target ``sigma``.
 
     ``rho`` lives on ``in (x) env`` and ``sigma`` on ``out (x) env``; the
-    environment factor is shared.
+    environment factor is shared.  A family supplies ``_terms(sigma, tau,
+    tol)``, which returns ``(value, g, exact, valid, inclusion_ok, defect)``
+    with ``g`` minus the derivative (or a dual witness) of the value in
+    ``tau``.  :meth:`_evaluate` is the chain rule through the evaluation map
+    for all of them: ``H = -adj(g)``.
     """
 
     uses_env: ClassVar[bool] = True
@@ -262,6 +265,24 @@ class _StatePairObjective:
     def dims(self) -> tuple[int, int]:
         """Channel dimensions ``(dim_out, dim_in)`` demanded by the objective."""
         return self.sigma.dim_sys, self.rho.dim_sys
+
+    def _states(self, tol: Tolerances) -> tuple[BipartiteState, BipartiteState]:
+        """The pair ``(rho, sigma)`` the evaluation map acts on, as given."""
+        return self.rho, self.sigma
+
+    def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
+        """Push ``rho`` through the channel, take the family's terms and pull
+        ``-g`` back to Choi space."""
+        rho, sigma = self._states(tol)
+        value, g, exact, valid, ok, defect = self._terms(sigma, eval_map_apply(rho, j), tol)
+        return SubgradResult(
+            value,
+            eval_map_adjoint(rho, -g, j.dim_out),
+            exact_gradient=exact,
+            valid_subgradient=valid,
+            inclusion_ok=ok,
+            inclusion_defect=defect,
+        )
 
     @classmethod
     def parse(cls, doc, dims):
@@ -289,26 +310,18 @@ class FidelityObjective(_StatePairObjective):
         tr = float(np.real(np.trace(self.rho.mat)))
         return -math.sqrt(max(ts, 0.0) * max(tr, 0.0))
 
-    def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
-        """Negated fidelity between the target and the pushed-through state.
+    def _states(self, tol: Tolerances) -> tuple[BipartiteState, BipartiteState]:
+        """The pair with its environment compressed to the image of
+        ``Tr_sys(rho)``, so the reduced input is positive definite on the
+        retained factor; value and subgradient are invariant under that
+        isometric squeeze."""
+        return compress_environment(self.rho, self.sigma, tol)
 
-        The environment is compressed to the image of ``Tr_sys(rho)`` first,
-        so the reduced input is positive definite on the retained factor;
-        value and subgradient are invariant under that isometric squeeze.
-        """
-        rho_c, sigma_c = compress_environment(self.rho, self.sigma, tol)
-        tau_h = HermOp(eval_map_apply(rho_c, j), tol)
-        f, g, exact, defect = _fidelity_terms(sigma_c.op, tau_h, tol)
-        h = eval_map_adjoint(rho_c, -0.5 * g, j.dim_out)
-        ok = defect <= tol.tau_rank * spectral_norm(sigma_c.mat)
-        return SubgradResult(
-            -f,
-            h,
-            exact_gradient=exact,
-            valid_subgradient=exact,
-            inclusion_ok=ok,
-            inclusion_defect=defect,
-        )
+    def _terms(self, sigma: BipartiteState, tau: np.ndarray, tol: Tolerances):
+        """Negated fidelity between the target and the output ``tau``; the
+        direction ``G / 2`` is the derivative of ``F`` in ``tau``."""
+        f, g, exact, ok, defect = _fidelity_terms(sigma.op, HermOp(tau, tol), tol)
+        return -f, 0.5 * g, exact, exact, ok, defect
 
 
 @dataclass(frozen=True)
@@ -386,12 +399,12 @@ class FidelitySquaredObjective:
         defect = 0.0
         for p, rho_k, sig_k in self.pairs:
             tau_h = HermOp(apply_from_choi(j, rho_k.mat), tol)
-            f_k, g_k, ex_k, d_k = _fidelity_terms(sig_k, tau_h, tol)
+            f_k, g_k, ex_k, ok_k, d_k = _fidelity_terms(sig_k, tau_h, tol)
             value -= p * f_k * f_k
             h -= p * f_k * kron(g_k, rho_k.mat.T)
             exact = exact and ex_k
             defect = max(defect, d_k)
-            ok = ok and d_k <= tol.tau_rank * spectral_norm(sig_k.mat)
+            ok = ok and ok_k
         return SubgradResult(
             value,
             HermOp(h, tol),
@@ -412,31 +425,23 @@ class TraceDistanceObjective(_StatePairObjective):
         """A trace norm is nonnegative."""
         return 0.0
 
-    def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
-        """Trace distance between the target and the pushed-through state.
+    def _terms(self, sigma: BipartiteState, tau: np.ndarray, tol: Tolerances):
+        """Trace distance between the target and the output ``tau``.
 
-        The witness ``Y = sum_k sign(lambda_k) Pi_k`` is built from the
-        spectral decomposition of the difference with ``sign(0) = 0``
-        (eigenvalues within ``tau_rank * norm`` of zero count as zero).  Any
-        such ``Y`` is a valid trace-norm dual witness, so
-        ``valid_subgradient`` is always true; the gradient is only exact
-        when no eigenvalue is treated as zero, since a kernel leaves the
-        witness non-unique.
+        The direction is the witness ``Y = sum_k sign(lambda_k) Pi_k``, built
+        from the spectral decomposition of the difference with
+        ``sign(0) = 0`` (eigenvalues within ``tau_rank * norm`` of zero count
+        as zero).  Any such ``Y`` is a valid trace-norm dual witness, so the
+        subgradient is always valid; the gradient is only exact when no
+        eigenvalue is treated as zero, since a kernel leaves the witness
+        non-unique.
         """
-        w, v = _eigh(_herm(self.sigma.mat - eval_map_apply(self.rho, j)))
+        w, v = _eigh(_herm(sigma.mat - tau))
         value = float(np.sum(np.abs(w)))
         nrm = float(np.max(np.abs(w))) if w.size else 0.0
         thr = tol.tau_rank * nrm
-        y = _sign_witness(w, v, thr)
         exact = bool(np.all(np.abs(w) > thr))
-        h = eval_map_adjoint(self.rho, -y, j.dim_out)
-        return SubgradResult(
-            value,
-            h,
-            exact_gradient=exact,
-            valid_subgradient=True,
-            witness=HermOp(y),
-        )
+        return value, _sign_witness(w, v, thr), exact, True, True, 0.0
 
 
 class RelativeEntropyObjective(_StatePairObjective):
@@ -458,35 +463,20 @@ class RelativeEntropyObjective(_StatePairObjective):
             return ts * math.log(ts / tr)
         return 0.0
 
-    def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
-        """Relative entropy from the target to the pushed-through state.
+    def _terms(self, sigma: BipartiteState, tau: np.ndarray, tol: Tolerances):
+        """Relative entropy from the target to the output ``tau``.
 
-        Returns ``math.inf`` (with zero ``H`` and both flags false) when the
-        target has weight outside the image of the output ``tau``; that also
+        Returns ``math.inf`` (with a zero direction and every flag false)
+        when the target has weight outside the image of ``tau``; that also
         covers weight outside ``1 (x) im(Tr_sys rho)``, which contains the
-        image of every output.  When finite, the gradient is
-        ``-Dlog_tau[sigma]`` on the image of ``tau``, pulled back through the
-        evaluation map; the objective is differentiable there.
+        image of every output.  When finite, the direction is
+        ``Dlog_tau[sigma]`` on the image of ``tau``, the derivative of
+        ``Tr sigma log tau``; the objective is differentiable there.
         """
-        tau_h = HermOp(eval_map_apply(self.rho, j), tol)
-        value, g, defect = _rel_entropy_terms(self.sigma.op, tau_h, tol)
-        if math.isinf(value):
-            n = j.dim_out * j.dim_in
-            return SubgradResult(
-                math.inf,
-                HermOp(np.zeros((n, n))),
-                exact_gradient=False,
-                valid_subgradient=False,
-                inclusion_ok=False,
-                inclusion_defect=defect,
-            )
-        return SubgradResult(
-            value,
-            eval_map_adjoint(self.rho, -g, j.dim_out),
-            exact_gradient=True,
-            valid_subgradient=True,
-            inclusion_defect=defect,
-        )
+        value, g, defect = _rel_entropy_terms(sigma.op, HermOp(tau, tol), tol)
+        if g is None:
+            return math.inf, np.zeros_like(tau), False, False, False, defect
+        return value, g, True, True, True, defect
 
 
 ObjectiveSpec = Union[
@@ -561,9 +551,10 @@ FAMILIES = (
 
 def _fidelity_terms(
     sigma: HermOp, tau: HermOp, tol: Tolerances
-) -> tuple[float, np.ndarray, bool, float]:
+) -> tuple[float, np.ndarray, bool, bool, float]:
     """Root fidelity ``F(sigma, tau)``, its dual direction, whether that is a
-    gradient, and the image-inclusion defect of ``sigma`` in ``tau``.
+    gradient, whether the image of ``sigma`` lies in that of ``tau``, and the
+    image-inclusion defect.
 
     The direction is ``G = sqrt(s) (sqrt(s) t sqrt(s))^{-1/2} sqrt(s)``, the
     inverse root Moore-Penrose on the relative-cutoff support.  It is a
@@ -571,7 +562,8 @@ def _fidelity_terms(
     of ``sigma`` (same support rank); otherwise the differentiability
     argument breaks down and the subdifferential is empty.  ``sigma`` and
     ``tau`` are decomposed once each; the defect is the norm of ``sigma``
-    compressed onto the kernel of ``tau``.
+    compressed onto the kernel of ``tau``, and inclusion holds when it is at
+    most ``tau_rank * ||sigma||``.
     """
     ws, vs = _psd_eigs(sigma, tol, "fidelity target")
     s = HermOp(vs @ (np.sqrt(ws)[:, None] * vs.conj().T)).mat
@@ -585,7 +577,9 @@ def _fidelity_terms(
     inv_root[kept] = 1.0 / np.sqrt(w[kept])
     g = s @ ((v * inv_root) @ v.conj().T) @ s
     defect = _kernel_norm(sigma.mat, vt[:, ~_support(wt, tol)])
-    return f, _herm(g), int(np.sum(kept)) == int(np.sum(_support(ws, tol))), defect
+    exact = int(np.sum(kept)) == int(np.sum(_support(ws, tol)))
+    # the clamped eigenvalues are ascending, so the last is ||sigma||
+    return f, _herm(g), exact, bool(defect <= tol.tau_rank * ws[-1]), defect
 
 
 def _rel_entropy_terms(

@@ -185,7 +185,7 @@ def _project_stack(
     out: list[ChoiOp | None] = [None] * len(xs)
     cur = _herm(xs)
     live = np.arange(len(xs))
-    tr_diff = partial_trace(cur, dims, 0) - eye_in
+    tr_diff = partial_trace(cur, dims) - eye_in
     # ``max |entry| <= ||tr_diff||``: past twice ``feas`` the exact test
     # fails too (the factor 2 absorbs rounding), so only the others run it
     unsettled = np.flatnonzero(~(np.abs(tr_diff).max(axis=(-2, -1)) > 2.0 * feas))
@@ -204,7 +204,7 @@ def _project_stack(
         w, v = _eigh(shifted)
         psd = (v * np.maximum(w, 0.0)[:, None, :]) @ _dagger(v)
         corr = shifted - psd
-        tr = partial_trace(psd, dims, 0)
+        tr = partial_trace(psd, dims)
         cur = psd + kron(eye_out, (eye_in - tr) / d_out)
         low = _min_eig(cur)
         moving = low < -feas  # max(0, -low) > feas, as for one slice

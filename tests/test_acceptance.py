@@ -133,7 +133,7 @@ def _interior_choi(d_in, d_out, rng):
 def _feasible_direction(d_in, d_out, rng):
     z = rng.standard_normal((d_out * d_in,) * 2) + 1j * rng.standard_normal((d_out * d_in,) * 2)
     z = (z + z.conj().T) / 2.0
-    tr = partial_trace(z, (d_out, d_in), 0)
+    tr = partial_trace(z, (d_out, d_in))
     z = z - np.kron(np.eye(d_out), tr / d_out)
     return z / np.linalg.norm(z)
 
@@ -316,7 +316,7 @@ def test_criterion_8_matrix_analysis_properties():
         d0, d1 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         m = rng.standard_normal((d0 * d1,) * 2) + 1j * rng.standard_normal((d0 * d1,) * 2)
         w = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
-        lhs = np.vdot(w, partial_trace(m, (d0, d1), 0))
+        lhs = np.vdot(w, partial_trace(m, (d0, d1)))
         rhs = np.vdot(np.kron(np.eye(d0), w), m)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 

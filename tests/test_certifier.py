@@ -198,7 +198,7 @@ def test_trace_distance_certificate_scale_and_z(seed):
     j = random_channel_choi(2, 2, rng)
     res, cert = certify_objective(TraceDistanceObjective(rho, sigma), j)
     assert cert.scale == pytest.approx(1.0 + res.h.norm(), rel=1e-12)
-    z_raw = partial_trace(res.h.mat @ j.mat, (2, 2), 0)
+    z_raw = partial_trace(res.h.mat @ j.mat, (2, 2))
     assert spectral_norm(cert.z.mat - (z_raw + z_raw.conj().T) / 2.0) <= 1e-14
 
 
@@ -214,7 +214,7 @@ def test_certify_epsilon_is_dist_to_psd_of_raw_residual(seed, exact):
     d_out, d_in = 2, 3
     j = random_channel_choi(d_in, d_out, rng)
     h = HermOp(_exact_h(d_out, d_in, rng) if exact else rand_herm(d_out * d_in, rng))
-    z_raw = partial_trace(h.mat @ j.mat, (d_out, d_in), 0)
+    z_raw = partial_trace(h.mat @ j.mat, (d_out, d_in))
     residual = h.mat - np.kron(np.eye(d_out), z_raw)
     assert np.array_equal(residual, residual.conj().T) == exact
     assert certify(h, j).epsilon == dist_to_psd(residual)[0]
@@ -229,7 +229,7 @@ def test_stacked_residuals_match_solo_calls_bytewise(kinds):
                    for exact in pattern[kinds]])
     chans = [random_channel_choi(d_in, d_out, rng) for _ in hs]
     js = np.stack([j.mat for j in chans])
-    residual = hs - np.kron(np.eye(d_out), partial_trace(hs @ js, (d_out, d_in), 0))
+    residual = hs - np.kron(np.eye(d_out), partial_trace(hs @ js, (d_out, d_in)))
     assert [np.array_equal(r, r.conj().T) for r in residual] == pattern[kinds]
     stacked = _residuals(hs, js, (d_out, d_in))
     assert len(stacked) == len(hs)
@@ -254,6 +254,6 @@ def test_certify_min_eig_is_lowest_eigenvalue_of_raw_residual(seed, exact):
     d_out, d_in = 2, 3
     j = random_channel_choi(d_in, d_out, rng)
     h = HermOp(_exact_h(d_out, d_in, rng) if exact else rand_herm(d_out * d_in, rng))
-    z_raw = partial_trace(h.mat @ j.mat, (d_out, d_in), 0)
+    z_raw = partial_trace(h.mat @ j.mat, (d_out, d_in))
     residual = _herm(h.mat - np.kron(np.eye(d_out), z_raw))
     assert certify(h, j).min_eig == _eigh(residual)[0][0]

@@ -163,7 +163,7 @@ def test_choi_dims_recorded():
     j = depolarizing_choi(3, 2)
     assert (j.dim_out, j.dim_in) == (2, 3)
     assert j.mat.shape == (6, 6)
-    assert spectral_norm(partial_trace(j.mat, (2, 3), 0) - np.eye(3)) <= 1e-12
+    assert spectral_norm(partial_trace(j.mat, (2, 3)) - np.eye(3)) <= 1e-12
 
 
 # ------------------------------------------- validation decisions vs seed code
@@ -188,7 +188,7 @@ def _seed_choiop(m, d_out, d_in, t=TOL):
     low = _min_eig(op.mat)
     if low < -t.tau_psd * scale:
         raise ValueError(f"Choi operator not PSD: min eigenvalue {low:.3e}")
-    tr_out = partial_trace(op.mat, (d_out, d_in), 0)
+    tr_out = partial_trace(op.mat, (d_out, d_in))
     defect = _norm2(tr_out - np.eye(d_in))
     if defect > t.tau_num * max(1.0, scale):
         raise NotTracePreservingError(f"partial trace deviates from identity by {defect:.3e}")

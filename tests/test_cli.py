@@ -381,7 +381,8 @@ def test_conjecture_rejects_nonpositive_sizes(flags, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--step-c", "nan"), ("--step-c", "inf"),
-                                         ("--tol-gap", "nan"), ("--tol-gap", "inf")])
+                                         ("--tol-gap", "nan"), ("--tol-gap", "inf"),
+                                         ("--max-iters", "0"), ("--stall-window", "0")])
 def test_solve_rejects_non_finite_solver_numbers(flag, value, helstrom_file, capsys):
     assert main(["solve", helstrom_file, flag, value]) == 2
     out, err = capsys.readouterr()

@@ -6,7 +6,8 @@ decomposition.  These tests guard that design: no other module calls the
 routines directly, the number of calls per objective evaluation and per
 certificate is pinned, and a solver failure surfaces as an input error.
 The same kind of ``ast`` guard keeps ``objectives.FAMILIES`` the one list
-of objective families.
+of objective families, and the state-pair ``_evaluate`` the one caller of
+the evaluation map in ``objectives``.
 """
 
 import ast
@@ -151,22 +152,58 @@ def test_family_guard_sees_a_literal():
     assert _family_literals(tree) == ["line 5: 'TraceDistance'"]
 
 
+# The chain rule through the evaluation map is written once: in
+# ``objectives`` only the state-pair ``_evaluate`` pushes a state through the
+# channel or pulls a direction back.
+EVAL_MAP = {"eval_map_apply", "eval_map_adjoint"}
+
+
+def _eval_map_callers(tree: ast.Module) -> list[str]:
+    """``scope: name`` for each call of an evaluation-map function, where the
+    scope is ``Class.method``, a module-level function or ``module``."""
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{getattr(m, 'name', 'body')}", m) for m in node.body]
+        else:
+            scopes.append((getattr(node, "name", "module"), node))
+    return sorted(f"{scope}: {call.func.id}" for scope, body in scopes for call in ast.walk(body)
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                  and call.func.id in EVAL_MAP)
+
+
+def test_only_the_state_pair_evaluate_calls_the_evaluation_map():
+    tree = ast.parse((SRC / "objectives.py").read_text(encoding="utf-8"))
+    assert _eval_map_callers(tree) == ["_StatePairObjective._evaluate: eval_map_adjoint",
+                                       "_StatePairObjective._evaluate: eval_map_apply"]
+
+
+def test_evaluation_map_guard_sees_a_violation():
+    tree = ast.parse("class A:\n    def _evaluate(self):\n        return eval_map_apply(r, j)\n"
+                     "class B(A):\n    def _terms(self):\n        eval_map_adjoint(r, g, 2)\n"
+                     "def f():\n    return eval_map_apply(r, j)\n")
+    assert _eval_map_callers(tree) == ["A._evaluate: eval_map_apply",
+                                       "B._terms: eval_map_adjoint",
+                                       "f: eval_map_apply"]
+
+
 # (eigh, eigvalsh, svd) calls of one ``evaluate`` and one ``certify`` on
 # ``gen FAMILY --dims 2 2 2 --seed 1 --with-channel``.  The relative entropy
 # takes its value, image-inclusion test and gradient from one eigh of the
 # target and one of the output.  The fidelity families decompose the target
-# and the output once per pair and read the target's rank from its eigh;
-# each sandwich still costs an eigvalsh and an eigh.  ``certify`` reads
-# ``min_eig`` and ``epsilon`` from one eigh; the SVDs are the Hermiticity
-# defect, ``||H||`` and the distance of the non-Hermitian residual.
+# and the output once per pair and read the target's rank and norm from its
+# eigh, so the inclusion test costs no SVD; each sandwich still costs an
+# eigvalsh and an eigh.  ``certify`` reads ``min_eig`` and ``epsilon`` from
+# one eigh; the SVDs are the Hermiticity defect, ``||H||`` and the distance
+# of the non-Hermitian residual.
 CERTIFY_CALLS = (1, 0, 3)
 EVALUATE_CALLS = {
     "linear": (0, 0, 0),
     "discrimination": (0, 0, 0),
     "trace-distance": (1, 0, 0),
-    "fidelity": (4, 3, 1),
+    "fidelity": (4, 3, 0),
     "relative-entropy": (2, 0, 0),
-    "fidelity-squared": (6, 2, 2),
+    "fidelity-squared": (6, 2, 0),
 }
 
 

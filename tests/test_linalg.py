@@ -195,15 +195,11 @@ def test_partial_trace_adjoint_identity(seed, shape):
     da, db = shape
     rng = np.random.default_rng(seed)
     m = rand_herm(da * db, rng)
-    xa = rand_herm(da, rng)
     xb = rand_herm(db, rng)
-    # <Tr_B M, X> = <M, X (x) 1_B>  and  <Tr_A M, X> = <M, 1_A (x) X>
-    lhs = np.vdot(xa, partial_trace(m, (da, db), 1))
-    rhs = np.vdot(np.kron(xa, np.eye(db)), m)
+    # <Tr_A M, X> = <M, 1_A (x) X>
+    lhs = np.vdot(xb, partial_trace(m, (da, db)))
+    rhs = np.vdot(np.kron(np.eye(da), xb), m)
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
-    lhs2 = np.vdot(xb, partial_trace(m, (da, db), 0))
-    rhs2 = np.vdot(np.kron(np.eye(da), xb), m)
-    assert abs(lhs2 - rhs2) <= 1e-12 * (1 + abs(rhs2))
 
 
 @given(seeds, st.sampled_from([(2, 2), (3, 2), (2, 4)]))
@@ -211,10 +207,7 @@ def test_partial_trace_preserves_trace(seed, shape):
     da, db = shape
     rng = np.random.default_rng(seed)
     m = rand_herm(da * db, rng)
-    for over in (0, 1):
-        assert np.trace(partial_trace(m, (da, db), over)) == pytest.approx(
-            np.trace(m), abs=1e-12
-        )
+    assert np.trace(partial_trace(m, (da, db))) == pytest.approx(np.trace(m), abs=1e-12)
 
 
 def test_partial_trace_product_state():
@@ -222,8 +215,7 @@ def test_partial_trace_product_state():
     a = rand_density(2, rng)
     b = rand_density(3, rng)
     m = np.kron(a, b)
-    assert spectral_norm(partial_trace(m, (2, 3), 1) - a) <= 1e-13
-    assert spectral_norm(partial_trace(m, (2, 3), 0) - b) <= 1e-13
+    assert spectral_norm(partial_trace(m, (2, 3)) - b) <= 1e-13
 
 
 @given(seeds, dims)
@@ -359,7 +351,7 @@ def test_image_inclusion_counterexample():
 
 def test_partial_trace_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
-        partial_trace(np.eye(6), (2, 2), 0)
+        partial_trace(np.eye(6), (2, 2))
 
 
 # ------------------------------------------------------------ stacked inputs
@@ -387,8 +379,7 @@ def test_stacked_helpers_match_each_slice_bytewise(n, dims):
         "herm": (_herm, (g,)),
         "kron": (kron, (np.eye(dims[0]), small)),
         "kron_both": (kron, (g[:, :2, :2], small)),
-        "partial_trace_0": (lambda m: partial_trace(m, dims, 0), (g,)),
-        "partial_trace_1": (lambda m: partial_trace(m, dims, 1), (g,)),
+        "partial_trace": (lambda m: partial_trace(m, dims), (g,)),
         "eigh_w": (lambda m: _eigh(m)[0], (h,)),
         "eigh_v": (lambda m: _eigh(m)[1], (h,)),
         "eigvalsh": (_eigvalsh, (h,)),

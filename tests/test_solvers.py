@@ -100,7 +100,7 @@ def test_projection_precheck_matches_exact_formula(defect, factor, monkeypatch):
         x = (1 + factor * feas) * j_id
     # the seed code's feasibility test, with the exact trace-defect norm
     low = float(np.min(np.linalg.eigvalsh(x)))
-    tr_defect = float(np.linalg.norm(partial_trace(x, (d, d), 0) - np.eye(d), 2))
+    tr_defect = float(np.linalg.norm(partial_trace(x, (d, d)) - np.eye(d), 2))
     feasible = max(0.0, -low) <= feas and tr_defect <= feas
     assert feasible == (factor < 1.0)
     sweeps = []
