@@ -255,6 +255,8 @@ def main(argv=None) -> int:
     try:
         if args.json_indent is not None and args.json_indent < 0:
             raise InputProblem(f"--json-indent must be at least 0, got {args.json_indent}")
+        if getattr(args, "seed", 0) < 0:
+            raise InputProblem(f"{args.command}: --seed must be non-negative")
         return args.func(args)
     except (SchemaError, InputProblem, OSError) as exc:
         print(f"chancert: {exc}", file=sys.stderr)

@@ -12,8 +12,9 @@ is an open question this harness collects evidence on.
 
 Each trial: draw a random state pair (half the trials make the target
 exactly reachable, the regime where the kernel is large), drive the
-projected subgradient solver to a small *certified* gap, rebuild the sign
-witness at the incumbent, certify, and classify:
+projected subgradient solver to a small *certified* gap, take the sign
+witness and its pull-back at the incumbent from the trace-distance family
+(the one decomposition of the difference operator), certify, and classify:
 
 * ``supports`` — near-optimal incumbent, witness certificate passes.
 * ``counterexample-candidate`` — near-optimal, certificate fails hard,
@@ -24,16 +25,17 @@ witness at the incumbent, certify, and classify:
 ``run_conjecture`` draws its trials first and solves them together, in
 lock-step; each record is the one the trial gets when solved alone.
 
-Zero-eigenvalue detection at the incumbent uses the *problem* scale
-``max(||sigma||, ||tau||)`` and the gap tolerance, not the norm of the
-difference operator itself: at a reachable optimum the difference is pure
-solver noise, every eigenvalue is far below what a gap-certified incumbent
-can resolve, and the honest reading is "kernel everywhere" (witness 0),
-not a full-rank sign pattern on noise.  A hard certificate failure with a
-genuinely resolvable full-rank difference is impossible at a true optimum
-(the witness is unique there, so the certificate must hold); it is flagged
-as ``full_rank_hard_fail`` — a build bug indicator, asserted absent by the
-acceptance suite, never a conjecture statistic.
+The harness's zero threshold is ``max(tau_rank, GAP_TOL)`` times the
+*problem* scale ``max(||sigma||, ||tau||)``, where the family's own is
+``tau_rank`` times the norm of the difference operator: at a reachable
+optimum the difference is pure solver noise, every eigenvalue is far below
+what a gap-certified incumbent can resolve, and the honest reading is
+"kernel everywhere" (witness 0), not a full-rank sign pattern on noise.  A
+hard certificate failure with a genuinely resolvable full-rank difference is
+impossible at a true optimum (the witness is unique there, so the
+certificate must hold); it is flagged as ``full_rank_hard_fail`` — a build
+bug indicator, asserted absent by the acceptance suite, never a conjecture
+statistic.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .certifier import VERDICT_OPTIMAL, certify
-from .choi import BipartiteState, ChoiOp, eval_map_adjoint, eval_map_apply, random_density
-from .linalg import TOL, HermOp, Tolerances, _eigh, _herm, _sign_witness, spectral_norm
+from .choi import BipartiteState, ChoiOp, eval_map_apply, random_density
+from .linalg import TOL, HermOp, Tolerances, _herm, spectral_norm
 from .objectives import TraceDistanceObjective
 from .solvers import SolverConfig, SolveTrace, random_channel_choi, solve, solve_batch
 
@@ -55,7 +57,6 @@ __all__ = [
     "ConjectureRecord",
     "TrialError",
     "classify",
-    "conjecture_witness",
     "completion_search",
     "draw_trial",
     "record_to_dict",
@@ -132,28 +133,8 @@ def classify(
     return CLASS_UNDECIDED, full_rank_hard_fail
 
 
-def conjecture_witness(
-    rho: BipartiteState,
-    sigma: BipartiteState,
-    j: ChoiOp,
-    tol: Tolerances = TOL,
-) -> tuple[HermOp, np.ndarray, np.ndarray, float]:
-    """Sign witness of the difference operator with problem-scale zeros.
-
-    Returns ``(Y, eigenvalues, eigenvectors, zero_threshold)``; eigenvalues
-    with ``|lambda| <= zero_threshold`` contribute sign 0.  The threshold is
-    ``max(tau_rank, GAP_TOL)`` times the larger of ``||sigma||`` and
-    ``||tau||``.
-    """
-    tau = eval_map_apply(rho, j)
-    w, v = _eigh(_herm(sigma.mat - tau))
-    pscale = max(spectral_norm(sigma.mat), spectral_norm(tau), 1e-300)
-    thr = max(tol.tau_rank, GAP_TOL) * pscale
-    return HermOp(_sign_witness(w, v, thr)), w, v, thr
-
-
 def completion_search(
-    rho: BipartiteState,
+    spec: TraceDistanceObjective,
     j: ChoiOp,
     y0: np.ndarray,
     kernel_vecs: np.ndarray,
@@ -186,8 +167,7 @@ def completion_search(
     best_min_eig = -math.inf
     for w in ws:
         y = y0 + kernel_vecs @ w @ kernel_vecs.conj().T
-        h = eval_map_adjoint(rho, -y, j.dim_out)
-        cert = certify(h, j, tol)
+        cert = certify(spec._pull_back(y, j.dim_out), j, tol)
         tried += 1
         best_min_eig = max(best_min_eig, cert.min_eig)
         if cert.verdict == VERDICT_OPTIMAL:
@@ -227,13 +207,11 @@ def record_trial(
     tol: Tolerances = TOL,
 ) -> ConjectureRecord:
     """Certify the sign witness at a solved trial's incumbent and classify it."""
-    rho, sigma = spec.rho, spec.sigma
     j = trace.best_choi
-    y, w, v, thr = conjecture_witness(rho, sigma, j, tol)
+    w, v, thr, y, h = spec._witness(j, max(tol.tau_rank, GAP_TOL))
     zero_mask = np.abs(w) <= thr
     kernel_dim = int(np.sum(zero_mask))
     min_abs = float(np.min(np.abs(w))) if w.size else 0.0
-    h = eval_map_adjoint(rho, -y.mat, j.dim_out)
     cert = certify(h, j, tol)
 
     near = trace.gap <= GAP_TOL * cert.scale
@@ -248,7 +226,7 @@ def record_trial(
     tried, passed, _best = 0, False, -math.inf
     if near and kernel_dim > 0 and cert.verdict != VERDICT_OPTIMAL:
         tried, passed, _best = completion_search(
-            rho, j, y.mat, v[:, zero_mask], seed ^ 0x5EED, tol
+            spec, j, y, v[:, zero_mask], seed ^ 0x5EED, tol
         )
 
     return ConjectureRecord(

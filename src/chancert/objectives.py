@@ -22,7 +22,9 @@ order.  The five families:
   states sharing an environment factor.
 * ``FidelitySquaredEnsemble`` — ``f(J) = -sum_k p_k F(sigma_k, Phi(rho_k))^2``
   over an ensemble of input/target pairs with no environment.
-* ``TraceDistance`` — ``f(J) = ||sigma - (Phi (x) 1)(rho)||_1``.
+* ``TraceDistance`` — ``f(J) = ||sigma - (Phi (x) 1)(rho)||_1``.  Its sign
+  witness, at the family's or at the sign-witness harness's zero threshold,
+  comes from the package's one decomposition of ``sigma - tau``.
 * ``RelativeEntropy`` — ``f(J) = D(sigma || (Phi (x) 1)(rho))``, with
   ``math.inf`` as the (sentinel) value when the image condition fails.  Its
   value, image test and gradient ``-Dlog_tau[sigma]`` come from one
@@ -79,6 +81,7 @@ from .linalg import (
     _sign_witness,
     _support,
     kron,
+    spectral_norm,
 )
 
 __all__ = [
@@ -426,22 +429,27 @@ class TraceDistanceObjective(_StatePairObjective):
         return 0.0
 
     def _terms(self, sigma: BipartiteState, tau: np.ndarray, tol: Tolerances):
-        """Trace distance between the target and the output ``tau``.
-
-        The direction is the witness ``Y = sum_k sign(lambda_k) Pi_k``, built
-        from the spectral decomposition of the difference with
-        ``sign(0) = 0`` (eigenvalues within ``tau_rank * norm`` of zero count
-        as zero).  Any such ``Y`` is a valid trace-norm dual witness, so the
-        subgradient is always valid; the gradient is only exact when no
-        eigenvalue is treated as zero, since a kernel leaves the witness
-        non-unique.
-        """
-        w, v = _eigh(_herm(sigma.mat - tau))
-        value = float(np.sum(np.abs(w)))
-        nrm = float(np.max(np.abs(w))) if w.size else 0.0
-        thr = tol.tau_rank * nrm
+        """Trace distance to the output ``tau`` and the sign witness with zero
+        threshold ``tau_rank * max |lambda|``.  Any such ``Y`` is a trace-norm
+        dual witness, so the subgradient is always valid; it is a gradient
+        only when no eigenvalue counts as zero (a kernel leaves ``Y`` free)."""
+        w, _, thr, y = _sign_terms(sigma.mat, tau, tol.tau_rank)
         exact = bool(np.all(np.abs(w) > thr))
-        return value, _sign_witness(w, v, thr), exact, True, True, 0.0
+        return float(np.sum(np.abs(w))), y, exact, True, True, 0.0
+
+    def _witness(self, j: ChoiOp, rel: float):
+        """``(w, v, thr, Y, H)`` at ``j`` with ``rel`` times the problem scale
+        ``max(||sigma||, ||tau||)`` as the zero threshold: the sign-witness
+        harness's view, with the Hermitian part of ``Y`` pulled back."""
+        tau = eval_map_apply(self.rho, j)
+        scale = max(spectral_norm(self.sigma.mat), spectral_norm(tau), 1e-300)
+        w, v, thr, y = _sign_terms(self.sigma.mat, tau, rel, scale)
+        y = HermOp(y).mat
+        return w, v, thr, y, self._pull_back(y, j.dim_out)
+
+    def _pull_back(self, y: np.ndarray, dim_out: int) -> HermOp:
+        """The subgradient ``H = -adj(y)`` of a trace-norm dual witness ``y``."""
+        return eval_map_adjoint(self.rho, -y, dim_out)
 
 
 class RelativeEntropyObjective(_StatePairObjective):
@@ -580,6 +588,18 @@ def _fidelity_terms(
     exact = int(np.sum(kept)) == int(np.sum(_support(ws, tol)))
     # the clamped eigenvalues are ascending, so the last is ||sigma||
     return f, _herm(g), exact, bool(defect <= tol.tau_rank * ws[-1]), defect
+
+
+def _sign_terms(sigma: np.ndarray, tau: np.ndarray, rel: float, scale: float | None = None):
+    """Spectrum ``(w, v)`` of ``Herm(sigma - tau)``, the zero threshold
+    ``rel * scale`` (``scale`` defaults to ``max |lambda|``) and the sign
+    witness ``Y = sum_k sign(lambda_k) Pi_k``, with ``|lambda_k|`` at or below
+    the threshold counted as 0."""
+    w, v = _eigh(_herm(sigma - tau))
+    if scale is None:
+        scale = float(np.max(np.abs(w))) if w.size else 0.0
+    thr = rel * scale
+    return w, v, thr, _sign_witness(w, v, thr)
 
 
 def _rel_entropy_terms(

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
@@ -54,3 +57,20 @@ def forbid_svd(monkeypatch):
         raise AssertionError("np.linalg.svd called on a settled check")
 
     monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+GOLDEN_FIXTURE = pathlib.Path(__file__).with_name("golden_cli.json")
+
+
+def build_environment() -> dict[str, str]:
+    """The numpy version and BLAS that output bytes depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def on_golden_build() -> bool:
+    """Whether this is the numpy and BLAS build ``golden_cli.json`` was recorded on."""
+    if not GOLDEN_FIXTURE.exists():
+        return False
+    recorded = json.loads(GOLDEN_FIXTURE.read_text(encoding="utf-8"))["environment"]
+    return build_environment() == recorded

@@ -6,6 +6,7 @@ tolerance, and wall-clock budget.  Every test prints a single summary line
 ``pytest -v`` is the canonical pass/fail record.
 """
 
+import hashlib
 import math
 import time
 
@@ -19,7 +20,7 @@ from chancert.certifier import (
     subopt_bound,
 )
 from chancert.choi import BipartiteState, ChoiOp, Povm, depolarizing_choi, identity_choi, q2c_choi
-from chancert.experiments import run_conjecture
+from chancert.experiments import record_to_dict, run_conjecture
 from chancert.linalg import (
     HermOp,
     dist_to_psd,
@@ -47,6 +48,8 @@ from chancert.solvers import (
     random_density,
     solve,
 )
+from chancert.serialize import canonical_json
+from conftest import on_golden_build
 
 HELSTROM_ERR = 0.14644660940672627  # (1 - 1/sqrt(2)) / 2
 
@@ -287,10 +290,15 @@ def test_criterion_7_sign_witness_harness_is_internally_consistent():
     assert summary["full_rank_hard_fails"] == 0
     assert summary["supports"] >= 1  # the reachable half actually certifies
     assert elapsed < 300.0
+    text = canonical_json([record_to_dict(r) for r in records])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    # the record bytes hold on the numpy and BLAS build of the golden corpus
+    if on_golden_build():
+        assert digest.startswith("1de7369050bafa22")
     print(
         "criterion 7: PASS - 100 trials, "
         f"{summary['supports']} support / {summary['undecided']} undecided, "
-        f"0 candidates, 0 full-rank failures, {elapsed:.1f}s"
+        f"0 candidates, 0 full-rank failures, records {digest[:16]}, {elapsed:.1f}s"
     )
 
 

@@ -372,7 +372,8 @@ def test_conjecture_output_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("flags", [["--dims", "0", "2", "2"], ["--trials", "-3"]])
+@pytest.mark.parametrize("flags", [["--dims", "0", "2", "2"], ["--trials", "-3"],
+                                   ["--seed", "-1"]])
 def test_conjecture_rejects_nonpositive_sizes(flags, capsys):
     assert main(["conjecture", *flags]) == 2
     out, err = capsys.readouterr()
@@ -473,6 +474,13 @@ def test_non_finite_probabilities_are_rejected_on_load(family, tmp_path, capsys)
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "probabilities" in err
+
+
+def test_gen_rejects_negative_seed(capsys):
+    assert main(["gen", "linear", "-", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "chancert: gen: --seed must be non-negative\n"
 
 
 def test_gen_rejects_unknown_family(capsys):

@@ -6,8 +6,9 @@ decomposition.  These tests guard that design: no other module calls the
 routines directly, the number of calls per objective evaluation and per
 certificate is pinned, and a solver failure surfaces as an input error.
 The same kind of ``ast`` guard keeps ``objectives.FAMILIES`` the one list
-of objective families, and the state-pair ``_evaluate`` the one caller of
-the evaluation map in ``objectives``.
+of objective families, and the evaluation map out of every function but the
+state-pair ``_evaluate``, the trace-distance witness and its pull-back in
+``objectives`` and ``draw_trial`` in ``experiments``.
 """
 
 import ast
@@ -21,9 +22,11 @@ import pytest
 import chancert
 from chancert.certifier import certify
 from chancert.cli import GEN_FAMILIES, main
+from chancert.experiments import HARNESS_CONFIG, draw_trial, record_trial
 from chancert.linalg import EigDecompositionError, dist_to_psd
 from chancert.objectives import FAMILIES, evaluate
 from chancert.serialize import loads_problem
+from chancert.solvers import solve_batch
 from conftest import forbid_svd
 
 COUNTED = ("eigh", "eigvalsh", "svd")
@@ -153,29 +156,39 @@ def test_family_guard_sees_a_literal():
 
 
 # The chain rule through the evaluation map is written once: in
-# ``objectives`` only the state-pair ``_evaluate`` pushes a state through the
-# channel or pulls a direction back.
+# ``objectives`` only the state-pair ``_evaluate`` and the trace-distance
+# witness and pull-back push a state through the channel or pull a direction
+# back, and the harness in ``experiments`` takes its witness from there, using
+# the map itself only to draw a reachable target.
 EVAL_MAP = {"eval_map_apply", "eval_map_adjoint"}
 
 
 def _eval_map_callers(tree: ast.Module) -> list[str]:
-    """``scope: name`` for each call of an evaluation-map function, where the
-    scope is ``Class.method``, a module-level function or ``module``."""
+    """``scope: name`` for each call of an evaluation-map function, by name or
+    as a module attribute, where the scope is ``Class.method``, a
+    module-level function or ``module``."""
     scopes = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             scopes += [(f"{node.name}.{getattr(m, 'name', 'body')}", m) for m in node.body]
         else:
             scopes.append((getattr(node, "name", "module"), node))
-    return sorted(f"{scope}: {call.func.id}" for scope, body in scopes for call in ast.walk(body)
-                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                  and call.func.id in EVAL_MAP)
+    calls = [(scope, getattr(call.func, "id", getattr(call.func, "attr", None)))
+             for scope, body in scopes for call in ast.walk(body) if isinstance(call, ast.Call)]
+    return sorted(f"{scope}: {name}" for scope, name in calls if name in EVAL_MAP)
 
 
 def test_only_the_state_pair_evaluate_calls_the_evaluation_map():
     tree = ast.parse((SRC / "objectives.py").read_text(encoding="utf-8"))
-    assert _eval_map_callers(tree) == ["_StatePairObjective._evaluate: eval_map_adjoint",
+    assert _eval_map_callers(tree) == ["TraceDistanceObjective._pull_back: eval_map_adjoint",
+                                       "TraceDistanceObjective._witness: eval_map_apply",
+                                       "_StatePairObjective._evaluate: eval_map_adjoint",
                                        "_StatePairObjective._evaluate: eval_map_apply"]
+
+
+def test_only_draw_trial_calls_the_evaluation_map_in_experiments():
+    tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
+    assert _eval_map_callers(tree) == ["draw_trial: eval_map_apply"]
 
 
 def test_evaluation_map_guard_sees_a_violation():
@@ -187,6 +200,15 @@ def test_evaluation_map_guard_sees_a_violation():
                                        "f: eval_map_apply"]
 
 
+def test_experiments_guard_sees_a_violation():
+    tree = ast.parse("from . import choi\n"
+                     "def draw_trial():\n    return eval_map_apply(r, j)\n"
+                     "def record_trial():\n    h = choi.eval_map_adjoint(r, -y, 2)\n"
+                     "    return spec._pull_back(y, 2)\n")
+    assert _eval_map_callers(tree) == ["draw_trial: eval_map_apply",
+                                       "record_trial: eval_map_adjoint"]
+
+
 # (eigh, eigvalsh, svd) calls of one ``evaluate`` and one ``certify`` on
 # ``gen FAMILY --dims 2 2 2 --seed 1 --with-channel``.  The relative entropy
 # takes its value, image-inclusion test and gradient from one eigh of the
@@ -195,7 +217,9 @@ def test_evaluation_map_guard_sees_a_violation():
 # eigh, so the inclusion test costs no SVD; each sandwich still costs an
 # eigvalsh and an eigh.  ``certify`` reads ``min_eig`` and ``epsilon`` from
 # one eigh; the SVDs are the Hermiticity defect, ``||H||`` and the distance
-# of the non-Hermitian residual.
+# of the non-Hermitian residual.  ``record_trial`` adds to ``certify`` the
+# witness's eigh and the two SVDs of the problem scale; a witness that
+# vanishes pulls back to ``H = 0``, whose ``certify`` skips one SVD.
 CERTIFY_CALLS = (1, 0, 3)
 EVALUATE_CALLS = {
     "linear": (0, 0, 0),
@@ -238,6 +262,19 @@ def test_decomposition_counts_per_evaluate_and_certify(family):
     assert got == EVALUATE_CALLS[family]
     _, got = _count_calls(lambda: certify(res.h, prob.channel, prob.tol))
     assert got == CERTIFY_CALLS
+
+
+# seed-0 harness trials 0 to 3: only trial 2's witness vanishes (all four
+# eigenvalues are zeros), and that trial supports
+RECORD_CALLS = ((2, 0, 5), (2, 0, 5), (2, 0, 4), (2, 0, 5))
+
+
+def test_decomposition_counts_per_recorded_trial():
+    specs = [draw_trial(t, (2, 2, 2), t % 2 == 0) for t in range(len(RECORD_CALLS))]
+    for t, (spec, trace) in enumerate(zip(specs, solve_batch(specs, HARNESS_CONFIG))):
+        rec, got = _count_calls(lambda: record_trial(t, (2, 2, 2), t % 2 == 0, spec, trace))
+        assert got == RECORD_CALLS[t]
+        assert rec.kernel_dim == (4 if t == 2 else 0)
 
 
 def _failing_eigh(*args, **kwargs):

@@ -14,17 +14,18 @@ from chancert.experiments import (
     CLASS_SUPPORTS,
     CLASS_UNDECIDED,
     GAP_TOL,
+    RANDOM_COMPLETIONS,
     ConjectureRecord,
     classify,
-    conjecture_witness,
+    completion_search,
     TrialError,
     record_to_dict,
     run_conjecture,
     run_trial,
     summarize,
 )
-from chancert.linalg import HermOp, spectral_norm
-from chancert.objectives import eval_map_apply
+from chancert.linalg import TOL, HermOp, spectral_norm
+from chancert.objectives import TraceDistanceObjective, eval_map_apply, evaluate
 from chancert.cli import main
 from chancert.serialize import canonical_json
 from chancert.solvers import SolverConfig, random_channel_choi, random_density
@@ -59,35 +60,67 @@ def test_classify_truth_table():
 
 # ------------------------------------------------------------------- witness
 
+# the zero threshold of the harness, relative to the problem scale
+HARNESS_REL = max(TOL.tau_rank, GAP_TOL)
+
+
+def _pair(seed, reached=False):
+    """A random trace-distance spec at (2, 2, 2) and a random channel; with
+    ``reached`` the target is the channel's output."""
+    rng = np.random.default_rng(seed)
+    rho = BipartiteState(HermOp(random_density(4, rng)), 2, 2)
+    if reached:
+        j = random_channel_choi(2, 2, rng)
+        return TraceDistanceObjective(rho, BipartiteState(HermOp(eval_map_apply(rho, j)), 2, 2)), j
+    sigma = BipartiteState(HermOp(random_density(4, rng)), 2, 2)
+    return TraceDistanceObjective(rho, sigma), random_channel_choi(2, 2, rng)
+
 
 @given(seeds)
 @settings(max_examples=30)
 def test_witness_is_unit_sign_operator_when_no_zeros(seed):
-    rng = np.random.default_rng(seed)
-    rho = BipartiteState(HermOp(random_density(4, rng)), 2, 2)
-    sigma = BipartiteState(HermOp(random_density(4, rng)), 2, 2)
-    j = random_channel_choi(2, 2, rng)
-    y, w, v, thr = conjecture_witness(rho, sigma, j)
+    spec, j = _pair(seed)
+    w, v, thr, y, _ = spec._witness(j, HARNESS_REL)
     assert thr > 0.0
     if np.min(np.abs(w)) <= thr:
         return  # degenerate draw; covered by the zero test below
     # all signs are +-1: Y is a unit-norm involution and attains the 1-norm
-    assert np.allclose(y.mat @ y.mat, np.eye(4), atol=1e-12)
-    assert spectral_norm(y.mat) == pytest.approx(1.0, abs=1e-12)
-    diff = sigma.mat - eval_map_apply(rho, j)
-    attained = float(np.real(np.vdot(y.mat, diff)))
+    assert np.allclose(y @ y, np.eye(4), atol=1e-12)
+    assert spectral_norm(y) == pytest.approx(1.0, abs=1e-12)
+    diff = spec.sigma.mat - eval_map_apply(spec.rho, j)
+    attained = float(np.real(np.vdot(y, diff)))
     nuclear = float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0))))
     assert attained == pytest.approx(nuclear, abs=1e-12)
 
 
 def test_witness_vanishes_on_reached_target():
-    rng = np.random.default_rng(0)
-    rho = BipartiteState(HermOp(random_density(4, rng)), 2, 2)
-    j = random_channel_choi(2, 2, rng)
-    sigma = BipartiteState(HermOp(eval_map_apply(rho, j)), 2, 2)
-    y, w, _, thr = conjecture_witness(rho, sigma, j)
+    spec, j = _pair(0, reached=True)
+    w, _, thr, y, _ = spec._witness(j, HARNESS_REL)
     assert np.max(np.abs(w)) <= thr  # every eigenvalue is a problem-scale zero
-    assert np.max(np.abs(y.mat)) == 0.0
+    assert np.max(np.abs(y)) == 0.0
+
+
+@given(seeds)
+@settings(max_examples=20)
+def test_harness_pull_back_is_the_family_subgradient(seed):
+    # where neither threshold sees a zero, both witnesses are the unique
+    # sign operator and both pull-backs are -adj(Y)
+    spec, j = _pair(seed)
+    w, _, thr, y, h = spec._witness(j, HARNESS_REL)
+    res = evaluate(spec, j)
+    if np.min(np.abs(w)) <= thr or not res.exact_gradient:
+        return
+    assert np.allclose(h.mat, res.h.mat, rtol=0.0, atol=1e-12)
+    assert np.array_equal(h.mat, spec._pull_back(y, 2).mat)
+
+
+def test_completion_search_pulls_each_completion_back():
+    spec, j = _pair(0, reached=True)
+    w, v, thr, y, _ = spec._witness(j, HARNESS_REL)
+    tried, passed, best = completion_search(spec, j, y, v[:, np.abs(w) <= thr], seed=1)
+    assert tried == 5 + 4 * RANDOM_COMPLETIONS
+    assert passed  # W = 0 pulls back to H = 0, which certifies every channel
+    assert best >= 0.0
 
 
 # -------------------------------------------------------------------- trials

@@ -25,20 +25,15 @@ import math
 import pathlib
 import sys
 
-import numpy as np
 import pytest
 
 from chancert.cli import GEN_FAMILIES, main
+from conftest import GOLDEN_FIXTURE as FIXTURE
+from conftest import build_environment
 
-FIXTURE = pathlib.Path(__file__).with_name("golden_cli.json")
 SEEDS = (0, 1, 2)
 # d_in != d_out and a two-dimensional environment, generated with seed 0
 WIDE_DIMS = ("3", "2", "2")
-
-
-def _environment() -> dict[str, str]:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
 def _gen_argv(family: str, seed: int, path: str, dims=("2", "2", "2")) -> list[str]:
@@ -92,7 +87,7 @@ GOLDEN = (json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists()
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    env = _environment()
+    env = build_environment()
     recorded = GOLDEN["environment"]
     if env != recorded:
         pytest.skip(f"golden bytes recorded with numpy {recorded['numpy']} and BLAS "
@@ -173,7 +168,7 @@ def _record() -> None:
             code, out = _run(_in_dir(argv, directory))
             cases.append({"argv": argv, "exit": code, "stdout": out})
     _report_moves(GOLDEN["cases"], cases)
-    doc = {"environment": _environment(), "cases": cases}
+    doc = {"environment": build_environment(), "cases": cases}
     FIXTURE.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {FIXTURE}", file=sys.stderr)
 
