@@ -108,19 +108,20 @@ class HyklReport:
 
 
 def _residuals(h: np.ndarray, j: np.ndarray, dims: tuple[int, int]) -> list[tuple]:
-    """``(Tr_out(HJ), min_eig, epsilon, scale)`` for each slice of ``(B, n, n)``
+    """``(Tr_out(HJ), min_eig, epsilon)`` for each slice of ``(B, n, n)``
     stacks of ``H`` and ``J``.
 
     One ``eigh`` of ``Herm(H - 1 (x) Tr_out(HJ))`` gives ``min_eig`` and
     ``epsilon``.  Each slice gets the bits it gets alone, so :func:`certify`
     (a stack of one) and the solver (a stack of iterates) agree.  The raw
     partial trace is returned as is: only :func:`certify` reports its
-    Hermiticity defect and Hermitian part, and the solver skips their cost.
+    Hermiticity defect and Hermitian part, and the scale ``1 + ||H||``; the
+    solver skips their cost, and reads the scale only when its convergence
+    test needs it.
     """
     z_raw = partial_trace(h @ j, dims)
     epsilon, _, min_eig = _dist_to_psd(h - kron(np.eye(dims[0]), z_raw))
-    scale = 1.0 + spectral_norm(h)
-    return list(zip(z_raw, min_eig.tolist(), epsilon.tolist(), scale.tolist()))
+    return list(zip(z_raw, min_eig.tolist(), epsilon.tolist()))
 
 
 def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
@@ -135,8 +136,8 @@ def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
     """
     if h.dim != j.op.dim:
         raise DimensionMismatchError(f"H dim {h.dim} != Choi dim {j.op.dim}")
-    ((z_raw, min_eig, epsilon, scale),) = _residuals(h.mat[None], j.mat[None],
-                                                     (j.dim_out, j.dim_in))
+    ((z_raw, min_eig, epsilon),) = _residuals(h.mat[None], j.mat[None], (j.dim_out, j.dim_in))
+    scale = 1.0 + h.norm()
     herm_defect = spectral_norm(z_raw - _dagger(z_raw))
     passed = herm_defect <= tol.tau_herm * scale and min_eig >= -tol.tau_psd * scale
     verdict = VERDICT_OPTIMAL if passed else VERDICT_NEAR

@@ -98,6 +98,27 @@ class ChoiOp:
         low = _min_eig(op.mat)
         if _psd_violation(low, t.tau_psd, op):
             raise ValueError(f"Choi operator not PSD: min eigenvalue {low:.3e}")
+        self._check_trace(t)
+
+    @classmethod
+    def _psd_shown(cls, op: HermOp, dim_out: int, dim_in: int, tol: Tolerances) -> ChoiOp:
+        """The ``ChoiOp`` of ``op``, whose PSD test its builder has already
+        passed: the trace-preservation tests run, the ``eigvalsh`` does not.
+
+        For internal builders that hold a proof that ``op`` passes the PSD
+        test under ``tol`` (see ``solvers._project_stack``); every public
+        construction runs the full validation.
+        """
+        j = object.__new__(cls)
+        for name, value in (("op", op), ("dim_out", dim_out), ("dim_in", dim_in)):
+            object.__setattr__(j, name, value)
+        j._check_trace(tol)
+        return j
+
+    def _check_trace(self, t: Tolerances) -> None:
+        """The trace-preservation tests, which need no decomposition unless
+        the partial-trace defect is unsettled."""
+        op = self.op
         tr_out = partial_trace(op.mat, (self.dim_out, self.dim_in))
         diff = tr_out - np.eye(self.dim_in)
         if not _fro_settles(diff, t.tau_num):

@@ -30,6 +30,12 @@ order.  The five families:
   value, image test and gradient ``-Dlog_tau[sigma]`` come from one
   eigendecomposition of ``sigma`` and one of the output ``tau``.
 
+Whatever a family computes from the target alone (the compressed
+environment and ``sqrt(sigma)`` of the fidelity families, the spectrum of
+``sigma`` of the relative entropy) is prepared on the first ``evaluate`` at
+a given :class:`Tolerances` and kept on the spec for that tolerance, so
+later evaluations decompose only what depends on the channel.
+
 Sign convention for subgradients: all objectives are *minimized*, and the
 returned ``H`` satisfies ``f(J') - f(J) >= <H, J' - J>`` for every channel
 ``J'`` in the domain.  For the composed families this makes ``H`` equal to
@@ -104,9 +110,9 @@ __all__ = [
 class InvalidEnsembleError(ValueError):
     """Ensemble data fails probability or density-operator validation.
 
-    ``field`` names the field at fault, ``"probs"`` or ``"states[k]"``, when
-    the error is about one field; a document reader prefixes it with the
-    path of the object it read.
+    ``field`` names the field at fault, ``"probs"``, ``"states[k]"``,
+    ``"inputs[k]"`` or ``"targets[k]"``, when the error is about one field;
+    a document reader prefixes it with the path of the object it read.
     """
 
     def __init__(self, message: str, field: str | None = None) -> None:
@@ -114,11 +120,15 @@ class InvalidEnsembleError(ValueError):
         self.field = field
 
 
-def _check_density(op: HermOp, tol: Tolerances, k: int) -> None:
-    what, field = f"ensemble state {k}", f"states[{k}]"
+def _check_psd(op: HermOp, tol: Tolerances, what: str, field: str) -> None:
     low = _min_eig(op.mat)
     if _psd_violation(low, tol.tau_psd, op):
         raise InvalidEnsembleError(f"{what} is not PSD (min eigenvalue {low:.3e})", field)
+
+
+def _check_density(op: HermOp, tol: Tolerances, k: int) -> None:
+    what, field = f"ensemble state {k}", f"states[{k}]"
+    _check_psd(op, tol, what, field)
     tr = float(np.real(np.trace(op.mat)))
     if abs(tr - 1.0) > tol.tau_sum:
         raise InvalidEnsembleError(f"{what} has trace {tr!r}, expected 1", field)
@@ -245,11 +255,14 @@ class _StatePairObjective:
     against a target ``sigma``.
 
     ``rho`` lives on ``in (x) env`` and ``sigma`` on ``out (x) env``; the
-    environment factor is shared.  A family supplies ``_terms(sigma, tau,
+    environment factor is shared.  A family supplies ``_terms(target, tau,
     tol)``, which returns ``(value, g, exact, valid, inclusion_ok, defect)``
     with ``g`` minus the derivative (or a dual witness) of the value in
-    ``tau``.  :meth:`_evaluate` is the chain rule through the evaluation map
-    for all of them: ``H = -adj(g)``.
+    ``tau``, and may override ``_prepare(tol)``, the input the map acts on
+    and the ``target`` that ``_terms`` reads; both depend on the problem and
+    ``tol`` only, so each is prepared once per tolerance.  :meth:`_evaluate`
+    is the chain rule through the evaluation map for all of them:
+    ``H = -adj(g)``.
     """
 
     uses_env: ClassVar[bool] = True
@@ -263,21 +276,23 @@ class _StatePairObjective:
             raise DimensionMismatchError(
                 f"environment dims differ: {self.rho.dim_env} vs {self.sigma.dim_env}"
             )
+        object.__setattr__(self, "_prep", {})
 
     @property
     def dims(self) -> tuple[int, int]:
         """Channel dimensions ``(dim_out, dim_in)`` demanded by the objective."""
         return self.sigma.dim_sys, self.rho.dim_sys
 
-    def _states(self, tol: Tolerances) -> tuple[BipartiteState, BipartiteState]:
-        """The pair ``(rho, sigma)`` the evaluation map acts on, as given."""
+    def _prepare(self, tol: Tolerances):
+        """``(rho, sigma)``: the input the evaluation map acts on and the
+        target, as given."""
         return self.rho, self.sigma
 
     def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
         """Push ``rho`` through the channel, take the family's terms and pull
         ``-g`` back to Choi space."""
-        rho, sigma = self._states(tol)
-        value, g, exact, valid, ok, defect = self._terms(sigma, eval_map_apply(rho, j), tol)
+        rho, target = _prepared(self, tol)
+        value, g, exact, valid, ok, defect = self._terms(target, eval_map_apply(rho, j), tol)
         return SubgradResult(
             value,
             eval_map_adjoint(rho, -g, j.dim_out),
@@ -313,17 +328,18 @@ class FidelityObjective(_StatePairObjective):
         tr = float(np.real(np.trace(self.rho.mat)))
         return -math.sqrt(max(ts, 0.0) * max(tr, 0.0))
 
-    def _states(self, tol: Tolerances) -> tuple[BipartiteState, BipartiteState]:
+    def _prepare(self, tol: Tolerances):
         """The pair with its environment compressed to the image of
         ``Tr_sys(rho)``, so the reduced input is positive definite on the
-        retained factor; value and subgradient are invariant under that
-        isometric squeeze."""
-        return compress_environment(self.rho, self.sigma, tol)
+        retained factor (value and subgradient are invariant under that
+        isometric squeeze), the target as its :func:`_fidelity_target`."""
+        rho, sigma = compress_environment(self.rho, self.sigma, tol)
+        return rho, _fidelity_target(sigma.op, tol)
 
-    def _terms(self, sigma: BipartiteState, tau: np.ndarray, tol: Tolerances):
+    def _terms(self, target: tuple, tau: np.ndarray, tol: Tolerances):
         """Negated fidelity between the target and the output ``tau``; the
         direction ``G / 2`` is the derivative of ``F`` in ``tau``."""
-        f, g, exact, ok, defect = _fidelity_terms(sigma.op, HermOp(tau, tol), tol)
+        f, g, exact, ok, defect = _fidelity_terms(target, HermOp(tau, tol), tol)
         return -f, 0.5 * g, exact, exact, ok, defect
 
 
@@ -351,14 +367,22 @@ class FidelitySquaredObjective:
         _check_probs(p, t)
         if any(s.dim != ins[0].dim for s in ins) or any(s.dim != outs[0].dim for s in outs):
             raise InvalidEnsembleError("ensemble pair dimensions are mixed")
+        for name, ops in (("input", ins), ("target", outs)):
+            for k, op in enumerate(ops):
+                _check_psd(op, t, f"ensemble {name} {k}", f"{name}s[{k}]")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "inputs", ins)
         object.__setattr__(self, "targets", outs)
+        object.__setattr__(self, "_prep", {})
 
     @property
     def pairs(self):
         return tuple(zip(self.probs, self.inputs, self.targets))
+
+    def _prepare(self, tol: Tolerances) -> tuple:
+        """The :func:`_fidelity_target` of each target."""
+        return tuple(_fidelity_target(sig_k, tol) for sig_k in self.targets)
 
     @classmethod
     def parse(cls, doc, dims):
@@ -400,9 +424,9 @@ class FidelitySquaredObjective:
         exact = True
         ok = True
         defect = 0.0
-        for p, rho_k, sig_k in self.pairs:
+        for p, rho_k, target in zip(self.probs, self.inputs, _prepared(self, tol)):
             tau_h = HermOp(apply_from_choi(j, rho_k.mat), tol)
-            f_k, g_k, ex_k, ok_k, d_k = _fidelity_terms(sig_k, tau_h, tol)
+            f_k, g_k, ex_k, ok_k, d_k = _fidelity_terms(target, tau_h, tol)
             value -= p * f_k * f_k
             h -= p * f_k * kron(g_k, rho_k.mat.T)
             exact = exact and ex_k
@@ -471,7 +495,11 @@ class RelativeEntropyObjective(_StatePairObjective):
             return ts * math.log(ts / tr)
         return 0.0
 
-    def _terms(self, sigma: BipartiteState, tau: np.ndarray, tol: Tolerances):
+    def _prepare(self, tol: Tolerances):
+        """``rho`` as given, the target as its :func:`_rel_entropy_target`."""
+        return self.rho, _rel_entropy_target(self.sigma.op, tol)
+
+    def _terms(self, target: tuple, tau: np.ndarray, tol: Tolerances):
         """Relative entropy from the target to the output ``tau``.
 
         Returns ``math.inf`` (with a zero direction and every flag false)
@@ -481,7 +509,7 @@ class RelativeEntropyObjective(_StatePairObjective):
         ``Dlog_tau[sigma]`` on the image of ``tau``, the derivative of
         ``Tr sigma log tau``; the objective is differentiable there.
         """
-        value, g, defect = _rel_entropy_terms(sigma.op, HermOp(tau, tol), tol)
+        value, g, defect = _rel_entropy_terms(target, HermOp(tau, tol), tol)
         if g is None:
             return math.inf, np.zeros_like(tau), False, False, False, defect
         return value, g, True, True, True, defect
@@ -557,24 +585,43 @@ FAMILIES = (
 )
 
 
+def _prepared(spec, tol: Tolerances):
+    """``spec._prepare(tol)``, computed on the first call per tolerance and
+    kept on the spec."""
+    prep = spec._prep.get(tol)
+    if prep is None:
+        prep = spec._prep[tol] = spec._prepare(tol)
+    return prep
+
+
+def _fidelity_target(sigma: HermOp, tol: Tolerances) -> tuple:
+    """What :func:`_fidelity_terms` reads of the target ``sigma``, from one
+    ``eigh``: its matrix, its root ``sqrt(sigma)``, its support rank and its
+    norm."""
+    ws, vs = _psd_eigs(sigma, tol, "fidelity target")
+    s = HermOp(vs @ (np.sqrt(ws)[:, None] * vs.conj().T)).mat
+    # the clamped eigenvalues are ascending, so the last is ||sigma||
+    return sigma.mat, s, int(np.sum(_support(ws, tol))), ws[-1]
+
+
 def _fidelity_terms(
-    sigma: HermOp, tau: HermOp, tol: Tolerances
+    target: tuple, tau: HermOp, tol: Tolerances
 ) -> tuple[float, np.ndarray, bool, bool, float]:
-    """Root fidelity ``F(sigma, tau)``, its dual direction, whether that is a
-    gradient, whether the image of ``sigma`` lies in that of ``tau``, and the
+    """Root fidelity ``F(sigma, tau)`` of the target ``sigma`` of
+    :func:`_fidelity_target`, its dual direction, whether that is a gradient,
+    whether the image of ``sigma`` lies in that of ``tau``, and the
     image-inclusion defect.
 
     The direction is ``G = sqrt(s) (sqrt(s) t sqrt(s))^{-1/2} sqrt(s)``, the
     inverse root Moore-Penrose on the relative-cutoff support.  It is a
     gradient when the sandwiched operator is positive definite on the image
     of ``sigma`` (same support rank); otherwise the differentiability
-    argument breaks down and the subdifferential is empty.  ``sigma`` and
-    ``tau`` are decomposed once each; the defect is the norm of ``sigma``
-    compressed onto the kernel of ``tau``, and inclusion holds when it is at
-    most ``tau_rank * ||sigma||``.
+    argument breaks down and the subdifferential is empty.  ``tau`` is
+    decomposed once; the defect is the norm of ``sigma`` compressed onto the
+    kernel of ``tau``, and inclusion holds when it is at most
+    ``tau_rank * ||sigma||``.
     """
-    ws, vs = _psd_eigs(sigma, tol, "fidelity target")
-    s = HermOp(vs @ (np.sqrt(ws)[:, None] * vs.conj().T)).mat
+    sigma, s, rank, top = target
     wt, vt = _psd_eigs(tau, tol, "fidelity output")
     sandwich = _herm(s @ tau.mat @ s)
     # Tr sqrt of the sandwich, negative eigenvalues counted as 0
@@ -584,10 +631,9 @@ def _fidelity_terms(
     inv_root = np.zeros_like(w)
     inv_root[kept] = 1.0 / np.sqrt(w[kept])
     g = s @ ((v * inv_root) @ v.conj().T) @ s
-    defect = _kernel_norm(sigma.mat, vt[:, ~_support(wt, tol)])
-    exact = int(np.sum(kept)) == int(np.sum(_support(ws, tol)))
-    # the clamped eigenvalues are ascending, so the last is ||sigma||
-    return f, _herm(g), exact, bool(defect <= tol.tau_rank * ws[-1]), defect
+    defect = _kernel_norm(sigma, vt[:, ~_support(wt, tol)])
+    exact = int(np.sum(kept)) == rank
+    return f, _herm(g), exact, bool(defect <= tol.tau_rank * top), defect
 
 
 def _sign_terms(sigma: np.ndarray, tau: np.ndarray, rel: float, scale: float | None = None):
@@ -602,32 +648,39 @@ def _sign_terms(sigma: np.ndarray, tau: np.ndarray, rel: float, scale: float | N
     return w, v, thr, _sign_witness(w, v, thr)
 
 
+def _rel_entropy_target(sigma: HermOp, tol: Tolerances) -> tuple:
+    """What :func:`_rel_entropy_terms` reads of the target ``sigma``, from one
+    ``eigh``: its matrix, its norm and ``Tr sigma log sigma`` (``0 log 0`` is
+    0 by convention)."""
+    ws, _ = _psd_eigs(sigma, tol, "relative entropy target")
+    supp = _support(ws, tol)
+    # the clamped eigenvalues are ascending, so the last is ||sigma||
+    return sigma.mat, ws[-1], float(np.sum(ws[supp] * np.log(ws[supp])))
+
+
 def _rel_entropy_terms(
-    sigma: HermOp, tau: HermOp, tol: Tolerances
+    target: tuple, tau: HermOp, tol: Tolerances
 ) -> tuple[float, np.ndarray | None, float]:
     """Relative entropy ``D(sigma || tau) = Tr sigma log sigma - Tr sigma log tau``
-    in nats, its gradient ``Dlog_tau[sigma]`` in ``tau`` up to sign, and the
+    in nats of the target ``sigma`` of :func:`_rel_entropy_target`, its
+    gradient ``Dlog_tau[sigma]`` in ``tau`` up to sign, and the
     image-inclusion defect of ``sigma`` in ``tau``: the norm of ``sigma``
     compressed onto the kernel of ``tau``.
 
     The value is ``math.inf``, with no gradient, when the image of ``sigma``
     is not contained in the image of ``tau`` (the defect is above
     ``tau_rank * ||sigma||``); callers must treat that as a sentinel and
-    never feed it back into arithmetic.  The ``0 log 0`` contribution is 0 by
-    convention.  ``log tau`` and its derivative act on the supported
-    eigenpairs of ``tau``.  ``sigma`` and ``tau`` are decomposed once each.
+    never feed it back into arithmetic.  ``log tau`` and its derivative act
+    on the supported eigenpairs of ``tau``, which is decomposed once.
     """
-    ws, vs = _psd_eigs(sigma, tol, "relative entropy target")
+    sigma, top, plogp = target
     wt, vt = _psd_eigs(tau, tol, "relative entropy output")
     keep = _support(wt, tol)
-    defect = _kernel_norm(sigma.mat, vt[:, ~keep])
-    # the clamped eigenvalues are ascending, so the last is ||sigma||
-    if defect > tol.tau_rank * ws[-1]:
+    defect = _kernel_norm(sigma, vt[:, ~keep])
+    if defect > tol.tau_rank * top:
         return math.inf, None, defect
-    supp = _support(ws, tol)
-    plogp = float(np.sum(ws[supp] * np.log(ws[supp])))
     wk, vk = wt[keep], vt[:, keep]
-    st = vk.conj().T @ sigma.mat @ vk
+    st = vk.conj().T @ sigma @ vk
     plogq = float(np.sum(np.log(wk) * np.real(np.diagonal(st))))
     return plogp - plogq, _herm(_dlog_eig(wk, vk, st, tol)), defect
 

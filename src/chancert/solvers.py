@@ -40,11 +40,11 @@ from .linalg import (
     Tolerances,
     _dagger,
     _eigh,
+    _fro,
     _fro_settles,
     _herm,
     _min_eig,
     as_array,
-    kron,
     partial_trace,
     spectral_norm,
 )
@@ -68,6 +68,13 @@ DIM_CAP = 8
 
 # Dykstra sweep budget of one projection
 SWEEPS = 5000
+
+# A computed eigenvalue of an n x n Hermitian matrix ``A`` lies within a
+# small multiple of ``n eps ||A||`` of the exact one (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2002); a sweep allows
+# ``ROUNDING * n * (1 + max |w|)``, with ``w`` the spectrum it clipped and
+# ``||A|| <= 2 (1 + max |w|)`` for every matrix it builds from ``w``.
+ROUNDING = 64 * np.finfo(float).eps
 
 STEP_RULES = ("constant", "diminishing", "polyak")
 
@@ -143,7 +150,10 @@ def project_channel(x, dims: tuple[int, int], tol: Tolerances = TOL) -> ChoiOp:
     tau_num)``, so the result passes the ``ChoiOp`` check under the same
     tolerances, and until the complementarity gap ``<-C, P>`` of the PSD
     correction ``C`` is at most ``feas * (1 + ||C||_F)``; raises
-    :class:`MaxItersExceededError` after ``SWEEPS`` sweeps.
+    :class:`MaxItersExceededError` after ``SWEEPS`` sweeps.  The stop test
+    skips its ``eigvalsh`` when a Rayleigh quotient already shows ``P``
+    outside the cone, and the result skips the PSD test it has passed
+    (:func:`_project_stack` gives the margins).
 
     ``x - P`` is ``C`` plus a term ``1 (x) Y``, which is orthogonal to every
     difference of channels, and ``C`` is negative semidefinite, so for every
@@ -177,10 +187,29 @@ def _project_stack(
     the sweeps without the ``eigvalsh`` of the PSD test.  The sweeps run on
     the stack of the slices still moving; each slice stops at its own sweep,
     so its result has the bits of projecting it alone.
+
+    The stop test's ``eigvalsh`` is screened.  The sweep's ``eigh`` already
+    holds the eigenvector ``v0`` of the lowest eigenvalue of the matrix it
+    clips, and ``r = Re(v0^dagger P v0) >= lambda_min(P)``.  When every live
+    slice has ``r < -feas - ROUNDING * n * (1 + max |w|)``, the computed
+    ``lambda_min(P)`` is below ``-feas`` as well, every slice moves on, and
+    the ``eigvalsh`` is skipped; otherwise it runs as before.  Either way the
+    iterates and the decisions are those of the unscreened loop.
+
+    The channels come back without a second PSD test.  A feasible input
+    passed the ``eigvalsh`` that ``ChoiOp`` would run, on the same bits.  A
+    swept slice showed ``lambda_min(P) >= -feas`` with ``feas <= tau_psd /
+    10``, while ``ChoiOp`` asks ``lambda_min(Herm P) >= -tau_psd (1 +
+    ||P||)``; ``Herm P`` differs from ``P`` by rounding, so the test passes
+    whenever ``tau_psd - feas`` exceeds the rounding allowance, which is
+    checked (about 1e-12 at ``n = 16``, against 9e-9 at the default
+    tolerances); otherwise the full check runs.  The Hermiticity and
+    trace-preservation checks always run.
     """
     d_out, d_in = dims
+    n = d_out * d_in
     feas = min(tol.tau_psd / 10, tol.tau_num)
-    eye_out = np.eye(d_out)
+    eye_out = np.eye(d_out)[:, None, :, None]  # kron's left factor, broadcast
     eye_in = np.eye(d_in)
     out: list[ChoiOp | None] = [None] * len(xs)
     cur = _herm(xs)
@@ -192,7 +221,9 @@ def _project_stack(
     for k in unsettled:
         unit_trace = _fro_settles(tr_diff[k], feas) or spectral_norm(tr_diff[k]) <= feas
         if unit_trace and max(0.0, -_min_eig(cur[k])) <= feas:
-            out[k] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
+            # ``cur[k]`` is exactly Hermitian: the ChoiOp PSD test would run
+            # this eigvalsh again on the same bits
+            out[k] = ChoiOp._psd_shown(HermOp(cur[k], tol), d_out, d_in, tol)
     if len(unsettled):
         live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
         if not len(live):
@@ -204,10 +235,16 @@ def _project_stack(
         w, v = _eigh(shifted)
         psd = (v * np.maximum(w, 0.0)[:, None, :]) @ _dagger(v)
         corr = shifted - psd
-        tr = partial_trace(psd, dims)
-        cur = psd + kron(eye_out, (eye_in - tr) / d_out)
-        low = _min_eig(cur)
-        moving = low < -feas  # max(0, -low) > feas, as for one slice
+        # partial_trace and kron inlined: the same einsum and broadcast product
+        tr = np.einsum("...ajak->...jk", psd.reshape(-1, d_out, d_in, d_out, d_in))
+        cur = psd + (eye_out * ((eye_in - tr) / d_out)[:, None, :, None, :]).reshape(-1, n, n)
+        # how far a computed eigenvalue of ``cur`` may sit from the exact one
+        slack = ROUNDING * n * (1.0 + np.abs(w).max(axis=-1))
+        v0 = v[..., 0]
+        rayleigh = np.einsum("bi,bij,bj->b", v0.conj(), cur, v0).real
+        if (rayleigh < -feas - slack).all():
+            continue  # every lambda_min(cur) <= rayleigh is below -feas: all move
+        moving = _min_eig(cur) < -feas  # max(0, -low) > feas, as for one slice
         if exact:
             gap = -np.einsum("bij,bij->b", corr.conj(), cur).real
             size = np.sqrt(np.einsum("bij,bij->b", corr.conj(), corr).real)
@@ -215,13 +252,29 @@ def _project_stack(
         if moving.all():
             continue
         for k in np.flatnonzero(~moving):
-            out[live[k]] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
+            # eigvalsh put lambda_min(cur[k]) at -feas or above; the trusted
+            # build needs tau_psd - feas to cover the rounding of Herm(cur[k])
+            build = ChoiOp._psd_shown if tol.tau_psd - feas > slack[k] else ChoiOp
+            out[live[k]] = build(HermOp(cur[k], tol), d_out, d_in, tol)
         if not moving.any():
             return out
-        live, cur, corr, low = live[moving], cur[moving], corr[moving], low[moving]
-    raise MaxItersExceededError(
-        f"projection defect {max(0.0, -float(low[0])):.3e} after {SWEEPS} sweeps"
-    )
+        live, cur, corr = live[moving], cur[moving], corr[moving]
+    low = float(_min_eig(cur)[0])
+    raise MaxItersExceededError(f"projection defect {max(0.0, -low):.3e} after {SWEEPS} sweeps")
+
+
+def _within_gap(bound: float, h: np.ndarray, tol_gap: float) -> bool:
+    """The convergence test ``bound <= tol_gap * (1 + ||h||_2)``.
+
+    The SVD of ``||h||_2`` runs only when neither bound on the scale decides
+    the test: the scale is at least 1, and at most ``1 + ||h||_F`` (the
+    factor 2 absorbs the rounding of both norms).
+    """
+    if bound <= tol_gap:
+        return True
+    if bound > 2.0 * tol_gap * (1.0 + _fro(h)):
+        return False
+    return bound <= tol_gap * (1.0 + spectral_norm(h))
 
 
 def _by_slice(fn, *stacks) -> list:
@@ -266,9 +319,9 @@ class _Run:
         except Exception as exc:  # this problem's failure, not the group's
             self.error = exc
 
-    def record(self, t: int, bound: float, scale: float, cfg: SolverConfig) -> bool:
-        """Log iteration ``t`` with the certificate bound and scale of the
-        iterate; whether the run goes on, with its step size in ``eta``."""
+    def record(self, t: int, bound: float, cfg: SolverConfig) -> bool:
+        """Log iteration ``t`` with the certificate bound of the iterate;
+        whether the run goes on, with its step size in ``eta``."""
         res = self.res
         self.iterations = t
         self.values.append(res.value)
@@ -277,7 +330,7 @@ class _Run:
             self.best_bound, self.best_t = bound, t
         if res.valid_subgradient and not math.isinf(res.value):
             self.lower = max(self.lower, res.value - bound)
-            if res.exact_gradient and bound <= cfg.tol_gap * scale:
+            if res.exact_gradient and _within_gap(bound, res.h.mat, cfg.tol_gap):
                 self.converged = True
                 return False
         if t - self.best_t > cfg.stall_window or t == cfg.max_iters:
@@ -362,7 +415,7 @@ def solve_batch(
         for run, entry in zip(active, residuals):
             if isinstance(entry, Exception):
                 run.error = entry
-            elif run.record(t, entry[2] * d_in, entry[3], cfg):  # epsilon, scale
+            elif run.record(t, entry[2] * d_in, cfg):  # epsilon
                 moving.append(run)
         # Only the relative entropy can be infinite: halve the step until the
         # candidate lands inside its finite domain.

@@ -50,8 +50,10 @@ def test_choi_from_kraus_action(seed, dims, r):
 
 
 def test_choiop_rejects_non_tp():
-    with pytest.raises(NotTracePreservingError):
-        ChoiOp(HermOp(np.eye(4) / 3.0), 2, 2)
+    # the trusted build of projection outputs skips only the PSD test
+    for build in (ChoiOp, ChoiOp._psd_shown):
+        with pytest.raises(NotTracePreservingError):
+            build(HermOp(np.eye(4) / 3.0), 2, 2, TOL)
 
 
 def test_identity_choi_acts_as_identity():

@@ -476,6 +476,23 @@ def test_non_finite_probabilities_are_rejected_on_load(family, tmp_path, capsys)
     assert "probabilities" in err
 
 
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_fidelity_squared_non_state_input_exits_two(command, tmp_path, capsys):
+    # certify used to blame the output's eigenvalue, and solve to converge at -1
+    half = _mat(np.eye(2) / 2.0)
+    doc = problem_to_dict((2, 2, 1), {"family": "FidelitySquaredEnsemble", "probs": [0.5, 0.5],
+                                      "inputs": [_mat(np.diag([1.5, -0.5])), half],
+                                      "targets": [half, half]},
+                          {"kind": "kraus", "operators": [_mat(np.eye(2))]})
+    path = _write(tmp_path, "fsq.json", doc)
+    args = {"certify": [], "solve": ["--max-iters", "5"]}[command]
+    assert main([command, path, *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("chancert: objective.inputs[0]: ensemble input 0 is not PSD "
+                   "(min eigenvalue -5.000e-01)\n")
+
+
 def test_gen_rejects_negative_seed(capsys):
     assert main(["gen", "linear", "-", "--seed", "-1"]) == 2
     out, err = capsys.readouterr()

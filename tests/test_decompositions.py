@@ -15,6 +15,7 @@ import ast
 import contextlib
 import io
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,10 +210,10 @@ def test_experiments_guard_sees_a_violation():
                                        "record_trial: eval_map_adjoint"]
 
 
-# (eigh, eigvalsh, svd) calls of one ``evaluate`` and one ``certify`` on
-# ``gen FAMILY --dims 2 2 2 --seed 1 --with-channel``.  The relative entropy
-# takes its value, image-inclusion test and gradient from one eigh of the
-# target and one of the output.  The fidelity families decompose the target
+# (eigh, eigvalsh, svd) calls of the first ``evaluate`` of a problem and of
+# one ``certify`` on ``gen FAMILY --dims 2 2 2 --seed 1 --with-channel``.
+# The relative entropy takes its value, image-inclusion test and gradient
+# from one eigh of the target and one of the output.  The fidelity families decompose the target
 # and the output once per pair and read the target's rank and norm from its
 # eigh, so the inclusion test costs no SVD; each sandwich still costs an
 # eigvalsh and an eigh.  ``certify`` reads ``min_eig`` and ``epsilon`` from
@@ -262,6 +263,35 @@ def test_decomposition_counts_per_evaluate_and_certify(family):
     assert got == EVALUATE_CALLS[family]
     _, got = _count_calls(lambda: certify(res.h, prob.channel, prob.tol))
     assert got == CERTIFY_CALLS
+
+
+# Later evaluates of the same problem read the target's side from the spec:
+# the fidelity families' root and support of each target (and the compressed
+# environment of Fidelity), the relative entropy's spectrum of the target.
+# Only the output and, for the fidelity families, the sandwich are decomposed.
+LATER_EVALUATE_CALLS = {
+    "linear": (0, 0, 0),
+    "discrimination": (0, 0, 0),
+    "trace-distance": (1, 0, 0),
+    "fidelity": (2, 1, 0),
+    "relative-entropy": (1, 0, 0),
+    "fidelity-squared": (4, 2, 0),
+}
+
+
+@pytest.mark.parametrize("family", GEN_FAMILIES)
+def test_later_evaluates_reuse_the_prepared_target(family):
+    prob = _gen_problem(family)
+    first, _ = _count_calls(lambda: evaluate(prob.spec, prob.channel, prob.tol))
+    later, got = _count_calls(lambda: evaluate(prob.spec, prob.channel, prob.tol))
+    assert got == LATER_EVALUATE_CALLS[family]
+    assert (later.value, later.h.mat.tobytes()) == (first.value, first.h.mat.tobytes())
+    # equal tolerances are the same key; other tolerances prepare again
+    _, got = _count_calls(lambda: evaluate(prob.spec, prob.channel, replace(prob.tol)))
+    assert got == LATER_EVALUATE_CALLS[family]
+    other = replace(prob.tol, tau_rank=2 * prob.tol.tau_rank)
+    _, got = _count_calls(lambda: evaluate(prob.spec, prob.channel, other))
+    assert got == EVALUATE_CALLS[family]
 
 
 # seed-0 harness trials 0 to 3: only trial 2's witness vanishes (all four

@@ -13,7 +13,7 @@ from chancert.choi import (
     identity_choi,
     q2c_choi,
 )
-from chancert.linalg import TOL, HermOp, NotPSDError, spectral_norm
+from chancert.linalg import TOL, HermOp, NotPSDError, Tolerances, spectral_norm
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
@@ -22,8 +22,8 @@ from chancert.objectives import (
     LinearObjective,
     RelativeEntropyObjective,
     TraceDistanceObjective,
-    _fidelity_terms,
-    _rel_entropy_terms,
+    _fidelity_target,
+    _rel_entropy_target,
     discrimination_objective,
     evaluate,
 )
@@ -342,11 +342,11 @@ def test_rel_entropy_properties(seed, d):
     assert math.isfinite(_identity_value(RelativeEntropyObjective, pure, pure + q))
 
 
-@pytest.mark.parametrize("terms", [_fidelity_terms, _rel_entropy_terms],
+@pytest.mark.parametrize("target", [_fidelity_target, _rel_entropy_target],
                          ids=["fidelity", "relative-entropy"])
-def test_pair_terms_reject_negative_target(terms):
+def test_pair_terms_reject_negative_target(target):
     with pytest.raises(NotPSDError, match="target has eigenvalue"):
-        terms(HermOp(np.diag([1.0, -0.5])), HermOp(np.eye(2)), TOL)
+        target(HermOp(np.diag([1.0, -0.5])), TOL)
 
 
 # ------------------------------------------------------ witness diagnostics
@@ -425,6 +425,23 @@ def test_evaluate_rejects_dim_mismatch():
     spec = _rand_spec("fid", 0, (2, 2, 2))
     with pytest.raises(ValueError):
         evaluate(spec, depolarizing_choi(3, 2))
+
+
+@pytest.mark.parametrize("family", ["fid", "fidsq", "td", "re", "re-rank2"])
+def test_prepared_target_follows_the_tolerances(family):
+    """The target's side is kept per tolerance: ``evaluate(spec, j, tol)``
+    gives a fresh spec's bits whatever ``spec`` was evaluated at before."""
+    coarse = Tolerances(tau_rank=0.3)  # cuts the small eigenvalues off each support
+    d_out, d_in = _rand_spec(family, 2).dims
+    j = _mix(random_channel_choi(d_in, d_out, np.random.default_rng(3)), d_in, d_out)
+
+    def bits(res):
+        return (res.value, res.h.mat.tobytes(), res.exact_gradient, res.inclusion_ok,
+                res.inclusion_defect)
+
+    spec = _rand_spec(family, 2)
+    for tol in (coarse, TOL, coarse, TOL):
+        assert bits(evaluate(spec, j, tol)) == bits(evaluate(_rand_spec(family, 2), j, tol))
 
 
 @pytest.mark.parametrize("family", ["linear", "fid", "fidsq", "td", "re"])

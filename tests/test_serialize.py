@@ -571,6 +571,17 @@ def test_ensemble_state_errors_name_their_path():
     assert str(info.value).startswith("objective.states[1]: ensemble state 1 is not PSD")
 
 
+@pytest.mark.parametrize("field", ["inputs", "targets"])
+def test_fidelity_squared_pair_errors_name_their_path(field):
+    doc = json.loads(canonical_json(_problem_docs()["FidelitySquaredEnsemble"]))
+    doc["objective"][field][1] = _mat(np.diag([1.5, -0.5]))  # trace 1, not PSD
+    with pytest.raises(SchemaError) as info:
+        parse_problem(doc)
+    name = field[:-1]
+    assert str(info.value) == (f"objective.{field}[1]: ensemble {name} 1 is not PSD "
+                               "(min eigenvalue -5.000e-01)")
+
+
 @pytest.mark.parametrize("family", ["Discrimination", "FidelitySquaredEnsemble"])
 @pytest.mark.parametrize("probs", [[1.2, -0.2], [0.5, 0.6]])
 def test_prior_errors_name_their_path(family, probs):

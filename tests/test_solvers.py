@@ -9,8 +9,22 @@ from hypothesis import strategies as st
 from chancert import solvers
 from chancert.certifier import certify
 from chancert.cli import GEN_FAMILIES, main
-from chancert.choi import BipartiteState, Povm
-from chancert.linalg import TOL, DimensionMismatchError, EigDecompositionError, HermOp, partial_trace
+from chancert.choi import BipartiteState, ChoiOp, Povm
+from chancert.linalg import (
+    TOL,
+    DimensionMismatchError,
+    EigDecompositionError,
+    HermOp,
+    Tolerances,
+    _dagger,
+    _eigh,
+    _fro_settles,
+    _herm,
+    _min_eig,
+    kron,
+    partial_trace,
+    spectral_norm,
+)
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
@@ -34,7 +48,7 @@ from chancert.solvers import (
     solve,
     solve_batch,
 )
-from conftest import THRESHOLD_FACTORS, rand_density, rand_herm, rand_pure
+from conftest import THRESHOLD_FACTORS, forbid_svd, outcome, rand_density, rand_herm, rand_pure
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -110,6 +124,123 @@ def test_projection_precheck_matches_exact_formula(defect, factor, monkeypatch):
     assert (not sweeps) == feasible  # a feasible input returns before any sweep
     if feasible:
         assert np.array_equal(p.mat, x)
+
+
+def _reference_project_stack(xs, dims, tol, exact=False):
+    """The projection loop without the stop-test screen and the trusted
+    outputs: one ``eigvalsh`` per sweep, a full ``ChoiOp`` check per result.
+    The bit-identity tests below hold ``_project_stack`` to it."""
+    d_out, d_in = dims
+    feas = min(tol.tau_psd / 10, tol.tau_num)
+    eye_out, eye_in = np.eye(d_out), np.eye(d_in)
+    out = [None] * len(xs)
+    cur = _herm(xs)
+    live = np.arange(len(xs))
+    tr_diff = partial_trace(cur, dims) - eye_in
+    unsettled = np.flatnonzero(~(np.abs(tr_diff).max(axis=(-2, -1)) > 2.0 * feas))
+    for k in unsettled:
+        unit_trace = _fro_settles(tr_diff[k], feas) or spectral_norm(tr_diff[k]) <= feas
+        if unit_trace and max(0.0, -_min_eig(cur[k])) <= feas:
+            out[k] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
+    if len(unsettled):
+        live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
+        if not len(live):
+            return out
+        cur = cur[live]
+    corr = np.zeros_like(cur)
+    for _ in range(solvers.SWEEPS):
+        shifted = cur + corr
+        w, v = _eigh(shifted)
+        psd = (v * np.maximum(w, 0.0)[:, None, :]) @ _dagger(v)
+        corr = shifted - psd
+        tr = partial_trace(psd, dims)
+        cur = psd + kron(eye_out, (eye_in - tr) / d_out)
+        low = _min_eig(cur)
+        moving = low < -feas
+        if exact:
+            gap = -np.einsum("bij,bij->b", corr.conj(), cur).real
+            size = np.sqrt(np.einsum("bij,bij->b", corr.conj(), corr).real)
+            moving = moving | (gap > feas * (1.0 + size))
+        if moving.all():
+            continue
+        for k in np.flatnonzero(~moving):
+            out[live[k]] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
+        if not moving.any():
+            return out
+        live, cur, corr, low = live[moving], cur[moving], corr[moving], low[moving]
+    raise MaxItersExceededError(
+        f"projection defect {max(0.0, -float(low[0])):.3e} after {solvers.SWEEPS} sweeps"
+    )
+
+
+def _steps(dims, slices, seed):
+    """``(B, n, n)`` solver steps ``j - eta H`` from random channels ``j``,
+    Hermitian ``H`` and step sizes ``eta``."""
+    d_out, d_in = dims
+    rng = np.random.default_rng(seed)
+    return np.stack([random_channel_choi(d_in, d_out, rng).mat
+                     - rng.uniform(0.05, 2.0) * rand_herm(d_out * d_in, rng)
+                     for _ in range(slices)])
+
+
+def _same_projection(xs, dims, exact, tol=TOL):
+    """Assert that ``_project_stack`` gives the reference's matrices, bit for
+    bit, or raises its error; the number of eigvalsh calls it made."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        try:
+            out, got = solvers._project_stack(xs, dims, tol, exact), None
+        except Exception as exc:
+            got = type(exc), str(exc)
+    want = outcome(_reference_project_stack, xs, dims, tol, exact)
+    assert got == want
+    if got is None:
+        ref = _reference_project_stack(xs, dims, tol, exact)
+        assert [c.mat.tobytes() for c in out] == [c.mat.tobytes() for c in ref]
+    return len(calls)
+
+
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (4, 4)]), st.sampled_from([1, 3]), seeds,
+       st.booleans())
+@example((2, 2), 1, 14, False)  # the screen leaves 11 of 133 stop tests to eigvalsh
+@settings(max_examples=40)
+def test_projection_matches_the_unscreened_loop_bitwise(dims, slices, seed, exact):
+    _same_projection(_steps(dims, slices, seed), dims, exact)
+
+
+def test_projection_runs_eigvalsh_where_the_screen_cannot_decide():
+    """A step whose last sweeps stay near the cone: the screen decides 122 of
+    133 stop tests, eigvalsh the other 11 (the last one stops the slice), and
+    the channel keeps the reference's bits."""
+    assert _same_projection(_steps((2, 2), 1, 14), (2, 2), False) == 11
+
+
+def test_projection_out_of_sweeps_keeps_the_reference_message(monkeypatch):
+    """Sweeps that run out on screened sweeps recompute the eigvalsh that the
+    error message reports."""
+    monkeypatch.setattr(solvers, "SWEEPS", 3)
+    xs = _steps((3, 2), 3, 4)
+    err = outcome(solvers._project_stack, xs, (3, 2), TOL)
+    assert err is not None and err[0] is MaxItersExceededError
+    _same_projection(xs, (3, 2), False)
+    _same_projection(xs[:1], (3, 2), True)
+
+
+def test_projection_checks_in_full_when_tau_psd_is_below_rounding(monkeypatch):
+    """With ``tau_psd`` too small to cover the rounding of ``Herm(P)``, a swept
+    channel gets the full ChoiOp check, with the reference's bits."""
+    tight = Tolerances(tau_psd=1e-14)
+    trusted = []
+    shown = ChoiOp._psd_shown
+    monkeypatch.setattr(ChoiOp, "_psd_shown",
+                        classmethod(lambda cls, *a: trusted.append(1) or shown(*a)))
+    xs = _steps((2, 2), 3, 1)
+    _same_projection(xs, (2, 2), False, tight)
+    assert not trusted
+    _same_projection(xs, (2, 2), False)
+    assert len(trusted) == 3
 
 
 def test_projection_shape_mismatch():
@@ -338,12 +469,13 @@ def test_solve_evaluates_each_iterate_once(family, tmp_path, monkeypatch, capsys
     assert counts == {"evaluate": 30, "certify": 30, "project_channel": 29}
 
 
-def test_solve_bounds_take_two_svds_per_round(tmp_path, monkeypatch, capsys):
-    """Each round of an n-iteration Linear solve makes one stacked SVD for the
-    scale ``1 + ||H||`` and one for the distance of the non-Hermitian residual
-    to the PSD cone; at the depolarizing start the residual is exactly
-    Hermitian, so 2n - 1 in all.  The Hermiticity defect of ``Tr_out(HJ)``,
-    which only ``certify`` reports, costs the solver no SVD (3n - 1 before)."""
+def test_solve_bounds_take_one_svd_per_round_after_the_first(tmp_path, monkeypatch, capsys):
+    """Each round of an n-iteration Linear solve makes one SVD, for the
+    distance of the non-Hermitian residual to the PSD cone; at the
+    depolarizing start the residual is exactly Hermitian, so n - 1 in all.
+    The scale ``1 + ||H||`` is computed only when the convergence test cannot
+    do without it, and the Hermiticity defect of ``Tr_out(HJ)``, which only
+    ``certify`` reports, costs the solver no SVD."""
     path = str(tmp_path / "p.json")
     assert main(["gen", "linear", path, "--dims", "2", "2", "1", "--seed", "1"]) == 0
     calls = {"svd": 0}
@@ -356,7 +488,23 @@ def test_solve_bounds_take_two_svds_per_round(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert main(["solve", path, "--max-iters", "30"]) == 0
     assert json.loads(capsys.readouterr().out)["iterations"] == 30
-    assert calls["svd"] == 2 * 30 - 1
+    assert calls["svd"] == 30 - 1
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+def test_convergence_test_matches_the_exact_scale(factor, monkeypatch):
+    """``_within_gap`` decides ``bound <= tol_gap * (1 + ||H||)`` as the exact
+    formula does, and needs no SVD below ``tol_gap`` or above twice
+    ``tol_gap * (1 + ||H||_F)``."""
+    h = rand_herm(4, np.random.default_rng(6), scale=3.0)
+    tol_gap = 1e-7
+    exact = tol_gap * (1.0 + spectral_norm(h))
+    outer = 2.0 * tol_gap * (1.0 + np.linalg.norm(h))
+    for bound in (factor * exact, factor * tol_gap, factor * outer):
+        assert solvers._within_gap(bound, h, tol_gap) == (bound <= exact)
+    forbid_svd(monkeypatch)
+    assert solvers._within_gap(min(factor, 1.0) * tol_gap, h, tol_gap)
+    assert not solvers._within_gap(max(factor, 1.01) * outer, h, tol_gap)
 
 
 # ------------------------------------------------------------ batched solve
@@ -378,20 +526,18 @@ def _decompositions(monkeypatch):
 
 def test_off_trace_projection_skips_the_psd_precheck(monkeypatch):
     """An input whose partial trace is not the identity is infeasible before any
-    decomposition: one eigh and one eigvalsh per sweep, plus the eigvalsh of
-    the result's ChoiOp check (the seed code also ran a pre-check eigvalsh)."""
+    decomposition: one eigh per sweep, and an eigvalsh only for the stop tests
+    the Rayleigh screen leaves open; the result's ChoiOp check runs none."""
     x = rand_herm(4, np.random.default_rng(5), scale=3.0)
     calls = _decompositions(monkeypatch)
     project_channel(x, (2, 2))
-    assert calls["eigh"] >= 1
-    assert calls["eigvalsh"] == calls["eigh"] + 1
+    assert calls == {"eigh": 142, "eigvalsh": 7}
     # with unit partial trace the PSD test still decides first
     vec = np.eye(2).reshape(4)
     j_id = np.outer(vec, vec)
     calls.update(eigh=0, eigvalsh=0)
     project_channel(1.5 * j_id - 0.25 * np.eye(4), (2, 2))
-    assert calls["eigh"] >= 1
-    assert calls["eigvalsh"] == calls["eigh"] + 2
+    assert calls == {"eigh": 68, "eigvalsh": 2}
 
 
 def _same_trace(a, b):
