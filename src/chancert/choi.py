@@ -80,6 +80,13 @@ class ChoiOp:
     passes because the spectral norm never exceeds the Frobenius norm (the
     factor 2 absorbs rounding).  ``||J||`` is computed only when an
     unsettled test needs it, and only the exact tests report numbers.
+
+    :meth:`_shown` builds without the tests, for ``solvers._project_stack``:
+    a channel its sweep returns passes them when ``slack = ROUNDING * n * (1
+    + max |w|)``, with ``w`` the spectrum the sweep clipped, has ``n *
+    slack`` below ``tau_herm`` and ``tau_psd - feas`` (Hermiticity, PSD)
+    and ``d_out * slack`` below ``tau_num / 2`` and ``tau_sum`` (partial
+    trace, trace); its docstring derives each allowance.
     """
 
     op: HermOp
@@ -101,18 +108,20 @@ class ChoiOp:
         self._check_trace(t)
 
     @classmethod
-    def _psd_shown(cls, op: HermOp, dim_out: int, dim_in: int, tol: Tolerances) -> ChoiOp:
-        """The ``ChoiOp`` of ``op``, whose PSD test its builder has already
-        passed: the trace-preservation tests run, the ``eigvalsh`` does not.
+    def _shown(cls, op: HermOp, dim_out: int, dim_in: int) -> ChoiOp:
+        """The ``ChoiOp`` of ``op``, built without any check.
 
-        For internal builders that hold a proof that ``op`` passes the PSD
-        test under ``tol`` (see ``solvers._project_stack``); every public
-        construction runs the full validation.
+        For internal builders that hold a proof that ``op`` passes every test
+        of ``ChoiOp(op, dim_out, dim_in, tol)``: the dimensions match, the
+        PSD test and the partial-trace and trace tests.
+        ``solvers._project_stack`` decides each from what its sweep already
+        computed, with the allowances in its docstring, and builds through
+        the public constructor when an allowance does not fit; every public
+        construction validates.
         """
         j = object.__new__(cls)
         for name, value in (("op", op), ("dim_out", dim_out), ("dim_in", dim_in)):
             object.__setattr__(j, name, value)
-        j._check_trace(tol)
         return j
 
     def _check_trace(self, t: Tolerances) -> None:
@@ -274,17 +283,35 @@ def eval_map_adjoint(rho: BipartiteState, w, dim_out: int) -> HermOp:
     ``<w, eval_map_apply(rho, j)> = <H, j.mat>`` for every ``j``.  Hermitian
     input yields Hermitian output.
     """
-    wm = as_array(w)
+    return HermOp(_eval_map_adjoint(rho, as_array(w), dim_out))
+
+
+def _eval_map_adjoint(rho: BipartiteState, w: np.ndarray, dim_out: int) -> np.ndarray:
+    """The matrix of :func:`eval_map_adjoint`, before its ``HermOp`` check.
+
+    Entry ``(a j, b k)`` is ``sum_{u,v} w[a u, b v] conj(rho[j u, k v])``, a
+    sum of ``d_env^2`` products.  When ``w`` equals ``w^dagger`` elementwise
+    the exact sum is Hermitian (so is ``rho``, a ``HermOp``), and each
+    computed entry is within ``ROUNDING * d_env^2`` times the sum of the
+    magnitudes of its products.  By Cauchy-Schwarz over ``(u, v)`` those sums
+    have Frobenius norm at most ``||w||_F ||rho||_F``, so the computed
+    matrix has a Hermiticity defect of at most ``ROUNDING * d_env^2 *
+    ||w||_F * ||rho||_F`` in Frobenius norm, and the ``HermOp`` check (its
+    Frobenius shortcut needs twice the defect below ``tau_herm``) passes
+    when ``2 * ROUNDING * d_env^2 * ||w||_F * ||rho||_F <= tau_herm``.
+    ``objectives._StatePairObjective._evaluate`` builds its pull-back
+    trusted under that bound.
+    """
     dz = rho.dim_env
-    if wm.shape != (dim_out * dz, dim_out * dz):
+    if w.shape != (dim_out * dz, dim_out * dz):
         raise DimensionMismatchError(
-            f"witness shape {wm.shape} != ({dim_out * dz}, {dim_out * dz})"
+            f"witness shape {w.shape} != ({dim_out * dz}, {dim_out * dz})"
         )
-    wt = wm.reshape(dim_out, dz, dim_out, dz)
+    wt = w.reshape(dim_out, dz, dim_out, dz)
     rt = rho.mat.conj().reshape(rho.dim_sys, dz, rho.dim_sys, dz)
     h = np.einsum("aubv,jukv->ajbk", wt, rt)
     n = dim_out * rho.dim_sys
-    return HermOp(h.reshape(n, n))
+    return h.reshape(n, n)
 
 
 def compress_environment(

@@ -107,6 +107,15 @@ class Tolerances:
 
 TOL = Tolerances()
 
+# A computed eigenvalue of an n x n Hermitian matrix ``A`` lies within a
+# small multiple of ``n eps ||A||`` of the exact one, and a computed sum of
+# ``m`` products within ``gamma_m = m u / (1 - m u)`` (``u = eps / 2``) times
+# the sum of their magnitudes, complex products included up to a factor 2
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2002).  The
+# package's rounding allowances are ``ROUNDING`` times such counts, which
+# covers those constants many times over.
+ROUNDING = 64 * np.finfo(float).eps
+
 
 def as_array(x) -> np.ndarray:
     """Coerce ``HermOp`` or array-like input to a complex128 ndarray."""
@@ -187,10 +196,35 @@ class HermOp:
       of either computation, so the decision cannot change.
 
     Any other input runs the exact check, which alone reports a defect.
+
+    Internal builders that hold a rounding bound proving the check would
+    pass use :meth:`_trusted` instead; every public construction validates.
+    Two do, each while its allowance fits under ``tau_herm``: a channel of a
+    projection sweep, whose defect is at most ``ROUNDING * n^2 * (1 + max
+    |w|)`` for the spectrum ``w`` the sweep clipped
+    (``solvers._project_stack``), and the pull-back ``adj(W)`` of a ``W``
+    equal to ``W^dagger`` elementwise, whose defect is at most ``ROUNDING *
+    d_env^2 * ||W||_F * ||rho||_F`` in Frobenius norm, twice which must fit
+    (``choi._eval_map_adjoint``).
     """
 
     mat: np.ndarray
     tol: InitVar[Tolerances | None] = None
+
+    @classmethod
+    def _trusted(cls, h: np.ndarray) -> HermOp:
+        """The ``HermOp`` of an input whose Hermitian part ``h = _herm(m)`` the
+        caller has computed, stored read-only and without any check.
+
+        ``HermOp(m, tol)`` would store the same bits.  The caller must hold a
+        bound showing that its check passes: the Hermiticity defect of ``m``
+        is below ``tau_herm``, which is at most ``tau_herm * (1 + norm)``,
+        and ``h`` is finite.
+        """
+        op = object.__new__(cls)
+        h.setflags(write=False)
+        object.__setattr__(op, "mat", h)
+        return op
 
     def __post_init__(self, tol: Tolerances | None) -> None:
         t = tol or TOL
@@ -347,6 +381,7 @@ def _dlog_eig(w: np.ndarray, v: np.ndarray, zt: np.ndarray, tol: Tolerances) -> 
     """
     slices = _cluster_slices(w, tol)
     reps = [float(np.mean(w[s])) for s in slices]
+    logs = [math.log(r) for r in reps]  # one per cluster, reused by each pair
     k = len(reps)
     ker = np.empty((k, k))
     for i in range(k):
@@ -354,7 +389,7 @@ def _dlog_eig(w: np.ndarray, v: np.ndarray, zt: np.ndarray, tol: Tolerances) -> 
             if i == j:
                 ker[i, j] = 1.0 / reps[i]
             else:
-                ker[i, j] = (math.log(reps[i]) - math.log(reps[j])) / (reps[i] - reps[j])
+                ker[i, j] = (logs[i] - logs[j]) / (reps[i] - reps[j])
     # expand cluster kernel to one entry per eigenvector pair
     idx = np.empty(len(w), dtype=int)
     for c, s in enumerate(slices):

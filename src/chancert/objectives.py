@@ -65,6 +65,7 @@ import numpy as np
 from .choi import (
     BipartiteState,
     ChoiOp,
+    _eval_map_adjoint,
     apply_from_choi,
     compress_environment,
     eval_map_adjoint,
@@ -72,13 +73,16 @@ from .choi import (
     random_density,
 )
 from .linalg import (
+    ROUNDING,
     TOL,
     DimensionMismatchError,
     HermOp,
     Tolerances,
+    _dagger,
     _dlog_eig,
     _eigh,
     _eigvalsh,
+    _fro,
     _herm,
     _kernel_norm,
     _min_eig,
@@ -258,8 +262,8 @@ class _StatePairObjective:
     environment factor is shared.  A family supplies ``_terms(target, tau,
     tol)``, which returns ``(value, g, exact, valid, inclusion_ok, defect)``
     with ``g`` minus the derivative (or a dual witness) of the value in
-    ``tau``, and may override ``_prepare(tol)``, the input the map acts on
-    and the ``target`` that ``_terms`` reads; both depend on the problem and
+    ``tau``, and may override ``_pair(tol)``, the input the map acts on and
+    the ``target`` that ``_terms`` reads; both depend on the problem and
     ``tol`` only, so each is prepared once per tolerance.  :meth:`_evaluate`
     is the chain rule through the evaluation map for all of them:
     ``H = -adj(g)``.
@@ -283,19 +287,36 @@ class _StatePairObjective:
         """Channel dimensions ``(dim_out, dim_in)`` demanded by the objective."""
         return self.sigma.dim_sys, self.rho.dim_sys
 
-    def _prepare(self, tol: Tolerances):
+    def _pair(self, tol: Tolerances):
         """``(rho, sigma)``: the input the evaluation map acts on and the
         target, as given."""
         return self.rho, self.sigma
 
+    def _prepare(self, tol: Tolerances):
+        """The :meth:`_pair` and ``||rho||_F``, which bounds the rounding of
+        the pull-back."""
+        rho, target = self._pair(tol)
+        return rho, target, _fro(rho.mat)
+
     def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
         """Push ``rho`` through the channel, take the family's terms and pull
-        ``-g`` back to Choi space."""
-        rho, target = _prepared(self, tol)
+        ``W = -g`` back to Choi space.
+
+        The pull-back skips its ``HermOp`` check when ``W`` equals
+        ``W^dagger`` elementwise and ``2 * ROUNDING * d_env^2 * ||W||_F *
+        ||rho||_F <= tau_herm`` (the ``tau_herm`` that
+        :func:`eval_map_adjoint` checks against): then the check would pass
+        (see ``choi._eval_map_adjoint``).  Any other ``W``, a non-finite one
+        included, takes the checked path."""
+        rho, target, rho_fro = _prepared(self, tol)
         value, g, exact, valid, ok, defect = self._terms(target, eval_map_apply(rho, j), tol)
+        w = -g
+        raw = _eval_map_adjoint(rho, w, j.dim_out)
+        trusted = (2.0 * ROUNDING * rho.dim_env**2 * _fro(w) * rho_fro <= TOL.tau_herm
+                   and (w == _dagger(w)).all())
         return SubgradResult(
             value,
-            eval_map_adjoint(rho, -g, j.dim_out),
+            HermOp._trusted(_herm(raw)) if trusted else HermOp(raw),
             exact_gradient=exact,
             valid_subgradient=valid,
             inclusion_ok=ok,
@@ -328,7 +349,7 @@ class FidelityObjective(_StatePairObjective):
         tr = float(np.real(np.trace(self.rho.mat)))
         return -math.sqrt(max(ts, 0.0) * max(tr, 0.0))
 
-    def _prepare(self, tol: Tolerances):
+    def _pair(self, tol: Tolerances):
         """The pair with its environment compressed to the image of
         ``Tr_sys(rho)``, so the reduced input is positive definite on the
         retained factor (value and subgradient are invariant under that
@@ -458,8 +479,8 @@ class TraceDistanceObjective(_StatePairObjective):
         dual witness, so the subgradient is always valid; it is a gradient
         only when no eigenvalue counts as zero (a kernel leaves ``Y`` free)."""
         w, _, thr, y = _sign_terms(sigma.mat, tau, tol.tau_rank)
-        exact = bool(np.all(np.abs(w) > thr))
-        return float(np.sum(np.abs(w))), y, exact, True, True, 0.0
+        mags = np.abs(w)
+        return float(np.sum(mags)), y, bool(np.all(mags > thr)), True, True, 0.0
 
     def _witness(self, j: ChoiOp, rel: float):
         """``(w, v, thr, Y, H)`` at ``j`` with ``rel`` times the problem scale
@@ -495,7 +516,7 @@ class RelativeEntropyObjective(_StatePairObjective):
             return ts * math.log(ts / tr)
         return 0.0
 
-    def _prepare(self, tol: Tolerances):
+    def _pair(self, tol: Tolerances):
         """``rho`` as given, the target as its :func:`_rel_entropy_target`."""
         return self.rho, _rel_entropy_target(self.sigma.op, tol)
 
@@ -643,7 +664,8 @@ def _sign_terms(sigma: np.ndarray, tau: np.ndarray, rel: float, scale: float | N
     the threshold counted as 0."""
     w, v = _eigh(_herm(sigma - tau))
     if scale is None:
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
+        # the spectrum is ascending: the largest |lambda| sits at one end
+        scale = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
     thr = rel * scale
     return w, v, thr, _sign_witness(w, v, thr)
 

@@ -34,6 +34,7 @@ from .choi import (
     random_density,
 )
 from .linalg import (
+    ROUNDING,
     TOL,
     DimensionMismatchError,
     HermOp,
@@ -68,13 +69,6 @@ DIM_CAP = 8
 
 # Dykstra sweep budget of one projection
 SWEEPS = 5000
-
-# A computed eigenvalue of an n x n Hermitian matrix ``A`` lies within a
-# small multiple of ``n eps ||A||`` of the exact one (Higham, Accuracy and
-# Stability of Numerical Algorithms, 2002); a sweep allows
-# ``ROUNDING * n * (1 + max |w|)``, with ``w`` the spectrum it clipped and
-# ``||A|| <= 2 (1 + max |w|)`` for every matrix it builds from ``w``.
-ROUNDING = 64 * np.finfo(float).eps
 
 STEP_RULES = ("constant", "diminishing", "polyak")
 
@@ -152,8 +146,8 @@ def project_channel(x, dims: tuple[int, int], tol: Tolerances = TOL) -> ChoiOp:
     correction ``C`` is at most ``feas * (1 + ||C||_F)``; raises
     :class:`MaxItersExceededError` after ``SWEEPS`` sweeps.  The stop test
     skips its ``eigvalsh`` when a Rayleigh quotient already shows ``P``
-    outside the cone, and the result skips the PSD test it has passed
-    (:func:`_project_stack` gives the margins).
+    outside the cone, and the result skips the ``ChoiOp`` tests that
+    rounding bounds decide (:func:`_project_stack` gives the allowances).
 
     ``x - P`` is ``C`` plus a term ``1 (x) Y``, which is orthogonal to every
     difference of channels, and ``C`` is negative semidefinite, so for every
@@ -196,19 +190,48 @@ def _project_stack(
     the ``eigvalsh`` is skipped; otherwise it runs as before.  Either way the
     iterates and the decisions are those of the unscreened loop.
 
-    The channels come back without a second PSD test.  A feasible input
-    passed the ``eigvalsh`` that ``ChoiOp`` would run, on the same bits.  A
-    swept slice showed ``lambda_min(P) >= -feas`` with ``feas <= tau_psd /
-    10``, while ``ChoiOp`` asks ``lambda_min(Herm P) >= -tau_psd (1 +
-    ||P||)``; ``Herm P`` differs from ``P`` by rounding, so the test passes
-    whenever ``tau_psd - feas`` exceeds the rounding allowance, which is
-    checked (about 1e-12 at ``n = 16``, against 9e-9 at the default
-    tolerances); otherwise the full check runs.  The Hermiticity and
-    trace-preservation checks always run.
+    The channels come back without re-validation where a rounding allowance
+    decides every ``ChoiOp`` test, and through the public constructors
+    otherwise (also whenever an allowance is inf or nan).
+
+    * A feasible input is exactly Hermitian (``_herm`` of anything is), and
+      its ``eigvalsh`` and partial-trace test just ran on the bits ``ChoiOp``
+      would test, against ``feas <= min(tau_psd / 10, tau_num)``.  The trace
+      test follows from ``|Tr J - d_in| <= d_in ||Tr_out J - 1||_2 <= d_in
+      feas``: the two diagonal sums add at most ``ROUNDING * n`` times ``(1 +
+      3 d_out feas)`` relative to ``d_in`` (the diagonal of ``J`` is at least
+      ``-feas`` and its sum at most ``d_in (1 + feas)``), so the test
+      ``tau_sum * max(1, d_in)`` passes when that allowance is below
+      ``tau_sum - feas``.
+    * A swept slice is ``P = V max(W, 0) V^dagger + 1 (x) (1 - Tr_out
+      psd) / d_out``, whose entries are at most ``1 + max |w|`` in size, with
+      ``slack = ROUNDING * n * (1 + max |w|)`` from the sweep.  Hermiticity:
+      the exact ``V max(W, 0) V^dagger`` of the computed ``V`` is Hermitian,
+      and each computed entry is within ``gamma_n`` times a sum of magnitudes
+      whose matrix has norm at most ``n max |w|``; the partial trace carries
+      that defect into the second term, so ``||P - Herm P||_2 <= n *
+      slack``, which must be below ``tau_herm`` (the check asks for
+      ``tau_herm (1 + ||Herm P||)``).  PSD: the sweep's ``eigvalsh`` put
+      ``lambda_min`` at ``-feas`` or above, and ``eigvalsh(Herm P)`` sits
+      within that defect plus both eigensolvers' ``slack`` of it, so ``n *
+      slack`` must be below ``tau_psd - feas``.  Partial trace and trace:
+      ``Tr_out P = 1`` exactly before rounding; the additions, the division
+      by ``d_out`` and the two ``d_out``-term sums leave each of the ``d_in^2``
+      entries within ``ROUNDING * d_out^2 (1 + max |w|)``, so ``||Tr_out Herm
+      P - 1||_F`` and ``|Tr Herm P - d_in| / d_in`` are at most ``d_out *
+      slack``, which must be below ``tau_num / 2`` (the Frobenius shortcut of
+      the partial-trace test) and ``tau_sum``.
+
+    At the default tolerances and ``n = 16`` the swept allowances are about
+    ``4e-12 * (1 + max |w|)`` against ``1e-9``.
     """
     d_out, d_in = dims
     n = d_out * d_in
     feas = min(tol.tau_psd / 10, tol.tau_num)
+    # a feasible input meets the trace test (see the docstring)
+    shown_feasible = ROUNDING * n * (1.0 + 3.0 * d_out * feas) < tol.tau_sum - feas
+    # a swept slice with ``slack`` below this meets every ChoiOp test
+    cap = min(min(tol.tau_psd - feas, tol.tau_herm) / n, min(tol.tau_num / 2, tol.tau_sum) / d_out)
     eye_out = np.eye(d_out)[:, None, :, None]  # kron's left factor, broadcast
     eye_in = np.eye(d_in)
     out: list[ChoiOp | None] = [None] * len(xs)
@@ -221,9 +244,9 @@ def _project_stack(
     for k in unsettled:
         unit_trace = _fro_settles(tr_diff[k], feas) or spectral_norm(tr_diff[k]) <= feas
         if unit_trace and max(0.0, -_min_eig(cur[k])) <= feas:
-            # ``cur[k]`` is exactly Hermitian: the ChoiOp PSD test would run
-            # this eigvalsh again on the same bits
-            out[k] = ChoiOp._psd_shown(HermOp(cur[k], tol), d_out, d_in, tol)
+            op = HermOp(cur[k], tol)
+            out[k] = (ChoiOp._shown(op, d_out, d_in) if shown_feasible
+                      else ChoiOp(op, d_out, d_in, tol))
     if len(unsettled):
         live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
         if not len(live):
@@ -233,15 +256,16 @@ def _project_stack(
     for _ in range(SWEEPS):
         shifted = cur + corr
         w, v = _eigh(shifted)
-        psd = (v * np.maximum(w, 0.0)[:, None, :]) @ _dagger(v)
+        vh = _dagger(v)
+        psd = (v * np.maximum(w, 0.0)[:, None, :]) @ vh
         corr = shifted - psd
         # partial_trace and kron inlined: the same einsum and broadcast product
         tr = np.einsum("...ajak->...jk", psd.reshape(-1, d_out, d_in, d_out, d_in))
         cur = psd + (eye_out * ((eye_in - tr) / d_out)[:, None, :, None, :]).reshape(-1, n, n)
-        # how far a computed eigenvalue of ``cur`` may sit from the exact one
-        slack = ROUNDING * n * (1.0 + np.abs(w).max(axis=-1))
-        v0 = v[..., 0]
-        rayleigh = np.einsum("bi,bij,bj->b", v0.conj(), cur, v0).real
+        # how far a computed eigenvalue of ``cur`` may sit from the exact one;
+        # ``w`` is ascending, so ``max |w|`` sits at one of its ends
+        slack = ROUNDING * n * (1.0 + np.maximum(-w[:, 0], w[:, -1]))
+        rayleigh = np.einsum("bi,bij,bj->b", vh[:, 0], cur, v[:, :, 0]).real
         if (rayleigh < -feas - slack).all():
             continue  # every lambda_min(cur) <= rayleigh is below -feas: all move
         moving = _min_eig(cur) < -feas  # max(0, -low) > feas, as for one slice
@@ -252,10 +276,10 @@ def _project_stack(
         if moving.all():
             continue
         for k in np.flatnonzero(~moving):
-            # eigvalsh put lambda_min(cur[k]) at -feas or above; the trusted
-            # build needs tau_psd - feas to cover the rounding of Herm(cur[k])
-            build = ChoiOp._psd_shown if tol.tau_psd - feas > slack[k] else ChoiOp
-            out[live[k]] = build(HermOp(cur[k], tol), d_out, d_in, tol)
+            if slack[k] < cap:
+                out[live[k]] = ChoiOp._shown(HermOp._trusted(_herm(cur[k])), d_out, d_in)
+            else:
+                out[live[k]] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
         if not moving.any():
             return out
         live, cur, corr = live[moving], cur[moving], corr[moving]

@@ -50,6 +50,24 @@ def outcome(fn, *args, **kwargs):
     return None
 
 
+def counted_calls(monkeypatch, cls, name):
+    """Record the arguments of each call of the classmethod ``cls.name``."""
+    calls = []
+    original = getattr(cls, name)
+    monkeypatch.setattr(cls, name, classmethod(lambda _, *a: calls.append(a) or original(*a)))
+    return calls
+
+
+def counted_checks(monkeypatch, *classes):
+    """Count the public validations (``__post_init__``) of ``classes``."""
+    calls = []
+    for cls in classes:
+        original = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, tol, _f=original: calls.append(1) or _f(self, tol))
+    return calls
+
+
 def forbid_svd(monkeypatch):
     """Make every later ``np.linalg.svd`` call fail the test."""
 

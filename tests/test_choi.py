@@ -50,10 +50,12 @@ def test_choi_from_kraus_action(seed, dims, r):
 
 
 def test_choiop_rejects_non_tp():
-    # the trusted build of projection outputs skips only the PSD test
-    for build in (ChoiOp, ChoiOp._psd_shown):
-        with pytest.raises(NotTracePreservingError):
-            build(HermOp(np.eye(4) / 3.0), 2, 2, TOL)
+    op = HermOp(np.eye(4) / 3.0)
+    with pytest.raises(NotTracePreservingError):
+        ChoiOp(op, 2, 2, TOL)
+    # the trusted build runs no test: only a builder holding a proof calls it
+    j = ChoiOp._shown(op, 2, 2)
+    assert (j.op, j.mat, j.dim_out, j.dim_in) == (op, op.mat, 2, 2)
 
 
 def test_identity_choi_acts_as_identity():

@@ -24,7 +24,8 @@ import chancert
 from chancert.certifier import certify
 from chancert.cli import GEN_FAMILIES, main
 from chancert.experiments import HARNESS_CONFIG, draw_trial, record_trial
-from chancert.linalg import EigDecompositionError, dist_to_psd
+from chancert.choi import ChoiOp
+from chancert.linalg import EigDecompositionError, HermOp, dist_to_psd
 from chancert.objectives import FAMILIES, evaluate
 from chancert.serialize import loads_problem
 from chancert.solvers import solve_batch
@@ -157,11 +158,12 @@ def test_family_guard_sees_a_literal():
 
 
 # The chain rule through the evaluation map is written once: in
-# ``objectives`` only the state-pair ``_evaluate`` and the trace-distance
-# witness and pull-back push a state through the channel or pull a direction
-# back, and the harness in ``experiments`` takes its witness from there, using
-# the map itself only to draw a reachable target.
-EVAL_MAP = {"eval_map_apply", "eval_map_adjoint"}
+# ``objectives`` only the state-pair ``_evaluate`` (through the adjoint's raw
+# helper, to build its pull-back trusted) and the trace-distance witness and
+# pull-back push a state through the channel or pull a direction back, and the
+# harness in ``experiments`` takes its witness from there, using the map itself
+# only to draw a reachable target.
+EVAL_MAP = {"eval_map_apply", "eval_map_adjoint", "_eval_map_adjoint"}
 
 
 def _eval_map_callers(tree: ast.Module) -> list[str]:
@@ -183,7 +185,7 @@ def test_only_the_state_pair_evaluate_calls_the_evaluation_map():
     tree = ast.parse((SRC / "objectives.py").read_text(encoding="utf-8"))
     assert _eval_map_callers(tree) == ["TraceDistanceObjective._pull_back: eval_map_adjoint",
                                        "TraceDistanceObjective._witness: eval_map_apply",
-                                       "_StatePairObjective._evaluate: eval_map_adjoint",
+                                       "_StatePairObjective._evaluate: _eval_map_adjoint",
                                        "_StatePairObjective._evaluate: eval_map_apply"]
 
 
@@ -305,6 +307,31 @@ def test_decomposition_counts_per_recorded_trial():
         rec, got = _count_calls(lambda: record_trial(t, (2, 2, 2), t % 2 == 0, spec, trace))
         assert got == RECORD_CALLS[t]
         assert rec.kernel_dim == (4 if t == 2 else 0)
+
+
+# ``HermOp`` and ``ChoiOp._check_trace`` validations in a 20-round lock-step
+# solve of three trace-distance problems at (2, 2, 2), set-up included.  The
+# depolarizing start is the one public construction: every swept channel
+# (57) and every pull-back (60 evaluates) is built trusted behind its rounding
+# bound.  Validating each of them read (118, 58).
+ROUND_VALIDATIONS = (1, 1)
+
+
+def test_solve_rounds_do_not_revalidate_what_they_built():
+    specs = [draw_trial(t, (2, 2, 2), t % 2 == 0) for t in range(3)]
+    counts = [0, 0]
+    with pytest.MonkeyPatch.context() as mp:
+        for k, (cls, name) in enumerate(((HermOp, "__post_init__"), (ChoiOp, "_check_trace"))):
+            original = getattr(cls, name)
+
+            def counted(self, tol, _k=k, _original=original):
+                counts[_k] += 1
+                return _original(self, tol)
+
+            mp.setattr(cls, name, counted)
+        traces = solve_batch(specs, replace(HARNESS_CONFIG, max_iters=20))
+    assert [trace.iterations for trace in traces] == [20, 20, 20]
+    assert tuple(counts) == ROUND_VALIDATIONS
 
 
 def _failing_eigh(*args, **kwargs):

@@ -10,6 +10,7 @@ from chancert.linalg import (
     TOL,
     DimensionMismatchError,
     HermOp,
+    _cluster_slices,
     _dlog_eig,
     _psd_eigs,
     Tolerances,
@@ -174,6 +175,44 @@ def test_dlog_directional_derivative(seed, d):
     assert spectral_norm(der - der.conj().T) <= 1e-12
     fd = (_log(y + t * z) - _log(y - t * z)) / (2 * t)
     assert spectral_norm(fd - der) <= 1e-5
+
+
+def _reference_dlog_eig(w, v, zt, tol):
+    """``_dlog_eig`` with two ``math.log`` calls per off-diagonal cluster pair,
+    as it was written first: the oracle of the one-log-per-cluster form."""
+    slices = _cluster_slices(w, tol)
+    reps = [float(np.mean(w[s])) for s in slices]
+    k = len(reps)
+    ker = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                ker[i, j] = 1.0 / reps[i]
+            else:
+                ker[i, j] = (math.log(reps[i]) - math.log(reps[j])) / (reps[i] - reps[j])
+    idx = np.empty(len(w), dtype=int)
+    for c, s in enumerate(slices):
+        idx[s] = c
+    full = ker[np.ix_(idx, idx)]
+    return v @ (full * zt) @ v.conj().T
+
+
+# positive spectra of up to four clusters, each eigenvalue repeated up to three
+# times with offsets far inside the clustering threshold
+clustered_spectra = st.lists(
+    st.tuples(st.floats(1e-6, 50.0), st.integers(1, 3)), min_size=1, max_size=4
+).map(lambda cs: np.sort(np.concatenate(
+    [c * (1.0 + 1e-13 * np.arange(m)) for c, m in cs])))
+
+
+@given(clustered_spectra, seeds)
+def test_dlog_kernel_matches_the_two_log_loop_bitwise(w, seed):
+    rng = np.random.default_rng(seed)
+    n = len(w)
+    v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    zt = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    got = _dlog_eig(w, v, zt, TOL)
+    assert got.tobytes() == _reference_dlog_eig(w, v, zt, TOL).tobytes()
 
 
 @given(seeds, dims)

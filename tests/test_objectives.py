@@ -9,11 +9,12 @@ from chancert.choi import (
     BipartiteState,
     ChoiOp,
     depolarizing_choi,
+    eval_map_adjoint,
     eval_map_apply,
     identity_choi,
     q2c_choi,
 )
-from chancert.linalg import TOL, HermOp, NotPSDError, Tolerances, spectral_norm
+from chancert.linalg import ROUNDING, TOL, HermOp, NotPSDError, Tolerances, spectral_norm
 from chancert.objectives import (
     Ensemble,
     FidelityObjective,
@@ -23,12 +24,21 @@ from chancert.objectives import (
     RelativeEntropyObjective,
     TraceDistanceObjective,
     _fidelity_target,
+    _prepared,
     _rel_entropy_target,
     discrimination_objective,
     evaluate,
 )
 from chancert.solvers import helstrom_povm, random_channel_choi
-from conftest import THRESHOLD_FACTORS, outcome, rand_density, rand_herm, rand_pure
+from conftest import (
+    THRESHOLD_FACTORS,
+    counted_calls,
+    counted_checks,
+    outcome,
+    rand_density,
+    rand_herm,
+    rand_pure,
+)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -442,6 +452,78 @@ def test_prepared_target_follows_the_tolerances(family):
     spec = _rand_spec(family, 2)
     for tol in (coarse, TOL, coarse, TOL):
         assert bits(evaluate(spec, j, tol)) == bits(evaluate(_rand_spec(family, 2), j, tol))
+
+
+# ------------------------------------------------------------- pull-backs
+
+
+def _witness_and_checked_pull_back(spec, j, tol=TOL):
+    """``W = -g`` at ``j`` and the pull-back built through the public, checked
+    :func:`eval_map_adjoint`, as ``_StatePairObjective._evaluate`` built it
+    before its trusted path."""
+    rho, target, _ = _prepared(spec, tol)
+    w = -spec._terms(target, eval_map_apply(rho, j), tol)[1]
+    return w, outcome(eval_map_adjoint, rho, w, j.dim_out) or eval_map_adjoint(rho, w, j.dim_out)
+
+
+@given(st.sampled_from(["fid", "td", "re"]),
+       st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)]), seeds)
+@settings(max_examples=40)
+def test_trusted_pull_backs_are_the_checked_ones(family, dims, seed):
+    """The pull-back skips its check exactly when ``W`` equals ``W^dagger``
+    elementwise and the rounding bound fits under ``tau_herm``, and has the
+    bits of the checked ``eval_map_adjoint`` either way."""
+    d_in, d_out, d_env = dims
+    spec = _rand_spec(family, seed, dims)
+    j = _mix(random_channel_choi(d_in, d_out, np.random.default_rng(seed + 1)), d_in, d_out)
+    w, want = _witness_and_checked_pull_back(spec, j)
+    bound = 2 * ROUNDING * d_env**2 * np.linalg.norm(w) * np.linalg.norm(spec.rho.mat)
+    with pytest.MonkeyPatch.context() as mp:
+        trusted = counted_calls(mp, HermOp, "_trusted")
+        got = evaluate(spec, j).h
+    # the bound holds for states, so W^dagger == W decides
+    assert bound <= TOL.tau_herm
+    assert len(trusted) == int((w == w.conj().T).all())
+    assert got.mat.tobytes() == want.mat.tobytes()
+    assert not got.mat.flags.writeable
+
+
+def test_pull_back_of_a_large_state_is_checked(monkeypatch):
+    """``||rho||_F = 1e12`` puts the rounding bound above ``tau_herm``: the
+    public check runs, with the same bits."""
+    spec = _rand_spec("td", 4)
+    big = TraceDistanceObjective(
+        BipartiteState(HermOp(1e12 * spec.rho.mat), 2, 2), spec.sigma)
+    j = _mix(random_channel_choi(2, 2, np.random.default_rng(5)), 2, 2)
+    w, want = _witness_and_checked_pull_back(big, j)
+    assert (w == w.conj().T).all()
+    trusted = counted_calls(monkeypatch, HermOp, "_trusted")
+    checked = counted_checks(monkeypatch, HermOp)
+    got = evaluate(big, j).h
+    assert not trusted and checked
+    assert got.mat.tobytes() == want.mat.tobytes()
+
+
+def test_pull_back_of_a_non_finite_witness_keeps_the_error(monkeypatch):
+    """A witness holding ``inf`` fails the bound, and the public check raises
+    the message it raised before."""
+    spec = _rand_spec("td", 6)
+    terms = TraceDistanceObjective._terms
+
+    def broken(self, target, tau, tol):
+        value, y, *flags = terms(self, target, tau, tol)
+        y = y.copy()
+        y[0, 0] = np.inf
+        return (value, y, *flags)
+
+    monkeypatch.setattr(TraceDistanceObjective, "_terms", broken)
+    j = depolarizing_choi(2, 2)
+    _, want = _witness_and_checked_pull_back(spec, j)
+    assert want == (ValueError, "HermOp input contains non-finite entries")
+    trusted = counted_calls(monkeypatch, HermOp, "_trusted")
+    checked = counted_checks(monkeypatch, HermOp)
+    assert outcome(evaluate, spec, j) == want
+    assert not trusted and checked
 
 
 @pytest.mark.parametrize("family", ["linear", "fid", "fidsq", "td", "re"])

@@ -48,7 +48,16 @@ from chancert.solvers import (
     solve,
     solve_batch,
 )
-from conftest import THRESHOLD_FACTORS, forbid_svd, outcome, rand_density, rand_herm, rand_pure
+from conftest import (
+    THRESHOLD_FACTORS,
+    counted_calls,
+    counted_checks,
+    forbid_svd,
+    outcome,
+    rand_density,
+    rand_herm,
+    rand_pure,
+)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -229,18 +238,64 @@ def test_projection_out_of_sweeps_keeps_the_reference_message(monkeypatch):
 
 
 def test_projection_checks_in_full_when_tau_psd_is_below_rounding(monkeypatch):
-    """With ``tau_psd`` too small to cover the rounding of ``Herm(P)``, a swept
+    """With ``tau_psd`` too small to cover the rounding allowance, a swept
     channel gets the full ChoiOp check, with the reference's bits."""
     tight = Tolerances(tau_psd=1e-14)
-    trusted = []
-    shown = ChoiOp._psd_shown
-    monkeypatch.setattr(ChoiOp, "_psd_shown",
-                        classmethod(lambda cls, *a: trusted.append(1) or shown(*a)))
+    shown = counted_calls(monkeypatch, ChoiOp, "_shown")
     xs = _steps((2, 2), 3, 1)
     _same_projection(xs, (2, 2), False, tight)
-    assert not trusted
+    assert not shown
     _same_projection(xs, (2, 2), False)
-    assert len(trusted) == 3
+    assert len(shown) == 3
+
+
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (4, 4)]), st.sampled_from([1, 3]), seeds,
+       st.booleans())
+@settings(max_examples=30)
+def test_trusted_channels_pass_the_public_checks(dims, slices, seed, exact):
+    """At the default tolerances every channel of a step is built trusted; it
+    has the bits of ``ChoiOp(HermOp(P))`` (the reference loop builds that)
+    and passes the public checks when built again through them."""
+    d_out, d_in = dims
+    xs = _steps(dims, slices, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        shown = counted_calls(mp, ChoiOp, "_shown")
+        out = solvers._project_stack(xs, dims, TOL, exact)
+    assert len(shown) == slices
+    _same_projection(xs, dims, exact)
+    for c in out:
+        assert not c.mat.flags.writeable
+        again = ChoiOp(HermOp(c.mat, TOL), d_out, d_in, TOL)
+        assert again.mat.tobytes() == c.mat.tobytes()
+
+
+def _huge_step(sign):
+    """A channel stepped by ``1e12`` along ``sign * 1``: its sweep clips a
+    spectrum near ``1e12``, far past every rounding allowance."""
+    j = random_channel_choi(2, 2, np.random.default_rng(3)).mat
+    return (j + sign * 1e12 * np.eye(4))[None]
+
+
+@pytest.mark.parametrize("case", ["tau_herm", "tau_num", "huge_up", "huge_down"])
+def test_projection_falls_back_to_the_public_checks(case):
+    """An allowance that does not fit (a tight ``tau_herm`` or ``tau_num``, a
+    huge step) builds through the public constructors, which keep the
+    reference's bits and messages: the upward step is not Hermitian within
+    ``tau_herm`` once the sweep has taken ``1e12`` back off."""
+    xs, tol = _steps((2, 2), 3, 1), TOL
+    if case == "tau_herm":
+        tol = Tolerances(tau_herm=1e-15)
+    elif case == "tau_num":
+        tol = Tolerances(tau_num=1e-13)
+    else:
+        xs = _huge_step(1.0 if case == "huge_up" else -1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        shown, checked = counted_calls(mp, ChoiOp, "_shown"), counted_checks(mp, HermOp, ChoiOp)
+        got = outcome(solvers._project_stack, xs, (2, 2), tol)
+    assert not shown and checked
+    if case == "huge_up":
+        assert got[0] is ValueError and got[1].startswith("matrix is not Hermitian")
+    _same_projection(xs, (2, 2), False, tol)
 
 
 def test_projection_shape_mismatch():
