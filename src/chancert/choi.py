@@ -26,11 +26,14 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .linalg import (
+    ROUNDING,
     TOL,
     DimensionMismatchError,
     HermOp,
     Tolerances,
+    _dagger,
     _eigh,
+    _fro,
     _fro_settles,
     _herm,
     _min_eig,
@@ -81,12 +84,9 @@ class ChoiOp:
     factor 2 absorbs rounding).  ``||J||`` is computed only when an
     unsettled test needs it, and only the exact tests report numbers.
 
-    :meth:`_shown` builds without the tests, for ``solvers._project_stack``:
-    a channel its sweep returns passes them when ``slack = ROUNDING * n * (1
-    + max |w|)``, with ``w`` the spectrum the sweep clipped, has ``n *
-    slack`` below ``tau_herm`` and ``tau_psd - feas`` (Hermiticity, PSD)
-    and ``d_out * slack`` below ``tau_num / 2`` and ``tau_sum`` (partial
-    trace, trace); its docstring derives each allowance.
+    :meth:`_shown` builds without the tests, for the channels whose tests
+    the allowances of ``solvers._project_stack`` decide; its docstring
+    derives them.
     """
 
     op: HermOp
@@ -282,12 +282,6 @@ def eval_map_adjoint(rho: BipartiteState, w, dim_out: int) -> HermOp:
     ``H`` on ``output (x) input`` satisfying
     ``<w, eval_map_apply(rho, j)> = <H, j.mat>`` for every ``j``.  Hermitian
     input yields Hermitian output.
-    """
-    return HermOp(_eval_map_adjoint(rho, as_array(w), dim_out))
-
-
-def _eval_map_adjoint(rho: BipartiteState, w: np.ndarray, dim_out: int) -> np.ndarray:
-    """The matrix of :func:`eval_map_adjoint`, before its ``HermOp`` check.
 
     Entry ``(a j, b k)`` is ``sum_{u,v} w[a u, b v] conj(rho[j u, k v])``, a
     sum of ``d_env^2`` products.  When ``w`` equals ``w^dagger`` elementwise
@@ -298,10 +292,16 @@ def _eval_map_adjoint(rho: BipartiteState, w: np.ndarray, dim_out: int) -> np.nd
     matrix has a Hermiticity defect of at most ``ROUNDING * d_env^2 *
     ||w||_F * ||rho||_F`` in Frobenius norm, and the ``HermOp`` check (its
     Frobenius shortcut needs twice the defect below ``tau_herm``) passes
-    when ``2 * ROUNDING * d_env^2 * ||w||_F * ||rho||_F <= tau_herm``.
-    ``objectives._StatePairObjective._evaluate`` builds its pull-back
-    trusted under that bound.
+    when ``2 * ROUNDING * d_env^2 * ||w||_F * ||rho||_F <= tau_herm``.  The
+    result is then built with :meth:`HermOp._trusted`, the bits the check
+    would store; any other ``w``, a non-finite one included, is checked.
+
+    The check is against the package ``TOL``, not a problem's
+    ``Tolerances``: it guards against a non-Hermitian witness, which no
+    document tolerance should let through or reject, so the same ``w``
+    passes or raises whatever a document sets.
     """
+    w = as_array(w)
     dz = rho.dim_env
     if w.shape != (dim_out * dz, dim_out * dz):
         raise DimensionMismatchError(
@@ -309,9 +309,12 @@ def _eval_map_adjoint(rho: BipartiteState, w: np.ndarray, dim_out: int) -> np.nd
         )
     wt = w.reshape(dim_out, dz, dim_out, dz)
     rt = rho.mat.conj().reshape(rho.dim_sys, dz, rho.dim_sys, dz)
-    h = np.einsum("aubv,jukv->ajbk", wt, rt)
     n = dim_out * rho.dim_sys
-    return h.reshape(n, n)
+    h = np.einsum("aubv,jukv->ajbk", wt, rt).reshape(n, n)
+    if (2.0 * ROUNDING * dz**2 * _fro(w) * _fro(rho.mat) <= TOL.tau_herm
+            and (w == _dagger(w)).all()):
+        return HermOp._trusted(_herm(h))
+    return HermOp(h)
 
 
 def compress_environment(

@@ -62,13 +62,17 @@ class InputProblem(ValueError):
     """Semantic problem with the user's input (maps to exit 2)."""
 
 
+def _indent_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json-indent", type=int, default=None, metavar="N",
+                   help="pretty-print payloads with N-space indents")
+
+
 def _global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-psd", type=float, default=None, metavar="X",
                    help="override the relative PSD tolerance")
     p.add_argument("--tol-herm", type=float, default=None, metavar="X",
                    help="override the relative Hermiticity tolerance")
-    p.add_argument("--json-indent", type=int, default=None, metavar="N",
-                   help="pretty-print payloads with N-space indents")
+    _indent_flag(p)
 
 
 def _seed_flag(p: argparse.ArgumentParser) -> None:
@@ -133,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(c.gen_name for c in FAMILIES if c.uses_count))
     p.add_argument("--with-channel", action="store_true",
                    help="attach a random channel (or measurement) to the file")
-    _global_flags(p)
+    _indent_flag(p)
     _seed_flag(p)
     p.set_defaults(func=cmd_gen)
 

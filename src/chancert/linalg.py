@@ -198,14 +198,10 @@ class HermOp:
     Any other input runs the exact check, which alone reports a defect.
 
     Internal builders that hold a rounding bound proving the check would
-    pass use :meth:`_trusted` instead; every public construction validates.
-    Two do, each while its allowance fits under ``tau_herm``: a channel of a
-    projection sweep, whose defect is at most ``ROUNDING * n^2 * (1 + max
-    |w|)`` for the spectrum ``w`` the sweep clipped
-    (``solvers._project_stack``), and the pull-back ``adj(W)`` of a ``W``
-    equal to ``W^dagger`` elementwise, whose defect is at most ``ROUNDING *
-    d_env^2 * ||W||_F * ||rho||_F`` in Frobenius norm, twice which must fit
-    (``choi._eval_map_adjoint``).
+    pass use :meth:`_trusted` instead: a channel of a projection sweep
+    (``solvers._project_stack``) and the pull-back of an elementwise
+    Hermitian witness (``choi.eval_map_adjoint``), whose docstrings derive
+    the bounds.  Every other construction validates.
     """
 
     mat: np.ndarray
@@ -321,9 +317,13 @@ def _support(w: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _sign_witness(w: np.ndarray, v: np.ndarray, thr: float) -> np.ndarray:
-    """``sum_k sign(lambda_k) |v_k><v_k|`` with ``|lambda_k| <= thr`` counted as 0."""
+    """``sum_k sign(lambda_k) |v_k><v_k|`` with ``|lambda_k| <= thr`` counted as 0.
+
+    The Hermitian part of the product: ``(v * signs) @ v^dagger`` need not
+    come out elementwise Hermitian, and its pull-back is built trusted only
+    when it does (``choi.eval_map_adjoint``)."""
     signs = np.where(w > thr, 1.0, np.where(w < -thr, -1.0, 0.0))
-    return (v * signs) @ v.conj().T
+    return _herm((v * signs) @ v.conj().T)
 
 
 def _cluster_slices(w: np.ndarray, tol: Tolerances) -> list[slice]:

@@ -65,7 +65,6 @@ import numpy as np
 from .choi import (
     BipartiteState,
     ChoiOp,
-    _eval_map_adjoint,
     apply_from_choi,
     compress_environment,
     eval_map_adjoint,
@@ -73,16 +72,13 @@ from .choi import (
     random_density,
 )
 from .linalg import (
-    ROUNDING,
     TOL,
     DimensionMismatchError,
     HermOp,
     Tolerances,
-    _dagger,
     _dlog_eig,
     _eigh,
     _eigvalsh,
-    _fro,
     _herm,
     _kernel_norm,
     _min_eig,
@@ -262,8 +258,8 @@ class _StatePairObjective:
     environment factor is shared.  A family supplies ``_terms(target, tau,
     tol)``, which returns ``(value, g, exact, valid, inclusion_ok, defect)``
     with ``g`` minus the derivative (or a dual witness) of the value in
-    ``tau``, and may override ``_pair(tol)``, the input the map acts on and
-    the ``target`` that ``_terms`` reads; both depend on the problem and
+    ``tau``, and may override ``_prepare(tol)``, the input the map acts on
+    and the ``target`` that ``_terms`` reads; both depend on the problem and
     ``tol`` only, so each is prepared once per tolerance.  :meth:`_evaluate`
     is the chain rule through the evaluation map for all of them:
     ``H = -adj(g)``.
@@ -287,36 +283,19 @@ class _StatePairObjective:
         """Channel dimensions ``(dim_out, dim_in)`` demanded by the objective."""
         return self.sigma.dim_sys, self.rho.dim_sys
 
-    def _pair(self, tol: Tolerances):
+    def _prepare(self, tol: Tolerances):
         """``(rho, sigma)``: the input the evaluation map acts on and the
         target, as given."""
         return self.rho, self.sigma
 
-    def _prepare(self, tol: Tolerances):
-        """The :meth:`_pair` and ``||rho||_F``, which bounds the rounding of
-        the pull-back."""
-        rho, target = self._pair(tol)
-        return rho, target, _fro(rho.mat)
-
     def _evaluate(self, j: ChoiOp, tol: Tolerances) -> SubgradResult:
         """Push ``rho`` through the channel, take the family's terms and pull
-        ``W = -g`` back to Choi space.
-
-        The pull-back skips its ``HermOp`` check when ``W`` equals
-        ``W^dagger`` elementwise and ``2 * ROUNDING * d_env^2 * ||W||_F *
-        ||rho||_F <= tau_herm`` (the ``tau_herm`` that
-        :func:`eval_map_adjoint` checks against): then the check would pass
-        (see ``choi._eval_map_adjoint``).  Any other ``W``, a non-finite one
-        included, takes the checked path."""
-        rho, target, rho_fro = _prepared(self, tol)
+        ``W = -g`` back to Choi space."""
+        rho, target = _prepared(self, tol)
         value, g, exact, valid, ok, defect = self._terms(target, eval_map_apply(rho, j), tol)
-        w = -g
-        raw = _eval_map_adjoint(rho, w, j.dim_out)
-        trusted = (2.0 * ROUNDING * rho.dim_env**2 * _fro(w) * rho_fro <= TOL.tau_herm
-                   and (w == _dagger(w)).all())
         return SubgradResult(
             value,
-            HermOp._trusted(_herm(raw)) if trusted else HermOp(raw),
+            eval_map_adjoint(rho, -g, j.dim_out),
             exact_gradient=exact,
             valid_subgradient=valid,
             inclusion_ok=ok,
@@ -349,7 +328,7 @@ class FidelityObjective(_StatePairObjective):
         tr = float(np.real(np.trace(self.rho.mat)))
         return -math.sqrt(max(ts, 0.0) * max(tr, 0.0))
 
-    def _pair(self, tol: Tolerances):
+    def _prepare(self, tol: Tolerances):
         """The pair with its environment compressed to the image of
         ``Tr_sys(rho)``, so the reduced input is positive definite on the
         retained factor (value and subgradient are invariant under that
@@ -485,11 +464,10 @@ class TraceDistanceObjective(_StatePairObjective):
     def _witness(self, j: ChoiOp, rel: float):
         """``(w, v, thr, Y, H)`` at ``j`` with ``rel`` times the problem scale
         ``max(||sigma||, ||tau||)`` as the zero threshold: the sign-witness
-        harness's view, with the Hermitian part of ``Y`` pulled back."""
+        harness's view, with ``Y`` pulled back."""
         tau = eval_map_apply(self.rho, j)
         scale = max(spectral_norm(self.sigma.mat), spectral_norm(tau), 1e-300)
         w, v, thr, y = _sign_terms(self.sigma.mat, tau, rel, scale)
-        y = HermOp(y).mat
         return w, v, thr, y, self._pull_back(y, j.dim_out)
 
     def _pull_back(self, y: np.ndarray, dim_out: int) -> HermOp:
@@ -516,7 +494,7 @@ class RelativeEntropyObjective(_StatePairObjective):
             return ts * math.log(ts / tr)
         return 0.0
 
-    def _pair(self, tol: Tolerances):
+    def _prepare(self, tol: Tolerances):
         """``rho`` as given, the target as its :func:`_rel_entropy_target`."""
         return self.rho, _rel_entropy_target(self.sigma.op, tol)
 

@@ -280,6 +280,8 @@ def test_solve_budget_one_is_still_exit_zero(helstrom_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is False
     assert payload["iterations"] == 1
+    assert main(["solve", helstrom_file, "--step-rule", "constant", "--max-iters", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 5
 
 
 def test_solve_projection_out_of_sweeps_exits_two(tmp_path, capsys, monkeypatch):
@@ -500,6 +502,15 @@ def test_gen_rejects_negative_seed(capsys):
     assert err == "chancert: gen: --seed must be non-negative\n"
 
 
+@pytest.mark.parametrize("flag", ["--tol-psd", "--tol-herm"])
+def test_gen_has_no_tolerance_flags(flag, capsys):
+    """``gen`` validates nothing, so it takes no tolerance."""
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "linear", "-", flag, "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_gen_rejects_unknown_family(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "teleportation", "-"])
@@ -535,3 +546,20 @@ def test_gen_all_families_parse(tmp_path, capsys):
 def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+# ----------------------------------------------------------------- scripts
+
+
+def test_helstrom_demo_runs():
+    """``scripts/helstrom_demo.py`` on a coarse grid and a short solve: the
+    analytic measurement certifies optimal, the grid's only near-optimal."""
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "helstrom_demo.py"
+    src = str(pathlib.Path(chancert.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(script), "--grid-n", "40", "--max-iters", "200"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          check=False)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "[CertifiedOptimal," in next(s for s in lines if s.startswith("analytic"))
+    assert "[CertifiedNearOptimal," in next(s for s in lines if s.startswith("grid"))

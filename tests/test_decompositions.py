@@ -29,7 +29,7 @@ from chancert.linalg import EigDecompositionError, HermOp, dist_to_psd
 from chancert.objectives import FAMILIES, evaluate
 from chancert.serialize import loads_problem
 from chancert.solvers import solve_batch
-from conftest import forbid_svd
+from conftest import counted_checks, forbid_svd
 
 COUNTED = ("eigh", "eigvalsh", "svd")
 ROUTINES = COUNTED + ("norm",)
@@ -158,12 +158,11 @@ def test_family_guard_sees_a_literal():
 
 
 # The chain rule through the evaluation map is written once: in
-# ``objectives`` only the state-pair ``_evaluate`` (through the adjoint's raw
-# helper, to build its pull-back trusted) and the trace-distance witness and
-# pull-back push a state through the channel or pull a direction back, and the
-# harness in ``experiments`` takes its witness from there, using the map itself
-# only to draw a reachable target.
-EVAL_MAP = {"eval_map_apply", "eval_map_adjoint", "_eval_map_adjoint"}
+# ``objectives`` only the state-pair ``_evaluate`` and the trace-distance
+# witness and pull-back push a state through the channel or pull a direction
+# back, and the harness in ``experiments`` takes its witness from there, using
+# the map itself only to draw a reachable target.
+EVAL_MAP = {"eval_map_apply", "eval_map_adjoint"}
 
 
 def _eval_map_callers(tree: ast.Module) -> list[str]:
@@ -185,7 +184,7 @@ def test_only_the_state_pair_evaluate_calls_the_evaluation_map():
     tree = ast.parse((SRC / "objectives.py").read_text(encoding="utf-8"))
     assert _eval_map_callers(tree) == ["TraceDistanceObjective._pull_back: eval_map_adjoint",
                                        "TraceDistanceObjective._witness: eval_map_apply",
-                                       "_StatePairObjective._evaluate: _eval_map_adjoint",
+                                       "_StatePairObjective._evaluate: eval_map_adjoint",
                                        "_StatePairObjective._evaluate: eval_map_apply"]
 
 
@@ -307,6 +306,22 @@ def test_decomposition_counts_per_recorded_trial():
         rec, got = _count_calls(lambda: record_trial(t, (2, 2, 2), t % 2 == 0, spec, trace))
         assert got == RECORD_CALLS[t]
         assert rec.kernel_dim == (4 if t == 2 else 0)
+
+
+# ``HermOp`` validations of ``record_trial`` on the same trials: only the
+# certificate's ``Z``.  The witness is built Hermitian and its pull-back
+# trusted; validating both as well read 3.
+RECORD_VALIDATIONS = 1
+
+
+def test_recorded_trials_validate_only_the_certificate(monkeypatch):
+    specs = [draw_trial(t, (2, 2, 2), t % 2 == 0) for t in range(len(RECORD_CALLS))]
+    traces = solve_batch(specs, HARNESS_CONFIG)
+    checked = counted_checks(monkeypatch, HermOp)
+    for t, (spec, trace) in enumerate(zip(specs, traces)):
+        checked.clear()
+        record_trial(t, (2, 2, 2), t % 2 == 0, spec, trace)
+        assert len(checked) == RECORD_VALIDATIONS
 
 
 # ``HermOp`` and ``ChoiOp._check_trace`` validations in a 20-round lock-step

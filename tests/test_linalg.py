@@ -13,6 +13,7 @@ from chancert.linalg import (
     _cluster_slices,
     _dlog_eig,
     _psd_eigs,
+    _sign_witness,
     Tolerances,
     dist_to_psd,
     eig_herm,
@@ -213,6 +214,18 @@ def test_dlog_kernel_matches_the_two_log_loop_bitwise(w, seed):
     zt = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     got = _dlog_eig(w, v, zt, TOL)
     assert got.tobytes() == _reference_dlog_eig(w, v, zt, TOL).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 9, 16, 64])
+def test_sign_witness_is_elementwise_hermitian(n):
+    """``Y`` equals ``Y^dagger`` bit for bit at every size, also where the
+    product ``(v * signs) @ v^dagger`` does not (2, 3, 5, 6 and 9 here), so
+    the pull-back of ``-Y`` never needs its check."""
+    rng = np.random.default_rng(n)
+    w, v = np.linalg.eigh(rand_herm(n, rng))
+    y = _sign_witness(w, v, 0.1)
+    assert (y == y.conj().T).all()
+    assert set(np.round(np.linalg.eigvalsh(y), 9)) <= {-1.0, 0.0, 1.0}
 
 
 @given(seeds, dims)

@@ -9,7 +9,6 @@ from chancert.choi import (
     BipartiteState,
     ChoiOp,
     depolarizing_choi,
-    eval_map_adjoint,
     eval_map_apply,
     identity_choi,
     q2c_choi,
@@ -457,13 +456,23 @@ def test_prepared_target_follows_the_tolerances(family):
 # ------------------------------------------------------------- pull-backs
 
 
+def _checked_pull_back(rho, w, dim_out):
+    """``HermOp`` of the evaluation map's adjoint, contracted here rather than
+    by :func:`eval_map_adjoint`, whose trusted path is under test: the
+    public check runs on every witness."""
+    dz = rho.dim_env
+    wt = w.reshape(dim_out, dz, dim_out, dz)
+    rt = rho.mat.conj().reshape(rho.dim_sys, dz, rho.dim_sys, dz)
+    n = dim_out * rho.dim_sys
+    return HermOp(np.einsum("aubv,jukv->ajbk", wt, rt).reshape(n, n))
+
+
 def _witness_and_checked_pull_back(spec, j, tol=TOL):
-    """``W = -g`` at ``j`` and the pull-back built through the public, checked
-    :func:`eval_map_adjoint`, as ``_StatePairObjective._evaluate`` built it
-    before its trusted path."""
-    rho, target, _ = _prepared(spec, tol)
+    """``W = -g`` at ``j`` and its checked pull-back, or the error it raises."""
+    rho, target = _prepared(spec, tol)
     w = -spec._terms(target, eval_map_apply(rho, j), tol)[1]
-    return w, outcome(eval_map_adjoint, rho, w, j.dim_out) or eval_map_adjoint(rho, w, j.dim_out)
+    error = outcome(_checked_pull_back, rho, w, j.dim_out)
+    return w, error or _checked_pull_back(rho, w, j.dim_out)
 
 
 @given(st.sampled_from(["fid", "td", "re"]),
@@ -472,7 +481,7 @@ def _witness_and_checked_pull_back(spec, j, tol=TOL):
 def test_trusted_pull_backs_are_the_checked_ones(family, dims, seed):
     """The pull-back skips its check exactly when ``W`` equals ``W^dagger``
     elementwise and the rounding bound fits under ``tau_herm``, and has the
-    bits of the checked ``eval_map_adjoint`` either way."""
+    bits of the checked pull-back either way."""
     d_in, d_out, d_env = dims
     spec = _rand_spec(family, seed, dims)
     j = _mix(random_channel_choi(d_in, d_out, np.random.default_rng(seed + 1)), d_in, d_out)
@@ -486,6 +495,20 @@ def test_trusted_pull_backs_are_the_checked_ones(family, dims, seed):
     assert len(trusted) == int((w == w.conj().T).all())
     assert got.mat.tobytes() == want.mat.tobytes()
     assert not got.mat.flags.writeable
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 3), (3, 3, 3)])
+def test_trace_distance_evaluate_validates_nothing(dims, monkeypatch):
+    """The sign witness is elementwise Hermitian at every size, so a
+    trace-distance ``evaluate`` builds its pull-back trusted, with the bits of
+    the checked one, also where ``d_out * d_env`` is not a multiple of 4."""
+    d_in, d_out, d_env = dims
+    spec = _rand_spec("td", 7, dims)
+    j = _mix(random_channel_choi(d_in, d_out, np.random.default_rng(8)), d_in, d_out)
+    checked = counted_checks(monkeypatch, HermOp)
+    got = evaluate(spec, j).h
+    assert checked == []
+    assert got.mat.tobytes() == _witness_and_checked_pull_back(spec, j)[1].mat.tobytes()
 
 
 def test_pull_back_of_a_large_state_is_checked(monkeypatch):

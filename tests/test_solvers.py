@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from chancert import solvers
 from chancert.certifier import certify
 from chancert.cli import GEN_FAMILIES, main
-from chancert.choi import BipartiteState, ChoiOp, Povm
+from chancert.choi import BipartiteState, ChoiOp, Povm, depolarizing_choi
 from chancert.linalg import (
     TOL,
     DimensionMismatchError,
@@ -326,6 +326,50 @@ def test_solve_logs_every_iteration_and_tracks_incumbent():
     assert isinstance(tr, SolveTrace)
     assert len(tr.values) == tr.iterations
     assert tr.best_value == min(tr.values)
+
+
+def _linear_steps(rule, monkeypatch, rounds=6):
+    """A ``rounds``-round ``solve`` of a random Linear problem at dims (2, 2):
+    its objective, trace, iterates ``j_t`` and the step ``eta_t`` each round
+    took, read from the ``_project_stack`` input ``j_t - eta_t H``."""
+    spec = LinearObjective(HermOp(rand_herm(4, np.random.default_rng(11))), 2, 2)
+    h = spec.h0.mat
+    seen, project = [], solvers._project_stack
+
+    def recording(xs, dims, tol, exact=False):
+        out = project(xs, dims, tol, exact)
+        seen.append((xs[0], out[0]))
+        return out
+
+    monkeypatch.setattr(solvers, "_project_stack", recording)
+    tr = solve(spec, SolverConfig(step_rule=rule, step_c=0.3, max_iters=rounds))
+    assert tr.iterations == rounds and not tr.converged
+    js = [depolarizing_choi(2, 2)] + [out for _, out in seen]
+    gnorm2 = float(np.real(np.vdot(h, h)))
+    etas = [float(np.real(np.vdot(h, j.mat - x))) / gnorm2 for j, (x, _) in zip(js, seen)]
+    return spec, tr, js, etas
+
+
+@pytest.mark.parametrize("rule", ["constant", "diminishing"])
+def test_step_rules_take_their_steps(rule, monkeypatch):
+    _, _, _, etas = _linear_steps(rule, monkeypatch)
+    want = [0.3 if rule == "constant" else 0.3 / math.sqrt(t) for t in range(1, len(etas) + 1)]
+    assert etas == pytest.approx(want, rel=1e-9)
+
+
+def test_polyak_steps_to_the_certified_lower_bound(monkeypatch):
+    """``eta_t = (f(j_t) - lower_t) / ||H||_F^2``, where ``lower_t`` is the
+    best of the value floor and ``f(j_s) - bound_s`` for ``s <= t``."""
+    spec, tr, js, etas = _linear_steps("polyak", monkeypatch)
+    h = spec.h0
+    gnorm2 = float(np.real(np.vdot(h.mat, h.mat)))
+    lower, want = spec.value_floor(), []
+    for j, value in zip(js, tr.values):
+        lower = max(lower, value - certify(h, j).bound)
+        assert value > lower
+        want.append((value - lower) / gnorm2)
+    assert len(etas) == len(tr.values) - 1  # the last round stops before stepping
+    assert etas == pytest.approx(want[:-1], rel=1e-9)
 
 
 def test_solve_fidelity_self_map_reaches_identity_value():
