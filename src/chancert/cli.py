@@ -14,8 +14,8 @@ Every payload printed to standard output is canonical JSON — fixed key
 order, 17-significant-digit floats — so identical (file, flags, seed)
 invocations produce identical bytes.  Exit codes are a function of the
 verdict only.  Input problems (unreadable files, schema violations,
-dimension mismatches) print a diagnostic to standard error, print nothing
-to standard output, and exit 2.
+dimension mismatches, input too large for memory) print a diagnostic to
+standard error, print nothing to standard output, and exit 2.
 
 A grid search is never certificate-grade: a measurement found by
 ``brute-force`` sits a grid-step away from the true optimum, which is far
@@ -267,6 +267,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ValueError as exc:
         print(f"chancert: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # numpy's names the allocation; a bare one is empty
+        detail = f": {exc}" if str(exc) else ""
+        print(f"chancert: input too large for memory{detail}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -14,13 +14,15 @@ Design constraints, in order of priority:
 * **Diffability**: complex matrices are nested row-major arrays of
   ``[re, im]`` pairs, so fixtures remain readable and diffable.
 
-The writer emits a matrix in one pass rather than one recursive call per
-row, cell and float: an ndarray, or a list that is a grid of
-``[float, float]`` cells (checked a whole level at a time), has its leaves
-formatted in one ``format(x, ".17g")`` pass and its cells and rows joined
-with their levels' pads.  A flat list of floats takes the same leaf pass.
-The bytes are those of the per-element rules above, for every indent;
-anything else, ints and numpy scalars included, takes the recursive path.
+One recursive routine writes every document, and one container routine
+lays out every object and list from the text of its items.  Grids and float
+lists take a one-pass path rather than one recursive call per row, cell and
+float: an ndarray, or a list that is a grid of ``[float, float]`` cells
+(checked a whole level at a time), has its leaves formatted in one
+``format(x, ".17g")`` pass and set into its cells and rows; a flat list of
+floats takes the same leaf pass.  The bytes are those of the per-element
+rules above, for every indent; anything else, ints and numpy scalars
+included, takes the recursive path.
 
 The problem-file schema is versioned at ``"1"``::
 
@@ -110,19 +112,15 @@ def _fmt_floats(xs: list) -> list[str]:
     return out
 
 
-def _pads(indent: int | None, level: int) -> tuple[str, str]:
-    """The item separator pad and the closing pad of a container at ``level``."""
-    if indent is None:
-        return "", ""
-    return "\n" + " " * (indent * (level + 1)), "\n" + " " * (indent * level)
-
-
-def _list_text(items: list[str], indent: int | None, level: int) -> str:
-    """A list at ``level`` whose items are already text."""
+def _list_text(items: list[str], indent: int | None, level: int, brackets: str = "[]") -> str:
+    """A container at ``level`` whose items are already text: ``"[]"``
+    brackets give a list, ``"{}"`` an object of ``key: value`` items."""
     if not items:
-        return "[]"
-    pad, endpad = _pads(indent, level)
-    return "[" + pad + ("," + pad).join(items) + endpad + "]"
+        return brackets
+    pad = endpad = ""
+    if indent is not None:
+        pad, endpad = "\n" + " " * (indent * (level + 1)), "\n" + " " * (indent * level)
+    return brackets[0] + pad + ("," + pad).join(items) + endpad + brackets[1]
 
 
 def _grid_text(rows: list, indent: int | None, level: int) -> str:
@@ -135,68 +133,41 @@ def _grid_text(rows: list, indent: int | None, level: int) -> str:
     return _list_text([row] * len(rows), indent, level) % tuple(leaves)
 
 
-def _emit(obj, out: list[str], indent: int | None, level: int) -> None:
+def _emit(obj, indent: int | None, level: int) -> str:
+    """The text of ``obj`` as a value at ``level``."""
     if isinstance(obj, np.ndarray):
         obj = encode_matrix(obj)
         if obj:  # a grid by construction
-            out.append(_grid_text(obj, indent, level))
-            return
+            return _grid_text(obj, indent, level)
     if type(obj) is list and obj:
         # lists of exactly-float leaves, flat or a matrix grid, in one step
         if set(map(type, obj)) == {float}:
-            out.append(_list_text(_fmt_floats(obj), indent, level))
-            return
+            return _list_text(_fmt_floats(obj), indent, level)
         if _is_pair_grid(obj, _FLOAT_TYPE):
-            out.append(_grid_text(obj, indent, level))
-            return
-    pad, endpad = _pads(indent, level)
+            return _grid_text(obj, indent, level)
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(pad)
-            out.append(json.dumps(str(k)))
-            out.append(": " if indent is not None else ":")
-            _emit(v, out, indent, level + 1)
-        out.append(endpad)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            out.append(pad)
-            _emit(v, out, indent, level + 1)
-        out.append(endpad)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        sep = ":" if indent is None else ": "
+        items = [json.dumps(str(k)) + sep + _emit(v, indent, level + 1) for k, v in obj.items()]
+        return _list_text(items, indent, level, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _list_text([_emit(v, indent, level + 1) for v in obj], indent, level)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj, indent: int | None = None) -> str:
     """Deterministic JSON text for a tree of dicts/lists/scalars and 2-D
     ndarrays (written as ``[re, im]`` matrices)."""
-    out: list[str] = []
-    _emit(obj, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
+    return _emit(obj, indent, 0) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chancert
-from chancert import solvers
+from chancert import cli, solvers
 from chancert.cli import GEN_FAMILIES, main
 from chancert.linalg import HermOp
 from chancert.objectives import Ensemble
@@ -261,6 +261,24 @@ def test_negative_json_indent_exits_two(command, helstrom_file, tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "--json-indent" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("message, err", [
+    ("", "chancert: input too large for memory\n"),
+    ("Unable to allocate 191. GiB",
+     "chancert: input too large for memory: Unable to allocate 191. GiB\n"),
+], ids=["bare", "numpy"])
+@pytest.mark.parametrize("command", ["certify", "gen"])
+def test_out_of_memory_exits_two(command, message, err, helstrom_file, tmp_path, monkeypatch,
+                                 capsys):
+    def out_of_memory(obj, indent=None):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "canonical_json", out_of_memory)
+    args = {"certify": [helstrom_file], "gen": ["linear", str(tmp_path / "out.json")]}[command]
+    assert main([command, *args]) == 2
+    assert capsys.readouterr() == ("", err)
     assert not (tmp_path / "out.json").exists()
 
 

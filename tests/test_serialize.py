@@ -289,9 +289,55 @@ def test_nan_is_rejected_on_the_one_pass_path(obj, indent):
     assert str(info.value) == "nan is not serializable"
 
 
-def _gen_with_oracle(family: str, indent, monkeypatch):
-    """``gen`` stdout at benchmark scale, and the oracle's text of the same
-    document object."""
+# strings with JSON escapes and non-ASCII text
+strings = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé∑😀'), st.characters()),
+                  max_size=6)
+scalars = st.one_of(
+    st.booleans(), st.none(), st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), float_leaves, float_leaves.map(np.float64),
+    strings,
+)
+small_arrays = st.one_of(
+    _grids(float_leaves, max_rows=2, min_cols=1, max_cols=2).map(
+        lambda g: np.array([[complex(*cell) for cell in row] for row in g])),
+    st.sampled_from([np.zeros((2, 0), dtype=complex), np.zeros((0, 2)), np.eye(2)]),
+)
+trees = st.recursive(
+    st.one_of(scalars, _grids(float_leaves, max_rows=2, max_cols=2),
+              st.lists(float_leaves, max_size=3), small_arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(strings, st.integers(-3, 3)), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@pytest.mark.parametrize("indent", INDENTS)
+@given(trees)
+@settings(max_examples=150)
+def test_general_trees_match_the_recursive_writer(indent, tree):
+    assert canonical_json(tree, indent) == _ref_json(tree, indent)
+
+
+@pytest.mark.parametrize("indent", INDENTS)
+def test_unserializable_values_name_their_error(indent):
+    for obj in ({2}, {"a": [1, {2}]}, ("x", {"b": {0.5}})):
+        with pytest.raises(TypeError) as info:
+            canonical_json(obj, indent)
+        assert str(info.value) == "cannot serialize set"
+    # in scalar position, where the one-pass path does not reach
+    for obj in (math.nan, np.float64(math.nan), {"x": [1, math.nan]}, (0.5, math.nan)):
+        with pytest.raises(ValueError) as info:
+            canonical_json(obj, indent)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "nan is not serializable"
+
+
+def _run_with_oracle(argv, indent, monkeypatch):
+    """Exit code and stdout of ``chancert argv``, and the oracle's text of
+    each document the command wrote."""
     oracle = []
 
     def writer(obj, indent=None):
@@ -299,23 +345,45 @@ def _gen_with_oracle(family: str, indent, monkeypatch):
         return canonical_json(obj, indent)
 
     monkeypatch.setattr(cli, "canonical_json", writer)
-    argv = ["gen", family, "-", "--dims", "8", "8", "8", "--seed", "8", "--with-channel"]
     if indent is not None:
-        argv += ["--json-indent", str(indent)]
+        argv = [*argv, "--json-indent", str(indent)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == 0
-    return out.getvalue(), oracle
+        rc = main(argv)
+    return rc, out.getvalue(), oracle
 
 
 @pytest.mark.parametrize("indent", [None, 2])
 @pytest.mark.parametrize("family", GEN_FAMILIES)
 def test_benchmark_scale_documents_match_the_oracle(family, indent, monkeypatch):
-    text, oracle = _gen_with_oracle(family, indent, monkeypatch)
-    assert oracle == [text]
+    argv = ["gen", family, "-", "--dims", "8", "8", "8", "--seed", "8", "--with-channel"]
+    rc, text, oracle = _run_with_oracle(argv, indent, monkeypatch)
+    assert rc == 0 and oracle == [text]
     parsed = json.loads(text)
     assert canonical_json(parsed, indent) == text
     assert _ref_json(parsed, indent) == text
+
+
+@pytest.fixture(scope="module")
+def discrimination_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracle") / "disc.json"
+    argv = ["gen", "discrimination", str(path), "--seed", "2", "--with-channel"]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("indent", [None, 0, 3])
+@pytest.mark.parametrize("command", [
+    ["certify"], ["solve", "--max-iters", "5"], ["hykl", "--via-choi"],
+    ["conjecture", "--trials", "2", "--max-iters", "5"],
+], ids=lambda c: c[0])
+def test_every_command_output_matches_the_oracle(command, indent, discrimination_file,
+                                                 monkeypatch):
+    name, *flags = command
+    argv = [name, *flags] if name == "conjecture" else [name, discrimination_file, *flags]
+    rc, text, oracle = _run_with_oracle(argv, indent, monkeypatch)
+    assert rc in (0, 3, 4) and text and oracle == [text]
 
 
 def _arrays():
