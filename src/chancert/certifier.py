@@ -124,6 +124,14 @@ def _residuals(h: np.ndarray, j: np.ndarray, dims: tuple[int, int]) -> list[tupl
     return list(zip(z_raw, min_eig.tolist(), epsilon.tolist()))
 
 
+def _within_tol(herm_defect: float, min_eig: float, scale: float, tol: Tolerances,
+                factor: float = 1.0) -> bool:
+    """Both defects within ``factor`` times their tolerances at ``scale``: the
+    verdict of ``certify`` and ``hykl_check``, and the harness's hard fail negated."""
+    return (herm_defect <= factor * tol.tau_herm * scale
+            and min_eig >= -factor * tol.tau_psd * scale)
+
+
 def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
     """Check the exact optimality conditions for ``H`` at ``J``.
 
@@ -139,8 +147,7 @@ def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
     ((z_raw, min_eig, epsilon),) = _residuals(h.mat[None], j.mat[None], (j.dim_out, j.dim_in))
     scale = 1.0 + h.norm()
     herm_defect = spectral_norm(z_raw - _dagger(z_raw))
-    passed = herm_defect <= tol.tau_herm * scale and min_eig >= -tol.tau_psd * scale
-    verdict = VERDICT_OPTIMAL if passed else VERDICT_NEAR
+    verdict = VERDICT_OPTIMAL if _within_tol(herm_defect, min_eig, scale, tol) else VERDICT_NEAR
     return Certificate(verdict, HermOp(_herm(z_raw)), herm_defect, min_eig, epsilon,
                        epsilon * j.dim_in, scale)
 
@@ -193,8 +200,5 @@ def hykl_check(ens: Ensemble, p: Povm, tol: Tolerances = TOL) -> HyklReport:
     weighted = ens.probs[:, None, None] * np.stack([state.mat for state in ens.states])
     min_eigs = tuple(_min_eig(r.mat - weighted).tolist())
     scale = 1.0 + max(spectral_norm(ens.mean() - weighted).tolist())
-    optimal = (
-        herm_defect <= tol.tau_herm * scale
-        and min(min_eigs) >= -tol.tau_psd * scale
-    )
+    optimal = _within_tol(herm_defect, min(min_eigs), scale, tol)
     return HyklReport(optimal, r, herm_defect, min_eigs, scale)

@@ -36,8 +36,7 @@ from .linalg import (
     _fro,
     _fro_settles,
     _herm,
-    _min_eig,
-    _psd_violation,
+    _psd_failure,
     _support,
     as_array,
     partial_trace,
@@ -62,6 +61,14 @@ __all__ = [
 ]
 
 
+def _assemble(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields``, without any check."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class NotTracePreservingError(ValueError):
     """Kraus family or Choi matrix does not describe a trace-preserving map."""
 
@@ -74,15 +81,12 @@ class DegenerateInputError(ValueError):
 class ChoiOp:
     """Validated Choi operator of a channel: PSD with identity partial trace.
 
-    The PSD test compares the smallest eigenvalue with
-    ``-tau_psd * (1 + ||J||)``; the trace-preservation test compares
-    ``||Tr_out J - 1||`` with ``tau_num * (1 + ||J||)``.  Each skips its SVDs
-    when its outcome is already settled: an eigenvalue of at least
-    ``-tau_psd`` passes whatever the norm (the scale is at least 1), and a
-    partial-trace defect whose Frobenius norm is at most ``tau_num / 2``
-    passes because the spectral norm never exceeds the Frobenius norm (the
-    factor 2 absorbs rounding).  ``||J||`` is computed only when an
-    unsettled test needs it, and only the exact tests report numbers.
+    The PSD test is the package's one rule (``linalg._psd_failure``); the
+    trace-preservation test compares ``||Tr_out J - 1||`` with ``tau_num *
+    (1 + ||J||)`` and skips its SVDs when the partial-trace defect's
+    Frobenius norm is at most ``tau_num / 2``, since the spectral norm never
+    exceeds it (the factor 2 absorbs rounding).  ``||J||`` is computed only
+    when an unsettled test needs it, and only the exact tests report numbers.
 
     :meth:`_shown` builds without the tests, for the channels whose tests
     the allowances of ``solvers._project_stack`` decide; its docstring
@@ -102,8 +106,8 @@ class ChoiOp:
             raise DimensionMismatchError(
                 f"Choi dim {op.dim} != dim_out*dim_in = {self.dim_out * self.dim_in}"
             )
-        low = _min_eig(op.mat)
-        if _psd_violation(low, t.tau_psd, op):
+        low = _psd_failure(op, t)
+        if low is not None:
             raise ValueError(f"Choi operator not PSD: min eigenvalue {low:.3e}")
         self._check_trace(t)
 
@@ -112,17 +116,11 @@ class ChoiOp:
         """The ``ChoiOp`` of ``op``, built without any check.
 
         For internal builders that hold a proof that ``op`` passes every test
-        of ``ChoiOp(op, dim_out, dim_in, tol)``: the dimensions match, the
-        PSD test and the partial-trace and trace tests.
-        ``solvers._project_stack`` decides each from what its sweep already
-        computed, with the allowances in its docstring, and builds through
-        the public constructor when an allowance does not fit; every public
-        construction validates.
+        of ``ChoiOp(op, dim_out, dim_in, tol)``.  ``solvers._project_stack``
+        decides each from its sweep, with the allowances in its docstring,
+        and builds through the public constructor when one does not fit.
         """
-        j = object.__new__(cls)
-        for name, value in (("op", op), ("dim_out", dim_out), ("dim_in", dim_in)):
-            object.__setattr__(j, name, value)
-        return j
+        return _assemble(cls, op=op, dim_out=dim_out, dim_in=dim_in)
 
     def _check_trace(self, t: Tolerances) -> None:
         """The trace-preservation tests, which need no decomposition unless
@@ -163,7 +161,7 @@ class Povm:
         for e in elems:
             if e.dim != d:
                 raise DimensionMismatchError("Povm elements have mixed dimensions")
-            if _psd_violation(_min_eig(e.mat), t.tau_psd, e):
+            if _psd_failure(e, t) is not None:
                 raise ValueError("Povm element is not PSD within tolerance")
             total = total + e.mat
         diff = total - np.eye(d)
@@ -198,7 +196,7 @@ class BipartiteState:
             raise DimensionMismatchError(
                 f"state dim {op.dim} != dim_sys*dim_env = {self.dim_sys * self.dim_env}"
             )
-        if _psd_violation(_min_eig(op.mat), t.tau_psd, op):
+        if _psd_failure(op, t) is not None:
             raise ValueError("bipartite state is not PSD within tolerance")
 
     @property
@@ -294,7 +292,8 @@ def eval_map_adjoint(rho: BipartiteState, w, dim_out: int) -> HermOp:
     Frobenius shortcut needs twice the defect below ``tau_herm``) passes
     when ``2 * ROUNDING * d_env^2 * ||w||_F * ||rho||_F <= tau_herm``.  The
     result is then built with :meth:`HermOp._trusted`, the bits the check
-    would store; any other ``w``, a non-finite one included, is checked.
+    would store; any other ``w``, a non-finite one included, is checked, and
+    so is any ``w`` whose bound overflows to inf or nan.
 
     The check is against the package ``TOL``, not a problem's
     ``Tolerances``: it guards against a non-Hermitian witness, which no
@@ -328,6 +327,7 @@ def compress_environment(
     rank cutoff).  When the reduced state already has full rank this is a
     pure basis change and the dimensions are unchanged.  The objective value
     of every state-transformation problem built from the pair is preserved.
+    The squeezed states skip the PSD rule, which their operands passed.
     """
     red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env))
     w, v = _eigh(_herm(red))
@@ -341,8 +341,8 @@ def compress_environment(
     def squeeze(state: BipartiteState) -> BipartiteState:
         d = state.dim_sys
         t = state.mat.reshape(d, state.dim_env, d, state.dim_env)
-        out = np.einsum("ue,aubv,vf->aebf", b.conj(), t, b)
-        return BipartiteState(HermOp(out.reshape(d * r, d * r), tol), d, r, tol)
+        out = np.einsum("ue,aubv,vf->aebf", b.conj(), t, b).reshape(d * r, d * r)
+        return _assemble(BipartiteState, op=HermOp(out, tol), dim_sys=d, dim_env=r)
 
     if sigma.dim_env != rho.dim_env:
         raise DimensionMismatchError("states have different environment dimensions")

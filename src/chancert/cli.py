@@ -56,6 +56,8 @@ EXIT_NEAR = 3
 EXIT_NOT = 4
 
 GEN_FAMILIES = tuple(cls.gen_name for cls in FAMILIES)
+# most matrix entries ``gen --count`` may draw: count * (in^2 + out^2)
+GEN_MAX_ENTRIES = 10**6
 
 
 class InputProblem(ValueError):
@@ -236,6 +238,10 @@ def cmd_gen(args) -> int:
         raise InputProblem(f"gen: {args.family} does not read --count")
     if count < 1:
         raise InputProblem("gen: --count must be at least 1")
+    if cls.uses_count and count * (d_in**2 + d_out**2) > GEN_MAX_ENTRIES:
+        raise InputProblem(
+            f"gen: --count {count} draws more than {GEN_MAX_ENTRIES} matrix entries"
+        )
     if d_env != 1 and not cls.uses_env:
         print(f"chancert: gen {args.family} ignores ENV {d_env} and writes env 1", file=sys.stderr)
         d_env = 1
@@ -268,7 +274,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"chancert: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except MemoryError as exc:  # numpy's names the allocation; a bare one is empty
+    # numpy's MemoryError names the allocation, a bare one is empty; an
+    # OverflowError is a size past an index-sized integer (a --json-indent pad)
+    except (MemoryError, OverflowError) as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"chancert: input too large for memory{detail}", file=sys.stderr)
         return EXIT_INPUT

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certifier import VERDICT_OPTIMAL, certify
+from .certifier import VERDICT_OPTIMAL, _within_tol, certify
 from .choi import BipartiteState, ChoiOp, eval_map_apply, random_density
 from .linalg import TOL, HermOp, Tolerances, _herm, spectral_norm
 from .objectives import TraceDistanceObjective
@@ -215,10 +215,7 @@ def record_trial(
     cert = certify(h, j, tol)
 
     near = trace.gap <= GAP_TOL * cert.scale
-    hard_fail = (
-        cert.min_eig < -HARD_FAIL_FACTOR * tol.tau_psd * cert.scale
-        or cert.herm_defect > HARD_FAIL_FACTOR * tol.tau_herm * cert.scale
-    )
+    hard_fail = not _within_tol(cert.herm_defect, cert.min_eig, cert.scale, tol, HARD_FAIL_FACTOR)
     classification, full_rank_hard_fail = classify(
         near, cert.verdict, hard_fail, kernel_dim
     )

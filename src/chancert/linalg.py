@@ -113,8 +113,10 @@ TOL = Tolerances()
 # the sum of their magnitudes, complex products included up to a factor 2
 # (Higham, Accuracy and Stability of Numerical Algorithms, 2002).  The
 # package's rounding allowances are ``ROUNDING`` times such counts, which
-# covers those constants many times over.
-ROUNDING = 64 * np.finfo(float).eps
+# covers those constants many times over.  A Python float, so an allowance
+# that overflows (``0 * inf``) is nan, and fails its comparison, without a
+# numpy warning.
+ROUNDING = 64 * float(np.finfo(float).eps)
 
 
 def as_array(x) -> np.ndarray:
@@ -148,13 +150,13 @@ def _fro_settles(defect: np.ndarray, limit: float) -> bool:
     return 2.0 * _fro(defect) <= limit < math.inf
 
 
-def _psd_violation(low: float, tau: float, op: HermOp) -> bool:
-    """Whether ``low < -tau * (1 + ||op||)``.
-
-    The scale is at least 1, so ``low >= -tau`` answers False without the
-    norm's SVD, and the rounded product cannot undercut ``tau`` either.
-    """
-    return low < -tau and low < -tau * (1.0 + op.norm())
+def _psd_failure(op: HermOp, tol: Tolerances) -> float | None:
+    """``lambda_min(op)`` if it breaks the package's one PSD rule, ``lambda_min
+    >= -tau_psd * (1 + ||op||)``, else None.  The scale is at least 1, so
+    ``lambda_min >= -tau_psd`` passes without the norm's SVD, and the rounded
+    product cannot undercut ``tau_psd`` either."""
+    low = _min_eig(op.mat)
+    return low if low < -tol.tau_psd and low < -tol.tau_psd * (1.0 + op.norm()) else None
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -355,18 +357,18 @@ def eig_herm(a: HermOp, tol: Tolerances = TOL) -> SpectralDecomp:
     return SpectralDecomp(np.array(reps), tuple(projs), tuple(mults))
 
 
-def _psd_eigs(a: HermOp, tol: Tolerances, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of an operator that must be PSD within tolerance; negatives clamped."""
+def _psd_eigs(a: HermOp) -> tuple[np.ndarray, np.ndarray]:
+    """eigh with negative eigenvalues clamped to 0; it judges nothing."""
     w, v = _eigh(a.mat)
-    nrm = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w[0] < -tol.tau_psd * nrm:
-        raise NotPSDError(f"{what} has eigenvalue {w[0]:.3e} < -tau_psd * {nrm:.3e}")
     return np.maximum(w, 0.0), v
 
 
 def pinv_psd(a: HermOp, tol: Tolerances = TOL) -> HermOp:
     """Moore-Penrose pseudo-inverse of a PSD operator (inverts the image)."""
-    w, v = _psd_eigs(a, tol, "pinv_psd operand")
+    low = _psd_failure(a, tol)
+    if low is not None:
+        raise NotPSDError(f"pinv_psd operand is not PSD: min eigenvalue {low:.3e}")
+    w, v = _psd_eigs(a)
     inv = np.where(_support(w, tol), np.divide(1.0, w, out=np.zeros_like(w), where=w > 0), 0.0)
     return HermOp(v @ (inv[:, None] * v.conj().T))
 

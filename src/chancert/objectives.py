@@ -9,7 +9,7 @@ dims first), ``value_floor()`` (a lower bound over all channels) and its
 problem document: the JSON name ``family``, the ``gen`` name ``gen_name``,
 whether it reads ``dims.env`` (``uses_env``) and ``gen --count``
 (``uses_count``), ``parse`` (build the spec
-from a field reader with ``op``/``ops``/``probs`` and ``tol``, which
+from a field reader with ``op``/``ops``/``state``/``probs`` and ``tol``, which
 ``serialize`` supplies; returns the spec and, for ``Discrimination``, the
 ensemble) and ``draw`` (random document fields as ndarrays, and a channel
 when the family draws its own).  :data:`FAMILIES` lists them in ``gen``
@@ -83,7 +83,7 @@ from .linalg import (
     _kernel_norm,
     _min_eig,
     _psd_eigs,
-    _psd_violation,
+    _psd_failure,
     _sign_witness,
     _support,
     kron,
@@ -121,8 +121,8 @@ class InvalidEnsembleError(ValueError):
 
 
 def _check_psd(op: HermOp, tol: Tolerances, what: str, field: str) -> None:
-    low = _min_eig(op.mat)
-    if _psd_violation(low, tol.tau_psd, op):
+    low = _psd_failure(op, tol)
+    if low is not None:
         raise InvalidEnsembleError(f"{what} is not PSD (min eigenvalue {low:.3e})", field)
 
 
@@ -305,9 +305,7 @@ class _StatePairObjective:
     @classmethod
     def parse(cls, doc, dims):
         d_in, d_out, d_env = dims
-        rho = BipartiteState(doc.op("rho", d_in * d_env), d_in, d_env, doc.tol)
-        sigma = BipartiteState(doc.op("sigma", d_out * d_env), d_out, d_env, doc.tol)
-        return cls(rho, sigma), None
+        return cls(doc.state("rho", d_in, d_env), doc.state("sigma", d_out, d_env)), None
 
     @staticmethod
     def draw(rng, dims, count, with_channel):
@@ -597,7 +595,7 @@ def _fidelity_target(sigma: HermOp, tol: Tolerances) -> tuple:
     """What :func:`_fidelity_terms` reads of the target ``sigma``, from one
     ``eigh``: its matrix, its root ``sqrt(sigma)``, its support rank and its
     norm."""
-    ws, vs = _psd_eigs(sigma, tol, "fidelity target")
+    ws, vs = _psd_eigs(sigma)
     s = HermOp(vs @ (np.sqrt(ws)[:, None] * vs.conj().T)).mat
     # the clamped eigenvalues are ascending, so the last is ||sigma||
     return sigma.mat, s, int(np.sum(_support(ws, tol))), ws[-1]
@@ -621,7 +619,7 @@ def _fidelity_terms(
     ``tau_rank * ||sigma||``.
     """
     sigma, s, rank, top = target
-    wt, vt = _psd_eigs(tau, tol, "fidelity output")
+    wt, vt = _psd_eigs(tau)
     sandwich = _herm(s @ tau.mat @ s)
     # Tr sqrt of the sandwich, negative eigenvalues counted as 0
     f = float(np.sum(np.sqrt(np.maximum(_eigvalsh(sandwich), 0.0))))
@@ -652,7 +650,7 @@ def _rel_entropy_target(sigma: HermOp, tol: Tolerances) -> tuple:
     """What :func:`_rel_entropy_terms` reads of the target ``sigma``, from one
     ``eigh``: its matrix, its norm and ``Tr sigma log sigma`` (``0 log 0`` is
     0 by convention)."""
-    ws, _ = _psd_eigs(sigma, tol, "relative entropy target")
+    ws, _ = _psd_eigs(sigma)
     supp = _support(ws, tol)
     # the clamped eigenvalues are ascending, so the last is ||sigma||
     return sigma.mat, ws[-1], float(np.sum(ws[supp] * np.log(ws[supp])))
@@ -674,7 +672,7 @@ def _rel_entropy_terms(
     on the supported eigenpairs of ``tau``, which is decomposed once.
     """
     sigma, top, plogp = target
-    wt, vt = _psd_eigs(tau, tol, "relative entropy output")
+    wt, vt = _psd_eigs(tau)
     keep = _support(wt, tol)
     defect = _kernel_norm(sigma, vt[:, ~keep])
     if defect > tol.tau_rank * top:

@@ -50,7 +50,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .certifier import Certificate, HyklReport
-from .choi import ChoiOp, Povm, choi_from_kraus, q2c_choi
+from .choi import BipartiteState, ChoiOp, Povm, choi_from_kraus, q2c_choi
 from .linalg import TOL, HermOp, Tolerances, as_array
 from .objectives import FAMILIES, Ensemble, InvalidEnsembleError, ObjectiveSpec, SubgradResult
 
@@ -347,6 +347,13 @@ class _Fields:
 
     def op(self, key: str, dim: int) -> HermOp:
         return self._square(_require(self.data, key, self.path), dim, f"{self.path}.{key}")
+
+    def state(self, key: str, dim_sys: int, dim_env: int) -> BipartiteState:
+        op = self.op(key, dim_sys * dim_env)
+        try:
+            return BipartiteState(op, dim_sys, dim_env, self.tol)
+        except ValueError as exc:
+            raise SchemaError(f"{self.path}.{key}: {exc}") from exc
 
     def ops(self, key: str, dim: int, count: int | None = None) -> tuple[HermOp, ...]:
         items = self._array(key)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chancert
-from chancert import cli, solvers
+from chancert import cli, objectives, solvers
 from chancert.cli import GEN_FAMILIES, main
 from chancert.linalg import HermOp
 from chancert.objectives import Ensemble
@@ -164,6 +164,88 @@ def test_certify_overflowing_matrix_exits_two_without_warnings(tmp_path, capsys)
     assert len(err.splitlines()) == 1 and "overflows" in err
 
 
+def test_certify_overflowing_adjoint_bound_warns_nothing(tmp_path, capsys):
+    # ||rho||_F overflows to inf while the witness is 0: the pull-back's
+    # rounding bound is nan, which takes the checked path without a warning
+    doc = problem_to_dict((2, 2, 1), {"family": "RelativeEntropy",
+                                      "rho": _mat(4e307 * np.ones((2, 2))),
+                                      "sigma": _mat(np.eye(2) / 2.0)},
+                          {"kind": "choi", "matrix": _mat(np.eye(4) / 2.0)})
+    path = _write(tmp_path, "huge_rho.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["verdict"] == "CertifiedOptimal"
+
+
+# ------------------------------------------- operands judged once by the PSD rule
+
+
+def _identity_choi(d=2):
+    vec = np.eye(d).reshape(d * d)
+    return np.outer(vec, vec)
+
+
+def _verdicts(path, capsys):
+    """Exit codes of ``certify`` and of a 3-round ``solve``, each printing a
+    payload and no diagnostic."""
+    codes = []
+    for argv in (["certify", path], ["solve", path, "--max-iters", "3"]):
+        codes.append(main(argv))
+        out, err = capsys.readouterr()
+        assert (err, bool(out)) == ("", True)
+    return tuple(codes)
+
+
+# eigenvalue -6e-9 passes the rule at tau_psd * (1 + 0.5), though not a rule
+# scaled by ||sigma|| = 0.5 alone: the target is clamped, not judged again
+_TARGET = np.diag([0.5, -6e-9])
+
+
+@pytest.mark.parametrize("objective", [
+    {"family": "Fidelity", "rho": _mat(np.eye(2) / 2.0), "sigma": _mat(_TARGET)},
+    {"family": "RelativeEntropy", "rho": _mat(np.eye(2) / 2.0), "sigma": _mat(_TARGET)},
+    {"family": "FidelitySquaredEnsemble", "probs": [1.0], "inputs": [_mat(np.eye(2) / 2.0)],
+     "targets": [_mat(_TARGET)]},
+], ids=["fidelity", "relative-entropy", "fidelity-squared"])
+def test_target_within_the_psd_rule_gets_a_verdict(objective, tmp_path, capsys):
+    doc = problem_to_dict((2, 2, 1), objective,
+                          {"kind": "choi", "matrix": _mat(_identity_choi())})
+    assert _verdicts(_write(tmp_path, "target.json", doc), capsys) == (3, 0)
+
+
+@pytest.mark.parametrize("family, sigma, code", [
+    ("Fidelity", np.full((2, 2), 0.5), 0),
+    ("RelativeEntropy", np.eye(2) / 2.0, 4),
+], ids=["fidelity", "relative-entropy"])
+def test_channel_output_within_the_psd_rule_gets_a_verdict(family, sigma, code, tmp_path,
+                                                          capsys):
+    # J has eigenvalue -2.5e-8, inside the rule at tau_psd * (1 + ||J||); its
+    # output on |+><+| has eigenvalue -1.25e-8, which is clamped, not judged
+    v = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    w = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    j = _identity_choi() + 2.5e-8 * (np.outer(v, v) - np.outer(w, w))
+    doc = problem_to_dict((2, 2, 1), {"family": family, "rho": _mat(np.full((2, 2), 0.5)),
+                                      "sigma": _mat(sigma)},
+                          {"kind": "choi", "matrix": _mat(j)})
+    path = _write(tmp_path, "output.json", doc)
+    assert main(["certify", path]) == code
+    out, err = capsys.readouterr()
+    assert (err, bool(out)) == ("", True)
+
+
+def test_compressed_pair_is_not_judged_again(tmp_path, capsys):
+    # sigma passes the rule at tau_psd * (1 + 0.5); squeezed onto the image of
+    # Tr_sys(rho) it is diag(1e-3, -1.4e-8), outside the rule at its own scale
+    doc = problem_to_dict((2, 2, 2), {"family": "Fidelity",
+                                      "rho": _mat(np.diag([0.5, 0.0, 0.5, 0.0])),
+                                      "sigma": _mat(np.diag([1e-3, 0.5, -1.4e-8, 0.4989999]))},
+                          {"kind": "choi", "matrix": _mat(_identity_choi())})
+    assert _verdicts(_write(tmp_path, "compressed.json", doc), capsys) == (3, 0)
+
+
 # a 401-digit JSON integer: Python reads it exactly, but no double holds it
 HUGE = 10**400
 
@@ -280,6 +362,14 @@ def test_out_of_memory_exits_two(command, message, err, helstrom_file, tmp_path,
     assert main([command, *args]) == 2
     assert capsys.readouterr() == ("", err)
     assert not (tmp_path / "out.json").exists()
+
+
+def test_json_indent_past_an_index_exits_two(capsys):
+    assert main(["gen", "linear", "-", "--json-indent", "100000000000000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("chancert: input too large for memory: "
+                   "cannot fit 'int' into an index-sized integer\n")
 
 
 # ------------------------------------------------------------------- solve
@@ -467,6 +557,31 @@ def test_gen_rejects_nonpositive_count(count, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "--count" in err
+
+
+@pytest.mark.parametrize("huge", [False, True], ids=["just-past", "huge"])
+def test_gen_refuses_a_count_past_the_draw_limit_before_drawing(huge, monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("gen drew before refusing the count")
+
+    monkeypatch.setattr(objectives, "random_density", no_draw)
+    # at dims (2, 2) each ensemble member draws 2 * 2 + 2 * 2 = 8 entries
+    count = "100000000000000000000" if huge else str(cli.GEN_MAX_ENTRIES // 8 + 1)
+    assert main(["gen", "fidelity-squared", "-", "--count", count]) == 2
+    assert capsys.readouterr() == (
+        "", f"chancert: gen: --count {count} draws more than {cli.GEN_MAX_ENTRIES} "
+            "matrix entries\n")
+
+
+def test_gen_count_at_the_draw_limit_is_drawn(monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr(objectives, "random_density", lambda dim, rng: drawn.append(dim))
+    monkeypatch.setattr(cli, "problem_to_dict", lambda *args: {})  # skip the encoding
+    count = cli.GEN_MAX_ENTRIES // 18  # 9 + 9 entries per member at dims (3, 3)
+    assert main(["gen", "fidelity-squared", "-", "--dims", "3", "3", "1",
+                 "--count", str(count)]) == 0
+    assert drawn == [3] * (2 * count)
+    assert capsys.readouterr() == ("{}\n", "")
 
 
 @pytest.mark.parametrize("family", GEN_FAMILIES)

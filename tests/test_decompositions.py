@@ -217,7 +217,7 @@ def test_experiments_guard_sees_a_violation():
 # from one eigh of the target and one of the output.  The fidelity families decompose the target
 # and the output once per pair and read the target's rank and norm from its
 # eigh, so the inclusion test costs no SVD; each sandwich still costs an
-# eigvalsh and an eigh.  ``certify`` reads ``min_eig`` and ``epsilon`` from
+# eigvalsh and an eigh.  Fidelity's compressed pair is not PSD-tested again.  ``certify`` reads ``min_eig`` and ``epsilon`` from
 # one eigh; the SVDs are the Hermiticity defect, ``||H||`` and the distance
 # of the non-Hermitian residual.  ``record_trial`` adds to ``certify`` the
 # witness's eigh and the two SVDs of the problem scale; a witness that
@@ -227,7 +227,7 @@ EVALUATE_CALLS = {
     "linear": (0, 0, 0),
     "discrimination": (0, 0, 0),
     "trace-distance": (1, 0, 0),
-    "fidelity": (4, 3, 0),
+    "fidelity": (4, 1, 0),
     "relative-entropy": (2, 0, 0),
     "fidelity-squared": (6, 2, 0),
 }

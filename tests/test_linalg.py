@@ -10,6 +10,7 @@ from chancert.linalg import (
     TOL,
     DimensionMismatchError,
     HermOp,
+    NotPSDError,
     _cluster_slices,
     _dlog_eig,
     _psd_eigs,
@@ -132,12 +133,25 @@ def test_pinv_axioms(seed, d):
     assert spectral_norm(a @ ap - (a @ ap).conj().T) <= 1e-10 * n
 
 
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+def test_pinv_psd_applies_the_one_psd_rule(factor):
+    # min eigenvalue -c against tau_psd * (1 + 1); within the rule the
+    # negative eigenvalue is clamped to 0 and left out of the image
+    c = 2.0 * factor * TOL.tau_psd
+    a = HermOp(np.diag([1.0, -c]))
+    if factor > 1.0:
+        with pytest.raises(NotPSDError, match="pinv_psd operand is not PSD"):
+            pinv_psd(a)
+    else:
+        assert np.array_equal(pinv_psd(a).mat, np.diag([1.0, 0.0]))
+
+
 @given(seeds, dims)
 def test_mat_sqrt(seed, d):
     # the square root _fidelity_terms builds from the clamped spectrum
     rng = np.random.default_rng(seed)
     a = rand_density(d, rng)
-    w, v = _psd_eigs(HermOp(a), TOL, "density")
+    w, v = _psd_eigs(HermOp(a))
     s = v @ (np.sqrt(w)[:, None] * v.conj().T)
     assert spectral_norm(s @ s - a) <= 1e-12
     assert np.min(np.linalg.eigvalsh(s)) >= -1e-13

@@ -678,10 +678,12 @@ def test_povm_element_count_must_match_dims_out():
 
 
 def test_psd_violations_surface_as_schema_errors():
-    doc = json.loads(canonical_json(_problem_docs()["Fidelity"]))
-    doc["objective"]["rho"] = _mat(np.diag([1.5, -0.5]))
-    with pytest.raises(SchemaError):
-        parse_problem(doc)
+    for field, dim in (("rho", 2), ("sigma", 3)):
+        doc = json.loads(canonical_json(_problem_docs()["Fidelity"]))
+        doc["objective"][field] = _mat(np.diag([1.5] + [-0.5] * (dim - 1)))
+        with pytest.raises(SchemaError) as exc:
+            parse_problem(doc)
+        assert str(exc.value) == f"objective.{field}: bipartite state is not PSD within tolerance"
 
 
 # ----------------------------------------------------------------- results
