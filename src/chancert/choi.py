@@ -34,13 +34,12 @@ from .linalg import (
     _dagger,
     _eigh,
     _fro,
-    _fro_settles,
     _herm,
+    _normalization_failure,
     _psd_failure,
     _support,
     as_array,
     partial_trace,
-    spectral_norm,
 )
 
 __all__ = [
@@ -81,12 +80,10 @@ class DegenerateInputError(ValueError):
 class ChoiOp:
     """Validated Choi operator of a channel: PSD with identity partial trace.
 
-    The PSD test is the package's one rule (``linalg._psd_failure``); the
-    trace-preservation test compares ``||Tr_out J - 1||`` with ``tau_num *
-    (1 + ||J||)`` and skips its SVDs when the partial-trace defect's
-    Frobenius norm is at most ``tau_num / 2``, since the spectral norm never
-    exceeds it (the factor 2 absorbs rounding).  ``||J||`` is computed only
-    when an unsettled test needs it, and only the exact tests report numbers.
+    Both tests are the package's rules: ``linalg._psd_failure`` judges ``J``
+    and ``linalg._normalization_failure`` judges ``Tr_out J`` against
+    ``tau_num * (1 + ||J||)``.  Each computes ``||J||`` only when a cheaper
+    bound does not settle it, and only the exact tests report numbers.
 
     :meth:`_shown` builds without the tests, for the channels whose tests
     the allowances of ``solvers._project_stack`` decide; its docstring
@@ -109,7 +106,10 @@ class ChoiOp:
         low = _psd_failure(op, t)
         if low is not None:
             raise ValueError(f"Choi operator not PSD: min eigenvalue {low:.3e}")
-        self._check_trace(t)
+        defect = _normalization_failure(
+            partial_trace(op.mat, (self.dim_out, self.dim_in)), op.norm, t)
+        if defect is not None:
+            raise NotTracePreservingError(f"partial trace deviates from identity by {defect:.3e}")
 
     @classmethod
     def _shown(cls, op: HermOp, dim_out: int, dim_in: int) -> ChoiOp:
@@ -122,22 +122,6 @@ class ChoiOp:
         """
         return _assemble(cls, op=op, dim_out=dim_out, dim_in=dim_in)
 
-    def _check_trace(self, t: Tolerances) -> None:
-        """The trace-preservation tests, which need no decomposition unless
-        the partial-trace defect is unsettled."""
-        op = self.op
-        tr_out = partial_trace(op.mat, (self.dim_out, self.dim_in))
-        diff = tr_out - np.eye(self.dim_in)
-        if not _fro_settles(diff, t.tau_num):
-            defect = spectral_norm(diff)
-            if defect > t.tau_num * (1.0 + op.norm()):
-                raise NotTracePreservingError(
-                    f"partial trace deviates from identity by {defect:.3e}"
-                )
-        tr = float(np.real(np.trace(op.mat)))
-        if abs(tr - self.dim_in) > t.tau_sum * max(1.0, self.dim_in):
-            raise NotTracePreservingError(f"trace {tr} != input dimension {self.dim_in}")
-
     @property
     def mat(self) -> np.ndarray:
         return self.op.mat
@@ -145,7 +129,14 @@ class ChoiOp:
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite positive-operator-valued measure: PSD elements summing to 1."""
+    """Finite positive-operator-valued measure: PSD elements summing to 1.
+
+    Each element passes the PSD rule, and the sum ``S`` the normalization
+    rule with ``A`` the measure-and-record channel ``q2c_choi``, whose
+    partial trace is ``S`` transposed and whose norm is ``max_k ||P_k||``:
+    a Povm passes exactly when its channel's trace-preservation test does
+    (the same formula; the sums and the norms are formed in another order).
+    """
 
     elements: tuple[HermOp, ...]
     tol: InitVar[Tolerances | None] = None
@@ -164,11 +155,9 @@ class Povm:
             if _psd_failure(e, t) is not None:
                 raise ValueError("Povm element is not PSD within tolerance")
             total = total + e.mat
-        diff = total - np.eye(d)
-        if not _fro_settles(diff, t.tau_sum):
-            defect = spectral_norm(diff)
-            if defect > t.tau_sum * max(1.0, spectral_norm(total)):
-                raise ValueError(f"Povm elements sum to identity with defect {defect:.3e}")
+        defect = _normalization_failure(total, lambda: max(e.norm() for e in elems), t)
+        if defect is not None:
+            raise ValueError(f"Povm elements sum to identity with defect {defect:.3e}")
 
     @property
     def dim(self) -> int:
@@ -208,28 +197,20 @@ def choi_from_kraus(kraus, tol: Tolerances = TOL) -> ChoiOp:
     """Choi operator of the channel with the given Kraus family.
 
     Each Kraus operator maps the input space to the output space (shape
-    ``d_out x d_in``); the family must satisfy the trace-preservation
-    identity ``sum_a K_a^dagger K_a = 1`` within tolerance.
+    ``d_out x d_in``).  ``ChoiOp`` judges the result, whose partial trace is
+    ``(sum_a K_a^dagger K_a)^T``: the family must meet the normalization rule
+    with ``A = J``.
     """
     mats = [as_array(k) for k in kraus]
     if not mats:
         raise ValueError("need at least one Kraus operator")
     d_out, d_in = mats[0].shape
-    acc = np.zeros((d_in, d_in), dtype=np.complex128)
     j = np.zeros((d_out * d_in, d_out * d_in), dtype=np.complex128)
     for k in mats:
         if k.shape != (d_out, d_in):
             raise DimensionMismatchError("Kraus operators have mixed shapes")
-        acc += k.conj().T @ k
         vec = k.reshape(d_out * d_in)  # |a j> ordering matches kron convention
         j += np.outer(vec, vec.conj())
-    diff = acc - np.eye(d_in)
-    if not _fro_settles(diff, tol.tau_sum):
-        defect = spectral_norm(diff)
-        if defect > tol.tau_sum * max(1.0, spectral_norm(acc)):
-            raise NotTracePreservingError(
-                f"Kraus completeness defect {defect:.3e} exceeds tolerance"
-            )
     return ChoiOp(HermOp(j, tol), d_out, d_in, tol)
 
 

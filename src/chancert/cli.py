@@ -34,7 +34,7 @@ import numpy as np
 
 from .certifier import VERDICT_NEAR, VERDICT_OPTIMAL, certify_objective, hykl_check
 from .experiments import HARNESS_CONFIG, record_to_dict, run_conjecture
-from .linalg import TOL, Tolerances
+from .linalg import Tolerances
 from .objectives import FAMILIES
 from .serialize import (
     SchemaError,
@@ -146,19 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerances(args, base: Tolerances) -> Tolerances:
-    kw = {}
-    if args.tol_psd is not None:
-        kw["tau_psd"] = args.tol_psd
-    if args.tol_herm is not None:
-        kw["tau_herm"] = args.tol_herm
-    return replace(base, **kw) if kw else base
+def _tolerance_flags(args) -> dict:
+    """The ``Tolerances`` fields the ``--tol-*`` flags set."""
+    given = {"tau_psd": args.tol_psd, "tau_herm": args.tol_herm}
+    return {name: v for name, v in given.items() if v is not None}
 
 
 def _load(args):
+    """The problem file, judged under its tolerances with the flags applied."""
     with open(args.problem, "r", encoding="utf-8") as fh:
-        prob = loads_problem(fh.read())
-    return prob, _tolerances(args, prob.tol)
+        return loads_problem(fh.read(), _tolerance_flags(args))
 
 
 def _emit(args, doc) -> None:
@@ -166,10 +163,10 @@ def _emit(args, doc) -> None:
 
 
 def cmd_certify(args) -> int:
-    prob, tol = _load(args)
+    prob = _load(args)
     if prob.channel is None:
         raise InputProblem("certify: problem file carries no channel to certify")
-    res, cert = certify_objective(prob.spec, prob.channel, tol)
+    res, cert = certify_objective(prob.spec, prob.channel, prob.tol)
     _emit(args, certificate_to_dict(cert, res))
     if cert.verdict == VERDICT_OPTIMAL:
         return EXIT_OK
@@ -179,25 +176,25 @@ def cmd_certify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    prob, tol = _load(args)
+    prob = _load(args)
     # the solver flags' dests are the config's field names
     given = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
     kw = {name: v for name, v in given.items() if v is not None}
-    trace = solve(prob.spec, SolverConfig(**kw), tol)
+    trace = solve(prob.spec, SolverConfig(**kw), prob.tol)
     _emit(args, trace_to_dict(trace))
     return EXIT_OK
 
 
 def cmd_hykl(args) -> int:
-    prob, tol = _load(args)
+    prob = _load(args)
     if prob.ensemble is None:
         raise InputProblem("hykl: problem file needs a discrimination objective")
     if prob.povm is None:
         raise InputProblem("hykl: problem file needs a povm channel")
-    rep = hykl_check(prob.ensemble, prob.povm, tol)
+    rep = hykl_check(prob.ensemble, prob.povm, prob.tol)
     doc = hykl_to_dict(rep)
     if args.via_choi:
-        _res, cert = certify_objective(prob.spec, prob.channel, tol)
+        _res, cert = certify_objective(prob.spec, prob.channel, prob.tol)
         agrees = rep.optimal == (cert.verdict == VERDICT_OPTIMAL)
         doc["via_choi"] = {"verdict": cert.verdict, "agrees": agrees}
         if not agrees:
@@ -219,7 +216,7 @@ def cmd_conjecture(args) -> int:
         raise InputProblem("conjecture: --trials must be at least 1")
     cfg = replace(HARNESS_CONFIG, max_iters=args.max_iters)
     records, summary = run_conjecture(
-        tuple(args.dims), args.trials, args.seed, cfg, _tolerances(args, TOL)
+        tuple(args.dims), args.trials, args.seed, cfg, Tolerances(**_tolerance_flags(args))
     )
     _emit(args, {"records": [record_to_dict(r) for r in records], "summary": summary})
     # a full-rank hard fail is a build bug, not evidence (see ``experiments``)

@@ -74,12 +74,21 @@ class EigDecompositionError(np.linalg.LinAlgError):
 class Tolerances:
     """Relative tolerance bundle shared by every numeric routine.
 
+    An input is judged by three rules, each reading one field: the
+    ``HermOp`` check (``tau_herm``), the PSD rule ``_psd_failure``
+    (``tau_psd``) and the normalization rule ``_normalization_failure``
+    (``tau_num``).  The verdict predicate ``certifier._within_tol`` reads
+    ``tau_herm`` and ``tau_psd`` too, and ``solvers._project_stack`` derives
+    its margins from all three.
+
     Attributes:
         tau_herm: allowed Hermiticity defect, relative to ``1 + norm``.
-        tau_psd: allowed negative-eigenvalue dip for "PSD within tolerance".
+        tau_psd: allowed negative-eigenvalue dip, relative to ``1 + norm``.
         tau_rank: relative eigenvalue cutoff for rank / image decisions and
             for clustering nearly-equal eigenvalues.
-        tau_num: generic relative tolerance for affine constraint checks.
+        tau_num: allowed deviation of a partial trace, a sum of measurement
+            elements, a state's trace or a probability sum from the identity,
+            relative to ``1 + norm``.
     """
 
     tau_herm: float = 1e-9
@@ -92,17 +101,6 @@ class Tolerances:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be a positive finite number, got {v}")
-
-    @property
-    def tau_sum(self) -> float:
-        """Tolerance of a normalization check: ten times ``tau_num``.
-
-        Used where a trace, a probability vector or a sum of operators must
-        equal one or the identity; such a sum gathers rounding from many
-        terms.  Derived rather than a field, so problem files and
-        ``replace`` see only the four tolerances.
-        """
-        return self.tau_num * 10
 
 
 TOL = Tolerances()
@@ -157,6 +155,24 @@ def _psd_failure(op: HermOp, tol: Tolerances) -> float | None:
     product cannot undercut ``tau_psd`` either."""
     low = _min_eig(op.mat)
     return low if low < -tol.tau_psd and low < -tol.tau_psd * (1.0 + op.norm()) else None
+
+
+def _normalization_failure(s, norm, tol: Tolerances) -> float | None:
+    """``||S - 1||_2`` if it breaks the package's one normalization rule,
+    ``||S - 1||_2 <= tau_num * (1 + ||A||)``, else None.
+
+    ``S`` is a square matrix or a number formed from the operand ``A``, and
+    ``norm()`` returns ``||A||``.  A matrix defect whose Frobenius norm
+    settles the rule (:func:`_fro_settles`) needs no SVD, and the scale is
+    at least 1, so ``||S - 1||_2 <= tau_num`` passes without ``norm()``."""
+    if np.ndim(s):
+        defect = s - np.eye(len(s))
+        if _fro_settles(defect, tol.tau_num):
+            return None
+        dev = spectral_norm(defect)
+    else:
+        dev = abs(s - 1.0)
+    return dev if dev > tol.tau_num and dev > tol.tau_num * (1.0 + norm()) else None
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

@@ -82,6 +82,7 @@ from .linalg import (
     _herm,
     _kernel_norm,
     _min_eig,
+    _normalization_failure,
     _psd_eigs,
     _psd_failure,
     _sign_witness,
@@ -130,18 +131,25 @@ def _check_density(op: HermOp, tol: Tolerances, k: int) -> None:
     what, field = f"ensemble state {k}", f"states[{k}]"
     _check_psd(op, tol, what, field)
     tr = float(np.real(np.trace(op.mat)))
-    if abs(tr - 1.0) > tol.tau_sum:
+    if _normalization_failure(tr, op.norm, tol) is not None:
         raise InvalidEnsembleError(f"{what} has trace {tr!r}, expected 1", field)
 
 
 def _check_probs(p: np.ndarray, tol: Tolerances) -> None:
-    """Reject a probability vector that is not finite, nonnegative and normalized."""
+    """Reject a probability vector that is not finite, whose ``diag(p)``
+    breaks the PSD rule, or whose sum breaks the normalization rule."""
     if not np.isfinite(p).all():
         raise InvalidEnsembleError(f"probabilities are not all finite: {p.tolist()!r}", "probs")
-    if np.min(p) < -tol.tau_num:
-        raise InvalidEnsembleError(f"negative probability {float(np.min(p))!r}", "probs")
-    if abs(float(np.sum(p)) - 1.0) > tol.tau_sum:
-        raise InvalidEnsembleError(f"probabilities sum to {float(np.sum(p))!r}", "probs")
+    try:
+        a = HermOp(np.diag(p), tol)
+    except ValueError as exc:  # an entry near the largest double overflows
+        raise InvalidEnsembleError(str(exc), "probs") from exc
+    low = _psd_failure(a, tol)
+    if low is not None:
+        raise InvalidEnsembleError(f"negative probability {low!r}", "probs")
+    total = float(np.sum(p))
+    if _normalization_failure(total, a.norm, tol) is not None:
+        raise InvalidEnsembleError(f"probabilities sum to {total!r}", "probs")
 
 
 @dataclass(frozen=True)

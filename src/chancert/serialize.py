@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
 
 import numpy as np
@@ -416,8 +416,12 @@ def _parse_channel(
     raise SchemaError(f"channel.kind: unknown kind {kind!r}")
 
 
-def parse_problem(data) -> Problem:
-    """Validate and load a problem document (parsed JSON tree)."""
+def parse_problem(data, overrides: dict | None = None) -> Problem:
+    """Validate and load a problem document (parsed JSON tree).
+
+    ``overrides`` maps ``Tolerances`` field names to values that replace the
+    document's own before any input is judged (the CLI's ``--tol-*`` flags).
+    """
     if not isinstance(data, dict):
         raise SchemaError("problem: expected a JSON object")
     version = _require(data, "version", "problem")
@@ -429,6 +433,8 @@ def parse_problem(data) -> Problem:
         raise SchemaError(f"problem: unknown keys {sorted(bad)}")
     dims = _parse_dims(_require(data, "dims", "problem"))
     tol = _parse_tolerances(data.get("tolerances"))
+    if overrides:
+        tol = replace(tol, **overrides)
     try:
         spec, ens = _parse_objective(_require(data, "objective", "problem"), dims, tol)
         channel, povm = _parse_channel(data.get("channel"), dims, tol)
@@ -439,12 +445,12 @@ def parse_problem(data) -> Problem:
     return Problem(version, dims, spec, ens, channel, povm, tol)
 
 
-def loads_problem(text: str) -> Problem:
+def loads_problem(text: str, overrides: dict | None = None) -> Problem:
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the stack
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    return parse_problem(data)
+    return parse_problem(data, overrides)
 
 
 def problem_to_dict(

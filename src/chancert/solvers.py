@@ -196,13 +196,7 @@ def _project_stack(
 
     * A feasible input is exactly Hermitian (``_herm`` of anything is), and
       its ``eigvalsh`` and partial-trace test just ran on the bits ``ChoiOp``
-      would test, against ``feas <= min(tau_psd / 10, tau_num)``.  The trace
-      test follows from ``|Tr J - d_in| <= d_in ||Tr_out J - 1||_2 <= d_in
-      feas``: the two diagonal sums add at most ``ROUNDING * n`` times ``(1 +
-      3 d_out feas)`` relative to ``d_in`` (the diagonal of ``J`` is at least
-      ``-feas`` and its sum at most ``d_in (1 + feas)``), so the test
-      ``tau_sum * max(1, d_in)`` passes when that allowance is below
-      ``tau_sum - feas``.
+      would test, against ``feas <= min(tau_psd / 10, tau_num)``.
     * A swept slice is ``P = V max(W, 0) V^dagger + 1 (x) (1 - Tr_out
       psd) / d_out``, whose entries are at most ``1 + max |w|`` in size, with
       ``slack = ROUNDING * n * (1 + max |w|)`` from the sweep.  Hermiticity:
@@ -214,13 +208,12 @@ def _project_stack(
       ``tau_herm (1 + ||Herm P||)``).  PSD: the sweep's ``eigvalsh`` put
       ``lambda_min`` at ``-feas`` or above, and ``eigvalsh(Herm P)`` sits
       within that defect plus both eigensolvers' ``slack`` of it, so ``n *
-      slack`` must be below ``tau_psd - feas``.  Partial trace and trace:
-      ``Tr_out P = 1`` exactly before rounding; the additions, the division
-      by ``d_out`` and the two ``d_out``-term sums leave each of the ``d_in^2``
-      entries within ``ROUNDING * d_out^2 (1 + max |w|)``, so ``||Tr_out Herm
-      P - 1||_F`` and ``|Tr Herm P - d_in| / d_in`` are at most ``d_out *
-      slack``, which must be below ``tau_num / 2`` (the Frobenius shortcut of
-      the partial-trace test) and ``tau_sum``.
+      slack`` must be below ``tau_psd - feas``.  Partial trace: ``Tr_out P =
+      1`` exactly before rounding; the additions, the division by ``d_out``
+      and the two ``d_out``-term sums leave each of the ``d_in^2`` entries
+      within ``ROUNDING * d_out^2 (1 + max |w|)``, so ``||Tr_out Herm P -
+      1||_F`` is at most ``d_out * slack``, which must be below ``tau_num /
+      2`` (the Frobenius shortcut of the normalization rule).
 
     At the default tolerances and ``n = 16`` the swept allowances are about
     ``4e-12 * (1 + max |w|)`` against ``1e-9``.
@@ -228,10 +221,8 @@ def _project_stack(
     d_out, d_in = dims
     n = d_out * d_in
     feas = min(tol.tau_psd / 10, tol.tau_num)
-    # a feasible input meets the trace test (see the docstring)
-    shown_feasible = ROUNDING * n * (1.0 + 3.0 * d_out * feas) < tol.tau_sum - feas
     # a swept slice with ``slack`` below this meets every ChoiOp test
-    cap = min(min(tol.tau_psd - feas, tol.tau_herm) / n, min(tol.tau_num / 2, tol.tau_sum) / d_out)
+    cap = min(min(tol.tau_psd - feas, tol.tau_herm) / n, tol.tau_num / 2 / d_out)
     eye_out = np.eye(d_out)[:, None, :, None]  # kron's left factor, broadcast
     eye_in = np.eye(d_in)
     out: list[ChoiOp | None] = [None] * len(xs)
@@ -244,9 +235,7 @@ def _project_stack(
     for k in unsettled:
         unit_trace = _fro_settles(tr_diff[k], feas) or spectral_norm(tr_diff[k]) <= feas
         if unit_trace and max(0.0, -_min_eig(cur[k])) <= feas:
-            op = HermOp(cur[k], tol)
-            out[k] = (ChoiOp._shown(op, d_out, d_in) if shown_feasible
-                      else ChoiOp(op, d_out, d_in, tol))
+            out[k] = ChoiOp._shown(HermOp(cur[k], tol), d_out, d_in)
     if len(unsettled):
         live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
         if not len(live):

@@ -17,7 +17,7 @@ from chancert.choi import (
     identity_choi,
     q2c_choi,
 )
-from chancert.linalg import TOL, HermOp, partial_trace, spectral_norm
+from chancert.linalg import TOL, HermOp, Tolerances, partial_trace, spectral_norm
 from chancert.solvers import random_channel_choi
 from conftest import (
     THRESHOLD_FACTORS,
@@ -172,10 +172,11 @@ def test_choi_dims_recorded():
 
 # ------------------------------------------- validation decisions vs seed code
 #
-# The seed code ran every check below with exact spectral norms.  Validation
-# now skips them when a cheap bound settles the check, so each test builds
-# defects at multiples of the exact threshold and requires the same outcome
-# (accept, or the same exception type and message) as the seed formula.
+# The seed code ran every check below with exact spectral norms; the ``_seed_*``
+# formulas keep that, at the thresholds of the package's PSD and normalization
+# rules.  Validation skips the norms when a cheap bound settles the check, so
+# each test builds defects at multiples of the exact threshold and requires the
+# same outcome (accept, or the same exception type and message) as the formula.
 
 
 def _norm2(m) -> float:
@@ -194,11 +195,8 @@ def _seed_choiop(m, d_out, d_in, t=TOL):
         raise ValueError(f"Choi operator not PSD: min eigenvalue {low:.3e}")
     tr_out = partial_trace(op.mat, (d_out, d_in))
     defect = _norm2(tr_out - np.eye(d_in))
-    if defect > t.tau_num * max(1.0, scale):
+    if defect > t.tau_num * scale:
         raise NotTracePreservingError(f"partial trace deviates from identity by {defect:.3e}")
-    tr = float(np.real(np.trace(op.mat)))
-    if abs(tr - d_in) > t.tau_num * max(1.0, d_in) * 10:
-        raise NotTracePreservingError(f"trace {tr} != input dimension {d_in}")
 
 
 def _seed_povm(elements, t=TOL):
@@ -210,7 +208,7 @@ def _seed_povm(elements, t=TOL):
             raise ValueError("Povm element is not PSD within tolerance")
         total = total + e.mat
     defect = _norm2(total - np.eye(d))
-    if defect > t.tau_num * max(1.0, _norm2(total)) * 10:
+    if defect > t.tau_num * (1.0 + max(_norm2(e.mat) for e in elements)):
         raise ValueError(f"Povm elements sum to identity with defect {defect:.3e}")
 
 
@@ -222,10 +220,6 @@ def _seed_bipartite(m, t=TOL):
 
 def _seed_kraus(kraus, t=TOL):
     d_out, d_in = kraus[0].shape
-    acc = sum(k.conj().T @ k for k in kraus)
-    defect = _norm2(acc - np.eye(d_in))
-    if defect > t.tau_num * max(1.0, _norm2(acc)) * 10:
-        raise NotTracePreservingError(f"Kraus completeness defect {defect:.3e} exceeds tolerance")
     j = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in kraus)
     _seed_choiop(j, d_out, d_in, t)
 
@@ -264,8 +258,8 @@ def test_povm_decision_matches_exact_formula(check, factor):
     if check == "psd":  # min eigenvalue -c against tau_psd * (1 + 1)
         c = 2.0 * factor * TOL.tau_psd
         elements = [np.diag([1.0, -c]), np.diag([0.0, 1.0 + c])]
-    else:  # sum defect c against 10 tau_num (1 + c)
-        c = 10 * factor * TOL.tau_num / (1 - 10 * factor * TOL.tau_num)
+    else:  # sum defect c against tau_num (1 + max_k ||P_k||) = tau_num (2 + c)
+        c = 2.0 * factor * TOL.tau_num / (1 - factor * TOL.tau_num)
         elements = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + c])]
     want = outcome(_seed_povm, elements)
     assert (want is None) == (factor < 1.0)
@@ -282,13 +276,30 @@ def test_bipartite_state_decision_matches_exact_formula(factor):
 
 @pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
 def test_choi_from_kraus_decision_matches_exact_formula(factor):
-    # sum K^dagger K = diag(1 + c, 1); c solves c = 10 * factor * tau_num * (1 + c)
-    c = 10 * factor * TOL.tau_num / (1 - 10 * factor * TOL.tau_num)
+    # sum K^dagger K = diag(1 + c, 1); c solves c = factor * tau_num * (1 + ||J||)
+    # with ||J|| = (2 + c + sqrt(4 + c^2)) / 2, by an iteration contracting by ~tau_num
+    c = 0.0
+    for _ in range(3):
+        c = factor * TOL.tau_num * (1 + (2 + c + np.sqrt(4 + c * c)) / 2)
     kraus = [np.eye(2, dtype=np.complex128), np.sqrt(c) * np.diag([1.0, 0.0]) + 0j]
     want = outcome(_seed_kraus, kraus)
-    # past the Kraus threshold the completeness check is what fails
-    assert (want is not None and "Kraus" in want[1]) == (factor > 1.0)
+    # past the threshold ChoiOp's trace-preservation test is what fails
+    assert (want is not None and "partial trace deviates" in want[1]) == (factor > 1.0)
     assert outcome(choi_from_kraus, kraus) == want
+
+
+# {diag(1 + eps, 0), diag(0, 1)} meets the normalization rule while eps <=
+# tau_num * (1 + max_k ||P_k||) = tau_num * (2 + eps)
+POVM_EDGE = 2.0 * TOL.tau_num / (1.0 - TOL.tau_num)
+
+
+@pytest.mark.parametrize("eps", [2.5e-9, 5e-9, 9e-9, 0.99 * POVM_EDGE])
+def test_povm_passes_exactly_when_its_channel_does(eps):
+    elements = (HermOp(np.diag([1.0 + eps, 0.0])), HermOp(np.diag([0.0, 1.0])))
+    loose = Povm(elements, Tolerances(tau_num=1e-6))
+    passes = outcome(Povm, elements) is None
+    assert passes == (eps < POVM_EDGE)
+    assert (outcome(q2c_choi, loose) is None) == passes
 
 
 def test_settled_validation_runs_no_svd(monkeypatch):

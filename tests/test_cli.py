@@ -246,6 +246,27 @@ def test_compressed_pair_is_not_judged_again(tmp_path, capsys):
     assert _verdicts(_write(tmp_path, "compressed.json", doc), capsys) == (3, 0)
 
 
+# ------------------------------------------- the --tol-* flags judge the input
+
+
+@pytest.mark.parametrize("command", [["certify"], ["solve", "--max-iters", "3"]],
+                         ids=["certify", "solve"])
+def test_tolerance_flag_judges_the_input_as_the_document_key_does(command, tmp_path, capsys):
+    # sigma's eigenvalue -1e-5 breaks the PSD rule at the default tau_psd, not at 1e-3
+    objective = {"family": "Fidelity", "rho": _mat(np.eye(2) / 2.0),
+                 "sigma": _mat(np.diag([0.5, -1e-5]))}
+    channel = {"kind": "choi", "matrix": _mat(_identity_choi())}
+    plain = _write(tmp_path, "plain.json", problem_to_dict((2, 2, 1), objective, channel))
+    keyed = _write(tmp_path, "keyed.json", problem_to_dict((2, 2, 1), objective, channel,
+                                                           tolerances={"tau_psd": 1e-3}))
+    runs = []
+    for path, flags in ((plain, ["--tol-psd", "1e-3"]), (keyed, [])):
+        rc = main([command[0], path, *command[1:], *flags])
+        runs.append((rc, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (3 if command[0] == "certify" else 0)
+
+
 # a 401-digit JSON integer: Python reads it exactly, but no double holds it
 HUGE = 10**400
 
@@ -446,6 +467,26 @@ def test_hykl_via_choi_agrees(helstrom_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["via_choi"]["agrees"] is True
     assert payload["via_choi"]["verdict"] == "CertifiedOptimal"
+
+
+# {diag(1 + eps, 0), diag(0, 1)} meets the normalization rule while eps <=
+# tau_num * (1 + max_k ||P_k||) = tau_num * (2 + eps)
+POVM_EDGE = 2e-9 / (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("eps", [2.5e-9, 5e-9, 9e-9, 0.99 * POVM_EDGE])
+@pytest.mark.parametrize("command", ["certify", "hykl"])
+def test_povm_is_judged_by_the_normalization_rule(command, eps, tmp_path, capsys):
+    channel = {"kind": "povm", "elements": [_mat(np.diag([1.0 + eps, 0.0])),
+                                            _mat(np.diag([0.0, 1.0]))]}
+    doc = problem_to_dict((2, 2, 1), _discrimination_doc()["objective"], channel)
+    rc = main([command, _write(tmp_path, "povm.json", doc)])
+    out, err = capsys.readouterr()
+    if eps > POVM_EDGE:
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "Povm elements sum to identity" in err
+    else:
+        assert rc in (0, 3, 4) and err == ""
 
 
 def test_hykl_requires_discrimination_with_povm(tmp_path, capsys):
@@ -696,3 +737,14 @@ def test_helstrom_demo_runs():
     lines = done.stdout.splitlines()
     assert "[CertifiedOptimal," in next(s for s in lines if s.startswith("analytic"))
     assert "[CertifiedNearOptimal," in next(s for s in lines if s.startswith("grid"))
+
+
+def test_readme_library_quick_start_runs(capsys):
+    """The README's one library example certifies the Helstrom measurement."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    verdict, bound = capsys.readouterr().out.split()
+    assert verdict == "CertifiedOptimal"
+    assert float(bound) < 1e-12

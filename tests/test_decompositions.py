@@ -8,7 +8,8 @@ certificate is pinned, and a solver failure surfaces as an input error.
 The same kind of ``ast`` guard keeps ``objectives.FAMILIES`` the one list
 of objective families, and the evaluation map out of every function but the
 state-pair ``_evaluate``, the trace-distance witness and its pull-back in
-``objectives`` and ``draw_trial`` in ``experiments``.
+``objectives`` and ``draw_trial`` in ``experiments``, and each tolerance that
+judges an input out of every function but its rule.
 """
 
 import ast
@@ -211,6 +212,57 @@ def test_experiments_guard_sees_a_violation():
                                        "record_trial: eval_map_adjoint"]
 
 
+# One tolerance policy: ``tau_num`` is read by the normalization rule and
+# ``tau_psd`` by the PSD rule and the verdict predicate; the projection derives
+# its margins ``feas`` and ``cap`` from both.  No factor of a field is named.
+TOLERANCE_READERS = {
+    "tau_num": ["linalg._normalization_failure", "solvers._project_stack.cap",
+                "solvers._project_stack.feas"],
+    "tau_psd": ["certifier._within_tol", "linalg._psd_failure", "solvers._project_stack.cap",
+                "solvers._project_stack.feas"],
+}
+
+
+def _field_readers(tree: ast.Module, field: str) -> list[str]:
+    """``function`` for each read of ``.field``, or ``function.name`` where
+    the read sits in an assignment to ``name``."""
+    found = set()
+
+    def visit(node, scope, target):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope, target = node.name, None
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            target = node.targets[0].id
+        elif isinstance(node, ast.Attribute) and node.attr == field:
+            found.add(scope if target is None else f"{scope}.{target}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, target)
+
+    visit(tree, "module", None)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("field", sorted(TOLERANCE_READERS))
+def test_each_tolerance_is_read_by_its_rule(field):
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers += [f"{path.stem}.{r}" for r in _field_readers(tree, field)]
+    assert readers == TOLERANCE_READERS[field]
+
+
+def test_no_normalization_tolerance_but_tau_num():
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if "tau_sum" in p.read_text(encoding="utf-8")] == []
+
+
+def test_tolerance_guard_sees_a_read():
+    tree = ast.parse("def f(t):\n    return t.tau_num\n"
+                     "def g(t):\n    cap = min(t.tau_num, 1)\n    x = t.tau_psd\n"
+                     "lim = TOL.tau_num\n")
+    assert _field_readers(tree, "tau_num") == ["f", "g.cap", "module.lim"]
+
+
 # (eigh, eigvalsh, svd) calls of the first ``evaluate`` of a problem and of
 # one ``certify`` on ``gen FAMILY --dims 2 2 2 --seed 1 --with-channel``.
 # The relative entropy takes its value, image-inclusion test and gradient
@@ -324,8 +376,8 @@ def test_recorded_trials_validate_only_the_certificate(monkeypatch):
         assert len(checked) == RECORD_VALIDATIONS
 
 
-# ``HermOp`` and ``ChoiOp._check_trace`` validations in a 20-round lock-step
-# solve of three trace-distance problems at (2, 2, 2), set-up included.  The
+# ``HermOp`` and ``ChoiOp`` validations in a 20-round lock-step solve of
+# three trace-distance problems at (2, 2, 2), set-up included.  The
 # depolarizing start is the one public construction: every swept channel
 # (57) and every pull-back (60 evaluates) is built trusted behind its rounding
 # bound.  Validating each of them read (118, 58).
@@ -336,14 +388,14 @@ def test_solve_rounds_do_not_revalidate_what_they_built():
     specs = [draw_trial(t, (2, 2, 2), t % 2 == 0) for t in range(3)]
     counts = [0, 0]
     with pytest.MonkeyPatch.context() as mp:
-        for k, (cls, name) in enumerate(((HermOp, "__post_init__"), (ChoiOp, "_check_trace"))):
-            original = getattr(cls, name)
+        for k, cls in enumerate((HermOp, ChoiOp)):
+            original = cls.__post_init__
 
             def counted(self, tol, _k=k, _original=original):
                 counts[_k] += 1
                 return _original(self, tol)
 
-            mp.setattr(cls, name, counted)
+            mp.setattr(cls, "__post_init__", counted)
         traces = solve_batch(specs, replace(HARNESS_CONFIG, max_iters=20))
     assert [trace.iterations for trace in traces] == [20, 20, 20]
     assert tuple(counts) == ROUND_VALIDATIONS

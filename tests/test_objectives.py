@@ -106,24 +106,68 @@ def test_ensemble_validation():
         Ensemble((1.2, -0.2), (HermOp(rand_density(2, rng)), HermOp(rand_density(2, rng))))
 
 
+def test_huge_probabilities_are_reported_with_their_field():
+    rho = HermOp(np.diag([1.0, 0.0]))
+    with pytest.raises(InvalidEnsembleError, match="overflows") as exc:
+        Ensemble((1e308, 1e308), (rho, rho))
+    assert exc.value.field == "probs"
+
+
 def _seed_check_density(m, what, tol=TOL):
-    """The seed code's density check: exact spectral norm, always."""
+    """The density check at its exact formulas: the PSD and normalization
+    rules with exact spectral norms, always."""
+    scale = 1.0 + float(np.linalg.norm(m, 2))
     low = float(np.min(np.linalg.eigvalsh(m)))
-    if low < -tol.tau_psd * (1.0 + float(np.linalg.norm(m, 2))):
+    if low < -tol.tau_psd * scale:
         raise InvalidEnsembleError(f"{what} is not PSD (min eigenvalue {low:.3e})")
     tr = float(np.real(np.trace(m)))
-    if abs(tr - 1.0) > tol.tau_num * 10:
+    if abs(tr - 1.0) > tol.tau_num * scale:
         raise InvalidEnsembleError(f"{what} has trace {tr!r}, expected 1")
+
+
+def _assert_density_decision(m, factor):
+    want = outcome(_seed_check_density, m, "ensemble state 0")
+    assert (want is None) == (factor < 1.0)
+    assert outcome(Ensemble, (1.0,), (HermOp(m),)) == want
 
 
 @pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
 def test_density_check_decision_matches_exact_formula(factor):
     # diag(1 + c, -c): min eigenvalue -c against tau_psd * (2 + c)
     c = 2.0 * factor * TOL.tau_psd / (1.0 - factor * TOL.tau_psd)
-    m = np.diag([1.0 + c, -c])
-    want = outcome(_seed_check_density, m, "ensemble state 0")
+    _assert_density_decision(np.diag([1.0 + c, -c]), factor)
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+def test_density_trace_decision_matches_exact_formula(factor):
+    # diag(1 + c, 0): trace defect c against tau_num * (2 + c)
+    c = 2.0 * factor * TOL.tau_num / (1.0 - factor * TOL.tau_num)
+    _assert_density_decision(np.diag([1.0 + c, 0.0]), factor)
+
+
+def _seed_check_probs(p, tol=TOL):
+    """The probability checks at their exact formulas: the PSD rule on
+    ``diag(p)`` and the normalization rule on its sum."""
+    scale = 1.0 + float(np.max(np.abs(p)))
+    if np.min(p) < -tol.tau_psd * scale:
+        raise InvalidEnsembleError(f"negative probability {float(np.min(p))!r}")
+    if abs(float(np.sum(p)) - 1.0) > tol.tau_num * scale:
+        raise InvalidEnsembleError(f"probabilities sum to {float(np.sum(p))!r}")
+
+
+@pytest.mark.parametrize("factor", THRESHOLD_FACTORS)
+@pytest.mark.parametrize("check", ["negative", "sum"])
+def test_probability_check_decision_matches_exact_formula(check, factor):
+    if check == "negative":  # (1 + c, -c): -c against tau_psd * (2 + c)
+        c = 2.0 * factor * TOL.tau_psd / (1.0 - factor * TOL.tau_psd)
+        p = (1.0 + c, -c)
+    else:  # (1 + c, 0): sum defect c against tau_num * (2 + c)
+        c = 2.0 * factor * TOL.tau_num / (1.0 - factor * TOL.tau_num)
+        p = (1.0 + c, 0.0)
+    want = outcome(_seed_check_probs, np.array(p))
     assert (want is None) == (factor < 1.0)
-    assert outcome(Ensemble, (1.0,), (HermOp(m),)) == want
+    rho = HermOp(np.diag([1.0, 0.0]))
+    assert outcome(Ensemble, p, (rho, rho)) == want
 
 
 def test_ensemble_mean():
