@@ -75,7 +75,7 @@ class Tolerances:
     """Relative tolerance bundle shared by every numeric routine.
 
     An input is judged by three rules, each reading one field: the
-    ``HermOp`` check (``tau_herm``), the PSD rule ``_psd_failure``
+    ``HermOp`` check (``tau_herm``), the PSD rule ``_psd_rule``
     (``tau_psd``) and the normalization rule ``_normalization_failure``
     (``tau_num``).  The verdict predicate ``certifier._within_tol`` reads
     ``tau_herm`` and ``tau_psd`` too, and ``solvers._project_stack`` derives
@@ -148,13 +148,17 @@ def _fro_settles(defect: np.ndarray, limit: float) -> bool:
     return 2.0 * _fro(defect) <= limit < math.inf
 
 
+def _psd_rule(low: float, norm, tol: Tolerances) -> float | None:
+    """``low = lambda_min(A)`` if it breaks the package's one PSD rule, ``low
+    >= -tau_psd * (1 + ||A||)`` with ``norm()`` returning ``||A||``, else None.
+    The scale is at least 1, so ``low >= -tau_psd`` passes without ``norm()``,
+    and the rounded product cannot undercut ``tau_psd`` either."""
+    return low if low < -tol.tau_psd and low < -tol.tau_psd * (1.0 + norm()) else None
+
+
 def _psd_failure(op: HermOp, tol: Tolerances) -> float | None:
-    """``lambda_min(op)`` if it breaks the package's one PSD rule, ``lambda_min
-    >= -tau_psd * (1 + ||op||)``, else None.  The scale is at least 1, so
-    ``lambda_min >= -tau_psd`` passes without the norm's SVD, and the rounded
-    product cannot undercut ``tau_psd`` either."""
-    low = _min_eig(op.mat)
-    return low if low < -tol.tau_psd and low < -tol.tau_psd * (1.0 + op.norm()) else None
+    """``lambda_min(op)`` if it breaks the PSD rule (:func:`_psd_rule`)."""
+    return _psd_rule(_min_eig(op.mat), op.norm, tol)
 
 
 def _normalization_failure(s, norm, tol: Tolerances) -> float | None:

@@ -85,6 +85,7 @@ from .linalg import (
     _normalization_failure,
     _psd_eigs,
     _psd_failure,
+    _psd_rule,
     _sign_witness,
     _support,
     kron,
@@ -136,19 +137,16 @@ def _check_density(op: HermOp, tol: Tolerances, k: int) -> None:
 
 
 def _check_probs(p: np.ndarray, tol: Tolerances) -> None:
-    """Reject a probability vector that is not finite, whose ``diag(p)``
-    breaks the PSD rule, or whose sum breaks the normalization rule."""
+    """Reject non-finite ``p``, or ``p`` whose ``diag(p)`` (never formed: its
+    eigenvalues are ``p``) breaks the PSD rule or whose sum breaks normalization."""
     if not np.isfinite(p).all():
         raise InvalidEnsembleError(f"probabilities are not all finite: {p.tolist()!r}", "probs")
-    try:
-        a = HermOp(np.diag(p), tol)
-    except ValueError as exc:  # an entry near the largest double overflows
-        raise InvalidEnsembleError(str(exc), "probs") from exc
-    low = _psd_failure(a, tol)
+    top = float(np.max(np.abs(p)))  # ||diag(p)||
+    low = _psd_rule(float(np.min(p)), lambda: top, tol)
     if low is not None:
         raise InvalidEnsembleError(f"negative probability {low!r}", "probs")
     total = float(np.sum(p))
-    if _normalization_failure(total, a.norm, tol) is not None:
+    if _normalization_failure(total, lambda: top, tol) is not None:
         raise InvalidEnsembleError(f"probabilities sum to {total!r}", "probs")
 
 

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from chancert.linalg import HermOp
+from chancert.linalg import TOL, HermOp
 
 # eigh-heavy properties blow the default 200ms deadline on slow CI boxes
 settings.register_profile(
@@ -39,6 +39,10 @@ def herm(m):
 # defect sizes, as multiples of a check's exact threshold, for the tests that
 # pin bound-settled validation decisions to the exact formulas
 THRESHOLD_FACTORS = (1e-3, 0.3, 0.99, 1.01, 3.0)
+
+# {diag(1 + eps, 0), diag(0, 1)} meets the normalization rule while eps <=
+# tau_num * (1 + max_k ||P_k||) = tau_num * (2 + eps)
+POVM_EDGE = 2.0 * TOL.tau_num / (1.0 - TOL.tau_num)
 
 
 def outcome(fn, *args, **kwargs):

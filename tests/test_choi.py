@@ -20,6 +20,7 @@ from chancert.choi import (
 from chancert.linalg import TOL, HermOp, Tolerances, partial_trace, spectral_norm
 from chancert.solvers import random_channel_choi
 from conftest import (
+    POVM_EDGE,
     THRESHOLD_FACTORS,
     forbid_svd,
     outcome,
@@ -286,11 +287,6 @@ def test_choi_from_kraus_decision_matches_exact_formula(factor):
     # past the threshold ChoiOp's trace-preservation test is what fails
     assert (want is not None and "partial trace deviates" in want[1]) == (factor > 1.0)
     assert outcome(choi_from_kraus, kraus) == want
-
-
-# {diag(1 + eps, 0), diag(0, 1)} meets the normalization rule while eps <=
-# tau_num * (1 + max_k ||P_k||) = tau_num * (2 + eps)
-POVM_EDGE = 2.0 * TOL.tau_num / (1.0 - TOL.tau_num)
 
 
 @pytest.mark.parametrize("eps", [2.5e-9, 5e-9, 9e-9, 0.99 * POVM_EDGE])

@@ -15,6 +15,7 @@ from chancert.linalg import HermOp
 from chancert.objectives import Ensemble
 from chancert.serialize import canonical_json, encode_matrix, problem_to_dict
 from chancert.solvers import brute_force_measurement, helstrom_povm
+from conftest import POVM_EDGE
 
 
 def _mat(m):
@@ -467,11 +468,6 @@ def test_hykl_via_choi_agrees(helstrom_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["via_choi"]["agrees"] is True
     assert payload["via_choi"]["verdict"] == "CertifiedOptimal"
-
-
-# {diag(1 + eps, 0), diag(0, 1)} meets the normalization rule while eps <=
-# tau_num * (1 + max_k ||P_k||) = tau_num * (2 + eps)
-POVM_EDGE = 2e-9 / (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("eps", [2.5e-9, 5e-9, 9e-9, 0.99 * POVM_EDGE])

@@ -27,7 +27,7 @@ from chancert.cli import GEN_FAMILIES, main
 from chancert.experiments import HARNESS_CONFIG, draw_trial, record_trial
 from chancert.choi import ChoiOp
 from chancert.linalg import EigDecompositionError, HermOp, dist_to_psd
-from chancert.objectives import FAMILIES, evaluate
+from chancert.objectives import FAMILIES, FidelitySquaredObjective, evaluate
 from chancert.serialize import loads_problem
 from chancert.solvers import solve_batch
 from conftest import counted_checks, forbid_svd
@@ -218,7 +218,7 @@ def test_experiments_guard_sees_a_violation():
 TOLERANCE_READERS = {
     "tau_num": ["linalg._normalization_failure", "solvers._project_stack.cap",
                 "solvers._project_stack.feas"],
-    "tau_psd": ["certifier._within_tol", "linalg._psd_failure", "solvers._project_stack.cap",
+    "tau_psd": ["certifier._within_tol", "linalg._psd_rule", "solvers._project_stack.cap",
                 "solvers._project_stack.feas"],
 }
 
@@ -307,6 +307,25 @@ def _count_calls(fn):
             mp.setattr(np.linalg, name, counted)
         result = fn()
     return result, tuple(calls.values())
+
+
+def test_large_ensemble_validation_decomposes_only_its_members():
+    # the probability vector is judged from its entries: m members cost m
+    # decompositions per side, none larger than a member
+    m = 20_000
+    rho = HermOp(np.eye(2) / 2.0)
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in COUNTED:
+            original = getattr(np.linalg, name)
+
+            def sized(a, *args, _original=original, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _original(a, *args, **kwargs)
+
+            mp.setattr(np.linalg, name, sized)
+        FidelitySquaredObjective(np.full(m, 1.0 / m), (rho,) * m, (rho,) * m)
+    assert (len(sizes), max(sizes)) == (2 * m, 2)
 
 
 @pytest.mark.parametrize("family", GEN_FAMILIES)
