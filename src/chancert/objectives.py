@@ -145,7 +145,8 @@ def _check_probs(p: np.ndarray, tol: Tolerances) -> None:
     low = _psd_rule(float(np.min(p)), lambda: top, tol)
     if low is not None:
         raise InvalidEnsembleError(f"negative probability {low!r}", "probs")
-    total = float(np.sum(p))
+    with np.errstate(over="ignore"):  # a sum past the largest double is inf
+        total = float(np.sum(p))
     if _normalization_failure(total, lambda: top, tol) is not None:
         raise InvalidEnsembleError(f"probabilities sum to {total!r}", "probs")
 
@@ -163,9 +164,7 @@ class Ensemble:
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         states = tuple(s if isinstance(s, HermOp) else HermOp(s, t) for s in self.states)
         if p.size != len(states) or p.size == 0:
-            raise InvalidEnsembleError(
-                f"{p.size} probabilities for {len(states)} states"
-            )
+            raise InvalidEnsembleError(f"{p.size} probabilities for {len(states)} states")
         _check_probs(p, t)
         d = states[0].dim
         for k, s in enumerate(states):

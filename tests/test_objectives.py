@@ -106,6 +106,14 @@ def test_ensemble_validation():
         Ensemble((1.2, -0.2), (HermOp(rand_density(2, rng)), HermOp(rand_density(2, rng))))
 
 
+def test_huge_probabilities_are_reported_with_their_field():
+    # the sum overflows to inf without a RuntimeWarning and breaks the rule
+    rho = HermOp(np.diag([1.0, 0.0]))
+    with pytest.raises(InvalidEnsembleError, match="sum to inf") as exc:
+        Ensemble((1e308, 1e308), (rho, rho))
+    assert exc.value.field == "probs"
+
+
 def _seed_check_density(m, what, tol=TOL):
     """The density check at its exact formulas: the PSD and normalization
     rules with exact spectral norms, always."""
