@@ -148,8 +148,10 @@ def certify(h: HermOp, j: ChoiOp, tol: Tolerances = TOL) -> Certificate:
     scale = 1.0 + h.norm()
     herm_defect = spectral_norm(z_raw - _dagger(z_raw))
     verdict = VERDICT_OPTIMAL if _within_tol(herm_defect, min_eig, scale, tol) else VERDICT_NEAR
-    return Certificate(verdict, HermOp(_herm(z_raw)), herm_defect, min_eig, epsilon,
-                       epsilon * j.dim_in, scale)
+    # an elementwise Hermitian z_raw goes to HermOp as it is, which stores the
+    # same bits as HermOp(_herm(z_raw)) and holds it also where the sum overflows
+    z = HermOp(z_raw if herm_defect == 0.0 else _herm(z_raw))
+    return Certificate(verdict, z, herm_defect, min_eig, epsilon, epsilon * j.dim_in, scale)
 
 
 def certify_objective(

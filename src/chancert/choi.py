@@ -72,6 +72,16 @@ class NotTracePreservingError(ValueError):
     """Kraus family or Choi matrix does not describe a trace-preserving map."""
 
 
+class _FieldError(ValueError):
+    """Input that fails validation; ``field`` names the document field at
+    fault when the error is about one field, and a document reader prefixes
+    it with the path of the object it read."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 class DegenerateInputError(ValueError):
     """Input state is degenerate (e.g. zero reduced state) for the operation."""
 
@@ -136,6 +146,8 @@ class Povm:
     partial trace is ``S`` transposed and whose norm is ``max_k ||P_k||``:
     a Povm passes exactly when its channel's trace-preservation test does
     (the same formula; the sums and the norms are formed in another order).
+    A failure of either rule names its field, ``"elements[k]"`` or
+    ``"elements"``.
     """
 
     elements: tuple[HermOp, ...]
@@ -149,15 +161,18 @@ class Povm:
             raise ValueError("Povm needs at least one element")
         d = elems[0].dim
         total = np.zeros((d, d), dtype=np.complex128)
-        for e in elems:
+        for k, e in enumerate(elems):
             if e.dim != d:
                 raise DimensionMismatchError("Povm elements have mixed dimensions")
-            if _psd_failure(e, t) is not None:
-                raise ValueError("Povm element is not PSD within tolerance")
+            low = _psd_failure(e, t)
+            if low is not None:
+                raise _FieldError(f"Povm element {k} is not PSD (min eigenvalue {low:.3e})",
+                                  f"elements[{k}]")
             total = total + e.mat
         defect = _normalization_failure(total, lambda: max(e.norm() for e in elems), t)
         if defect is not None:
-            raise ValueError(f"Povm elements sum to identity with defect {defect:.3e}")
+            raise _FieldError(f"Povm elements sum to identity with defect {defect:.3e}",
+                              "elements")
 
     @property
     def dim(self) -> int:

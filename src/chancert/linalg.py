@@ -204,10 +204,11 @@ class HermOp:
     """A validated Hermitian operator.
 
     The stored matrix is the exact Hermitian part ``(M + M^dagger) / 2`` of
-    the constructor input; construction fails if the input's Hermiticity
-    defect exceeds ``tau_herm * (1 + norm)``, or if the Hermitian part
-    overflows.  Both spectral norms (two SVDs) are skipped when the outcome
-    is already settled:
+    the constructor input, or ``M`` itself when ``M`` equals ``M^dagger``
+    elementwise and that sum overflows; construction fails if the input's
+    Hermiticity defect exceeds ``tau_herm * (1 + norm)``, or if the Hermitian
+    part of any other input overflows.  Both spectral norms (two SVDs) are
+    skipped when the outcome is already settled:
 
     * the input equals its Hermitian part elementwise, so the defect is
       exactly 0 and the stored matrix is the same;
@@ -250,9 +251,13 @@ class HermOp:
         _check_square(m, "HermOp input")
         with np.errstate(over="ignore", invalid="ignore"):
             h, exact = _herm_part(m)
-        if not exact:
-            if not np.isfinite(h).all():
+        if not exact and not np.isfinite(h).all():
+            # the sum overflowed; an elementwise Hermitian input is its own
+            # Hermitian part
+            if not (m == _dagger(m)).all():
                 raise ValueError("matrix is too large: its Hermitian part overflows")
+            h, exact = m.copy(), True
+        if not exact:
             diff = m - h
             if not _fro_settles(diff, t.tau_herm * (1.0 + _fro(h) / math.sqrt(m.shape[0]))):
                 defect = spectral_norm(diff)
@@ -354,27 +359,20 @@ def _cluster_slices(w: np.ndarray, tol: Tolerances) -> list[slice]:
     if not len(w):
         return []
     threshold = tol.tau_rank * max(1.0, float(np.max(np.abs(w))))
-    slices = []
-    start = 0
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > threshold:
-            slices.append(slice(start, i))
-            start = i
-    slices.append(slice(start, len(w)))
-    return slices
+    cuts = [0, *(np.flatnonzero(np.diff(w) > threshold) + 1).tolist(), len(w)]
+    return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def eig_herm(a: HermOp, tol: Tolerances = TOL) -> SpectralDecomp:
     """Spectral decomposition with eigenvalues clustered within
     ``tau_rank * max(1, norm)``."""
     w, v = _eigh(a.mat)
-    reps, projs, mults = [], [], []
-    for s in _cluster_slices(w, tol):
-        block = v[:, s]
-        reps.append(float(np.mean(w[s])))
-        projs.append(block @ block.conj().T)
-        mults.append(s.stop - s.start)
-    return SpectralDecomp(np.array(reps), tuple(projs), tuple(mults))
+    slices = _cluster_slices(w, tol)
+    return SpectralDecomp(
+        np.array([float(np.mean(w[s])) for s in slices]),
+        tuple(v[:, s] @ v[:, s].conj().T for s in slices),
+        tuple(s.stop - s.start for s in slices),
+    )
 
 
 def _psd_eigs(a: HermOp) -> tuple[np.ndarray, np.ndarray]:
@@ -402,21 +400,16 @@ def _dlog_eig(w: np.ndarray, v: np.ndarray, zt: np.ndarray, tol: Tolerances) -> 
     supported there, this is ``Dlog_y[z]`` on the image of ``y``.
     """
     slices = _cluster_slices(w, tol)
-    reps = [float(np.mean(w[s])) for s in slices]
-    logs = [math.log(r) for r in reps]  # one per cluster, reused by each pair
-    k = len(reps)
-    ker = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                ker[i, j] = 1.0 / reps[i]
-            else:
-                ker[i, j] = (logs[i] - logs[j]) / (reps[i] - reps[j])
+    reps = np.array([float(np.mean(w[s])) for s in slices])
+    logs = np.array([math.log(r) for r in reps])  # one per cluster, reused by each pair
+    # the diagonal's 0 / 0 is replaced below, and an entry past the largest
+    # double is inf, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        ker = np.subtract.outer(logs, logs) / np.subtract.outer(reps, reps)
+        np.fill_diagonal(ker, 1.0 / reps)
     # expand cluster kernel to one entry per eigenvector pair
-    idx = np.empty(len(w), dtype=int)
-    for c, s in enumerate(slices):
-        idx[s] = c
-    full = ker[np.ix_(idx, idx)]
+    mults = [s.stop - s.start for s in slices]
+    full = np.repeat(np.repeat(ker, mults, axis=0), mults, axis=1)
     return v @ (full * zt) @ v.conj().T
 
 

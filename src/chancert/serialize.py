@@ -50,7 +50,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .certifier import Certificate, HyklReport
-from .choi import BipartiteState, ChoiOp, Povm, choi_from_kraus, q2c_choi
+from .choi import BipartiteState, ChoiOp, Povm, _FieldError, choi_from_kraus, q2c_choi
 from .linalg import TOL, HermOp, Tolerances, as_array
 from .objectives import FAMILIES, Ensemble, InvalidEnsembleError, ObjectiveSpec, SubgradResult
 
@@ -348,12 +348,18 @@ class _Fields:
     def op(self, key: str, dim: int) -> HermOp:
         return self._square(_require(self.data, key, self.path), dim, f"{self.path}.{key}")
 
+    def judged(self, key: str, build, *args):
+        """``build(*args)``, a ``ValueError`` it raises reported under ``key``,
+        or under the field the error names (:class:`choi._FieldError`)."""
+        try:
+            return build(*args)
+        except ValueError as exc:
+            field = exc.field if isinstance(exc, _FieldError) and exc.field else key
+            raise SchemaError(f"{self.path}.{field}: {exc}") from exc
+
     def state(self, key: str, dim_sys: int, dim_env: int) -> BipartiteState:
         op = self.op(key, dim_sys * dim_env)
-        try:
-            return BipartiteState(op, dim_sys, dim_env, self.tol)
-        except ValueError as exc:
-            raise SchemaError(f"{self.path}.{key}: {exc}") from exc
+        return self.judged(key, BipartiteState, op, dim_sys, dim_env, self.tol)
 
     def ops(self, key: str, dim: int, count: int | None = None) -> tuple[HermOp, ...]:
         items = self._array(key)
@@ -396,7 +402,8 @@ def _parse_channel(
     d_in, d_out, _ = dims
     doc = _Fields(data, "channel", tol)
     if kind == "choi":
-        return ChoiOp(doc.op("matrix", d_out * d_in), d_out, d_in, tol), None
+        op = doc.op("matrix", d_out * d_in)
+        return doc.judged("matrix", ChoiOp, op, d_out, d_in, tol), None
     if kind == "kraus":
         ops = _require(data, "operators", "channel")
         if not isinstance(ops, list) or not ops:
@@ -409,9 +416,9 @@ def _parse_channel(
                     f"channel.operators[{k}]: shape {m.shape} != ({d_out}, {d_in})"
                 )
             mats.append(m)
-        return choi_from_kraus(mats, tol), None
+        return doc.judged("operators", choi_from_kraus, mats, tol), None
     if kind == "povm":
-        povm = Povm(doc.ops("elements", d_in, count=d_out), tol)
+        povm = doc.judged("elements", Povm, doc.ops("elements", d_in, count=d_out), tol)
         return q2c_choi(povm, tol), povm
     raise SchemaError(f"channel.kind: unknown kind {kind!r}")
 

@@ -8,6 +8,7 @@ from chancert.choi import (
     ChoiOp,
     NotTracePreservingError,
     Povm,
+    _FieldError,
     apply_from_choi,
     choi_from_kraus,
     compress_environment,
@@ -204,13 +205,15 @@ def _seed_povm(elements, t=TOL):
     elements = [HermOp(e, t) for e in elements]
     d = elements[0].dim
     total = np.zeros((d, d), dtype=np.complex128)
-    for e in elements:
-        if _min_eig(e.mat) < -t.tau_psd * (1.0 + _norm2(e.mat)):
-            raise ValueError("Povm element is not PSD within tolerance")
+    for k, e in enumerate(elements):
+        low = _min_eig(e.mat)
+        if low < -t.tau_psd * (1.0 + _norm2(e.mat)):
+            raise _FieldError(f"Povm element {k} is not PSD (min eigenvalue {low:.3e})",
+                              f"elements[{k}]")
         total = total + e.mat
     defect = _norm2(total - np.eye(d))
     if defect > t.tau_num * (1.0 + max(_norm2(e.mat) for e in elements)):
-        raise ValueError(f"Povm elements sum to identity with defect {defect:.3e}")
+        raise _FieldError(f"Povm elements sum to identity with defect {defect:.3e}", "elements")
 
 
 def _seed_bipartite(m, t=TOL):

@@ -152,17 +152,48 @@ def test_relative_entropy_zero_target_is_optimal(tmp_path, capsys):
     assert (payload["converged"], payload["iterations"], payload["best_value"]) == (True, 1, 0.0)
 
 
-def test_certify_overflowing_matrix_exits_two_without_warnings(tmp_path, capsys):
-    h0 = np.array([[0.0, 1e308], [1e308, 0.0]])
+def _huge_linear_doc(tmp_path, h0):
     doc = problem_to_dict((2, 1, 1), {"family": "Linear", "h0": _mat(h0)},
                           {"kind": "choi", "matrix": _mat(np.eye(2))})
-    path = _write(tmp_path, "huge.json", doc)
+    return _write(tmp_path, "huge.json", doc)
+
+
+def test_certify_overflowing_matrix_exits_two_without_warnings(tmp_path, capsys):
+    # not Hermitian, and h0 + h0^dagger overflows
+    path = _huge_linear_doc(tmp_path, np.array([[0.0, 1e308], [1.5e308, 0.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["certify", path]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "overflows" in err
+
+
+def test_certify_huge_hermitian_matrix_warns_nothing(tmp_path, capsys):
+    # h0 + h0^dagger overflows, but h0 is its own Hermitian part, and so is
+    # Tr_out(h0 J) = h0, the certificate's z
+    h0 = np.array([[0.0, 1e308], [1e308, 0.0]])
+    path = _huge_linear_doc(tmp_path, h0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["verdict"] == "CertifiedOptimal"
+    assert payload["z"] == _mat(h0)
+
+
+def test_huge_ensemble_state_is_reported_with_its_trace(tmp_path, capsys):
+    doc = _discrimination_doc()
+    doc["objective"]["states"][0] = _mat(np.diag([1e308, 1e308]))
+    path = _write(tmp_path, "huge_state.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "chancert: objective.states[0]: ensemble state 0 has trace inf, expected 1\n"
 
 
 def test_certify_overflowing_adjoint_bound_warns_nothing(tmp_path, capsys):
@@ -485,6 +516,33 @@ def test_povm_is_judged_by_the_normalization_rule(command, eps, tmp_path, capsys
         assert rc in (0, 3, 4) and err == ""
 
 
+# a channel that fails validation, and the one line that names its field
+BAD_CHANNELS = {
+    "choi-not-psd": ({"kind": "choi", "matrix": _mat(np.diag([0.5, 0.5, 0.5, -0.5]))},
+                     "channel.matrix: Choi operator not PSD: min eigenvalue -5.000e-01"),
+    "choi-not-tp": ({"kind": "choi", "matrix": _mat(np.eye(4))},
+                    "channel.matrix: partial trace deviates from identity by 1.000e+00"),
+    "kraus-not-tp": ({"kind": "kraus", "operators": [_mat(2.0 * np.eye(2))]},
+                     "channel.operators: partial trace deviates from identity by 3.000e+00"),
+    "povm-not-psd": ({"kind": "povm", "elements": [_mat(np.diag([1.0, 0.0])),
+                                                   _mat(np.diag([-1e-3, 1.0]))]},
+                     "channel.elements[1]: Povm element 1 is not PSD "
+                     "(min eigenvalue -1.000e-03)"),
+    "povm-sum": ({"kind": "povm", "elements": [_mat(np.diag([1.0, 0.0])),
+                                               _mat(np.diag([0.0, 1.001]))]},
+                 "channel.elements: Povm elements sum to identity with defect 1.000e-03"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CHANNELS)
+@pytest.mark.parametrize("command", ["certify", "hykl"])
+def test_channel_errors_name_their_field(command, case, tmp_path, capsys):
+    channel, message = BAD_CHANNELS[case]
+    doc = problem_to_dict((2, 2, 1), _discrimination_doc()["objective"], channel)
+    assert main([command, _write(tmp_path, "bad_channel.json", doc)]) == 2
+    assert capsys.readouterr() == ("", f"chancert: {message}\n")
+
+
 def test_hykl_requires_discrimination_with_povm(tmp_path, capsys):
     doc = problem_to_dict(
         (2, 2, 1),
@@ -733,6 +791,26 @@ def test_helstrom_demo_runs():
     lines = done.stdout.splitlines()
     assert "[CertifiedOptimal," in next(s for s in lines if s.startswith("analytic"))
     assert "[CertifiedNearOptimal," in next(s for s in lines if s.startswith("grid"))
+
+
+def test_readme_cli_round_trip_runs():
+    """The README's ``gen ... | certify /dev/stdin`` pipeline, as two processes
+    with the first one's stdout piped to the second one's stdin."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    line = next(s for s in readme.read_text(encoding="utf-8").splitlines()
+                if s.startswith("chancert gen discrimination - "))
+    gen, certify = (part.split()[1:] for part in line.split(" | "))
+    assert certify == ["certify", "/dev/stdin"]
+    src = str(pathlib.Path(chancert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = [sys.executable, "-m", "chancert"]
+    with subprocess.Popen([*run, *gen], env=env, stdout=subprocess.PIPE) as first:
+        done = subprocess.run([*run, *certify], env=env, stdin=first.stdout,
+                              capture_output=True, text=True, check=False)
+        first.stdout.close()
+    assert first.returncode == 0
+    assert (done.returncode, done.stderr) == (3, "")
+    assert json.loads(done.stdout)["verdict"] == "CertifiedNearOptimal"
 
 
 def test_readme_library_quick_start_runs(capsys):

@@ -79,16 +79,31 @@ def test_hermop_defect_threshold():
         HermOp(np.diag([1.0, 3.0]) + 1.01 * limit * skew)
 
 
+# inputs that are not Hermitian and whose sum M + M^dagger overflows
 @pytest.mark.parametrize("m", [
-    [[0.0, 1e308], [1e308, 0.0]],
-    [[1.7e308, 0.0], [0.0, 1.0]],
-    [[0.0, 1e308j], [-1e308j, 0.0]],
+    [[0.0, 1e308], [1.5e308, 0.0]],
+    [[1.7e308 + 1j, 0.0], [0.0, 1.0]],
+    [[0.0, 1e308j], [-1.5e308j, 0.0]],
 ])
 def test_hermop_overflow_is_a_value_error_without_warnings(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
             HermOp(np.array(m))
+
+
+@pytest.mark.parametrize("m", [
+    [[0.0, 1e308], [1e308, 0.0]],
+    [[1.7e308, 0.0], [0.0, 1.0]],
+    [[0.0, 1e308j], [-1e308j, 0.0]],
+    [[1e308, 0.0], [0.0, 1e308]],
+])
+def test_hermop_holds_an_elementwise_hermitian_input_of_any_magnitude(m):
+    # M + M^dagger overflows, and M is its own Hermitian part
+    m = np.array(m, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert HermOp(m).mat.tobytes() == m.tobytes()
 
 
 @given(seeds, dims)
@@ -228,6 +243,71 @@ def test_dlog_kernel_matches_the_two_log_loop_bitwise(w, seed):
     zt = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     got = _dlog_eig(w, v, zt, TOL)
     assert got.tobytes() == _reference_dlog_eig(w, v, zt, TOL).tobytes()
+
+
+def _reference_cluster_slices(w, tol):
+    """``_cluster_slices`` as a loop over consecutive gaps: the oracle of the
+    array form."""
+    if not len(w):
+        return []
+    threshold = tol.tau_rank * max(1.0, float(np.max(np.abs(w))))
+    slices = []
+    start = 0
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] > threshold:
+            slices.append(slice(start, i))
+            start = i
+    slices.append(slice(start, len(w)))
+    return slices
+
+
+def _reference_eig_herm(a, tol):
+    """``eig_herm`` as an append loop over the clusters of the loop oracle:
+    eigenvalues, projectors and multiplicities."""
+    w, v = np.linalg.eigh(a.mat)
+    reps, projs, mults = [], [], []
+    for s in _reference_cluster_slices(w, tol):
+        block = v[:, s]
+        reps.append(float(np.mean(w[s])))
+        projs.append(block @ block.conj().T)
+        mults.append(s.stop - s.start)
+    return np.array(reps), tuple(projs), tuple(mults)
+
+
+# On the grid of 2^-52 inside [-1, 1] every eigenvalue and every gap is exact,
+# and the clustering threshold of GRID_TOL is exactly 2^-20 = 2^32 grid steps:
+# gaps one step below it, at it, one step above it, or far above it.
+GRID_TOL = Tolerances(tau_rank=2.0**-20)
+gridded_spectra = st.tuples(
+    st.integers(-(2**51), 0), st.lists(st.sampled_from([2**32 - 1, 2**32, 2**32 + 1, 2**40]),
+                                       max_size=8),
+).map(lambda s: np.cumsum([s[0], *s[1]]) * 2.0**-52)
+spectra_with_tol = st.one_of(
+    st.tuples(gridded_spectra, st.just(GRID_TOL)),
+    st.tuples(clustered_spectra, st.just(TOL)),
+    st.just((np.empty(0), TOL)),
+)
+
+
+@given(spectra_with_tol, seeds)
+def test_clustering_matches_the_loop_bitwise(spectrum, seed):
+    w, tol = spectrum
+    assert _cluster_slices(w, tol) == _reference_cluster_slices(w, tol)
+    n = len(w)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    a = HermOp((q * w) @ q.conj().T)
+    dec = eig_herm(a, tol)
+    reps, projs, mults = _reference_eig_herm(a, tol)
+    assert dec.eigenvalues.tobytes() == reps.tobytes()
+    assert [p.tobytes() for p in dec.projectors] == [p.tobytes() for p in projs]
+    assert dec.multiplicities == mults
+
+
+def test_grid_gaps_fall_on_both_sides_of_the_threshold():
+    # one step below and at the threshold cluster, one step above splits
+    w = np.cumsum([0, 2**32 - 1, 2**32, 2**32 + 1]) * 2.0**-52
+    assert _cluster_slices(w, GRID_TOL) == [slice(0, 3), slice(3, 4)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6, 9, 16, 64])
