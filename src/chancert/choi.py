@@ -103,21 +103,19 @@ class ChoiOp:
     op: HermOp
     dim_out: int
     dim_in: int
-    tol: InitVar[Tolerances | None] = None
+    tol: InitVar[Tolerances] = TOL
 
-    def __post_init__(self, tol: Tolerances | None) -> None:
-        t = tol or TOL
-        op = self.op if isinstance(self.op, HermOp) else HermOp(self.op, t)
-        object.__setattr__(self, "op", op)
+    def __post_init__(self, tol: Tolerances) -> None:
+        op = self.op
         if op.dim != self.dim_out * self.dim_in:
             raise DimensionMismatchError(
                 f"Choi dim {op.dim} != dim_out*dim_in = {self.dim_out * self.dim_in}"
             )
-        low = _psd_failure(op, t)
+        low = _psd_failure(op, tol)
         if low is not None:
-            raise ValueError(f"Choi operator not PSD: min eigenvalue {low:.3e}")
+            raise ValueError(f"Choi operator is not PSD (min eigenvalue {low:.3e})")
         defect = _normalization_failure(
-            partial_trace(op.mat, (self.dim_out, self.dim_in)), op.norm, t)
+            partial_trace(op.mat, (self.dim_out, self.dim_in)), op.norm, tol)
         if defect is not None:
             raise NotTracePreservingError(f"partial trace deviates from identity by {defect:.3e}")
 
@@ -151,12 +149,10 @@ class Povm:
     """
 
     elements: tuple[HermOp, ...]
-    tol: InitVar[Tolerances | None] = None
+    tol: InitVar[Tolerances] = TOL
 
-    def __post_init__(self, tol: Tolerances | None) -> None:
-        t = tol or TOL
-        elems = tuple(e if isinstance(e, HermOp) else HermOp(e, t) for e in self.elements)
-        object.__setattr__(self, "elements", elems)
+    def __post_init__(self, tol: Tolerances) -> None:
+        elems = self.elements
         if not elems:
             raise ValueError("Povm needs at least one element")
         d = elems[0].dim
@@ -164,12 +160,12 @@ class Povm:
         for k, e in enumerate(elems):
             if e.dim != d:
                 raise DimensionMismatchError("Povm elements have mixed dimensions")
-            low = _psd_failure(e, t)
+            low = _psd_failure(e, tol)
             if low is not None:
                 raise _FieldError(f"Povm element {k} is not PSD (min eigenvalue {low:.3e})",
                                   f"elements[{k}]")
             total = total + e.mat
-        defect = _normalization_failure(total, lambda: max(e.norm() for e in elems), t)
+        defect = _normalization_failure(total, lambda: max(e.norm() for e in elems), tol)
         if defect is not None:
             raise _FieldError(f"Povm elements sum to identity with defect {defect:.3e}",
                               "elements")
@@ -190,18 +186,16 @@ class BipartiteState:
     op: HermOp
     dim_sys: int
     dim_env: int
-    tol: InitVar[Tolerances | None] = None
+    tol: InitVar[Tolerances] = TOL
 
-    def __post_init__(self, tol: Tolerances | None) -> None:
-        t = tol or TOL
-        op = self.op if isinstance(self.op, HermOp) else HermOp(self.op, t)
-        object.__setattr__(self, "op", op)
-        if op.dim != self.dim_sys * self.dim_env:
+    def __post_init__(self, tol: Tolerances) -> None:
+        if self.op.dim != self.dim_sys * self.dim_env:
             raise DimensionMismatchError(
-                f"state dim {op.dim} != dim_sys*dim_env = {self.dim_sys * self.dim_env}"
+                f"state dim {self.op.dim} != dim_sys*dim_env = {self.dim_sys * self.dim_env}"
             )
-        if _psd_failure(op, t) is not None:
-            raise ValueError("bipartite state is not PSD within tolerance")
+        low = _psd_failure(self.op, tol)
+        if low is not None:
+            raise ValueError(f"bipartite state is not PSD (min eigenvalue {low:.3e})")
 
     @property
     def mat(self) -> np.ndarray:

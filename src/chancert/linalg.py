@@ -228,7 +228,7 @@ class HermOp:
     """
 
     mat: np.ndarray
-    tol: InitVar[Tolerances | None] = None
+    tol: InitVar[Tolerances] = TOL
 
     @classmethod
     def _trusted(cls, h: np.ndarray) -> HermOp:
@@ -245,8 +245,7 @@ class HermOp:
         object.__setattr__(op, "mat", h)
         return op
 
-    def __post_init__(self, tol: Tolerances | None) -> None:
-        t = tol or TOL
+    def __post_init__(self, tol: Tolerances) -> None:
         m = as_array(self.mat)
         _check_square(m, "HermOp input")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -259,13 +258,13 @@ class HermOp:
             h, exact = m.copy(), True
         if not exact:
             diff = m - h
-            if not _fro_settles(diff, t.tau_herm * (1.0 + _fro(h) / math.sqrt(m.shape[0]))):
+            if not _fro_settles(diff, tol.tau_herm * (1.0 + _fro(h) / math.sqrt(m.shape[0]))):
                 defect = spectral_norm(diff)
                 scale = 1.0 + spectral_norm(h)
-                if defect > t.tau_herm * scale:
+                if defect > tol.tau_herm * scale:
                     raise ValueError(
                         f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                        f"{t.tau_herm:.1e} * {scale:.3e}"
+                        f"{tol.tau_herm:.1e} * {scale:.3e}"
                     )
         h.setflags(write=False)
         object.__setattr__(self, "mat", h)
@@ -402,15 +401,16 @@ def _dlog_eig(w: np.ndarray, v: np.ndarray, zt: np.ndarray, tol: Tolerances) -> 
     slices = _cluster_slices(w, tol)
     reps = np.array([float(np.mean(w[s])) for s in slices])
     logs = np.array([math.log(r) for r in reps])  # one per cluster, reused by each pair
-    # the diagonal's 0 / 0 is replaced below, and an entry past the largest
-    # double is inf, without a warning
+    mults = [s.stop - s.start for s in slices]
+    # the diagonal's 0 / 0 is replaced below; an entry past the largest
+    # double is inf, and its products inf or nan, without a warning (the
+    # caller's HermOp rejects a non-finite result)
     with np.errstate(invalid="ignore", over="ignore"):
         ker = np.subtract.outer(logs, logs) / np.subtract.outer(reps, reps)
         np.fill_diagonal(ker, 1.0 / reps)
-    # expand cluster kernel to one entry per eigenvector pair
-    mults = [s.stop - s.start for s in slices]
-    full = np.repeat(np.repeat(ker, mults, axis=0), mults, axis=1)
-    return v @ (full * zt) @ v.conj().T
+        # expand cluster kernel to one entry per eigenvector pair
+        full = np.repeat(np.repeat(ker, mults, axis=0), mults, axis=1)
+        return v @ (full * zt) @ v.conj().T
 
 
 def partial_trace(m, dims: tuple[int, int]) -> np.ndarray:

@@ -9,9 +9,10 @@ dims first), ``value_floor()`` (a lower bound over all channels) and its
 problem document: the JSON name ``family``, the ``gen`` name ``gen_name``,
 whether it reads ``dims.env`` (``uses_env``) and ``gen --count``
 (``uses_count``), ``parse`` (build the spec
-from a field reader with ``op``/``ops``/``state``/``probs`` and ``tol``, which
-``serialize`` supplies; returns the spec and, for ``Discrimination``, the
-ensemble) and ``draw`` (random document fields as ndarrays, and a channel
+from the field reader ``serialize`` supplies: ``op``/``ops``/``state``/``probs``
+give judged operands, ``judged`` builds the spec or ensemble so that a
+failure names its field, and ``tol``; returns the spec and, for
+``Discrimination``, the ensemble) and ``draw`` (random document fields as ndarrays, and a channel
 when the family draws its own).  :data:`FAMILIES` lists them in ``gen``
 order.  The five families:
 
@@ -163,23 +164,21 @@ class Ensemble:
 
     probs: np.ndarray
     states: tuple[HermOp, ...]
-    tol: InitVar[Tolerances | None] = None
+    tol: InitVar[Tolerances] = TOL
 
-    def __post_init__(self, tol: Tolerances | None) -> None:
-        t = tol or TOL
+    def __post_init__(self, tol: Tolerances) -> None:
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        states = tuple(s if isinstance(s, HermOp) else HermOp(s, t) for s in self.states)
+        states = self.states
         if p.size != len(states) or p.size == 0:
             raise InvalidEnsembleError(f"{p.size} probabilities for {len(states)} states")
-        _check_probs(p, t)
+        _check_probs(p, tol)
         d = states[0].dim
         for k, s in enumerate(states):
             if s.dim != d:
                 raise InvalidEnsembleError("ensemble states have mixed dimensions")
-            _check_density(s, t, k)
+            _check_density(s, tol, k)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "states", states)
 
     @property
     def dim(self) -> int:
@@ -364,25 +363,21 @@ class FidelitySquaredObjective:
     probs: np.ndarray
     inputs: tuple[HermOp, ...]
     targets: tuple[HermOp, ...]
-    tol: InitVar[Tolerances | None] = None
+    tol: InitVar[Tolerances] = TOL
 
-    def __post_init__(self, tol: Tolerances | None) -> None:
-        t = tol or TOL
+    def __post_init__(self, tol: Tolerances) -> None:
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        ins = tuple(s if isinstance(s, HermOp) else HermOp(s, t) for s in self.inputs)
-        outs = tuple(s if isinstance(s, HermOp) else HermOp(s, t) for s in self.targets)
+        ins, outs = self.inputs, self.targets
         if not (p.size == len(ins) == len(outs)) or p.size == 0:
             raise InvalidEnsembleError("probs, inputs, targets must have equal length")
-        _check_probs(p, t)
+        _check_probs(p, tol)
         if any(s.dim != ins[0].dim for s in ins) or any(s.dim != outs[0].dim for s in outs):
             raise InvalidEnsembleError("ensemble pair dimensions are mixed")
         for name, ops in (("input", ins), ("target", outs)):
             for k, op in enumerate(ops):
-                _check_psd(op, t, f"ensemble {name} {k}", f"{name}s[{k}]")
+                _check_psd(op, tol, f"ensemble {name} {k}", f"{name}s[{k}]")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "inputs", ins)
-        object.__setattr__(self, "targets", outs)
         object.__setattr__(self, "_prep", {})
 
     @property
@@ -397,7 +392,7 @@ class FidelitySquaredObjective:
     def parse(cls, doc, dims):
         d_in, d_out, _ = dims
         probs, inputs = doc.probs("probs"), doc.ops("inputs", d_in)
-        return cls(probs, inputs, doc.ops("targets", d_out), doc.tol), None
+        return doc.judged("probs", cls, probs, inputs, doc.ops("targets", d_out), doc.tol), None
 
     @staticmethod
     def draw(rng, dims, count, with_channel):
@@ -563,7 +558,8 @@ class Discrimination:
     @classmethod
     def parse(cls, doc, dims):
         d_in, d_out, _ = dims
-        ens = Ensemble(doc.probs("probs"), doc.ops("states", d_in, count=d_out), doc.tol)
+        probs, states = doc.probs("probs"), doc.ops("states", d_in, count=d_out)
+        ens = doc.judged("probs", Ensemble, probs, states, doc.tol)
         return LinearObjective(discrimination_objective(ens, doc.tol), d_out, d_in), ens
 
     @staticmethod

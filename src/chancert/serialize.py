@@ -52,7 +52,7 @@ import numpy as np
 from .certifier import Certificate, HyklReport
 from .choi import BipartiteState, ChoiOp, Povm, _FieldError, choi_from_kraus, q2c_choi
 from .linalg import TOL, HermOp, Tolerances, as_array
-from .objectives import FAMILIES, Ensemble, InvalidEnsembleError, ObjectiveSpec, SubgradResult
+from .objectives import FAMILIES, Ensemble, ObjectiveSpec, SubgradResult
 
 __all__ = [
     "SchemaError",
@@ -325,28 +325,33 @@ def _parse_tolerances(data) -> Tolerances:
 
 
 class _Fields:
-    """Reads the fields of one document object; each error names its path."""
+    """Reads the fields of one document object into judged operands; each
+    error names its path."""
 
     def __init__(self, data: dict, path: str, tol: Tolerances):
         self.data, self.path, self.tol = data, path, tol
 
-    def _square(self, data, dim: int, what: str) -> HermOp:
-        m = decode_matrix(data, what)
-        if m.shape != (dim, dim):
-            raise SchemaError(f"{what}: shape {m.shape} != ({dim}, {dim})")
-        try:
-            return HermOp(m, self.tol)
-        except ValueError as exc:
-            raise SchemaError(f"{what}: {exc}") from exc
-
-    def _array(self, key: str) -> list:
+    def _array(self, key: str, count: int | None = None) -> list:
         items = _require(self.data, key, self.path)
         if not isinstance(items, list):
             raise SchemaError(f"{self.path}.{key}: expected an array")
+        if count is not None and len(items) != count:
+            raise SchemaError(f"{self.path}.{key}: expected {count} matrices, got {len(items)}")
         return items
 
-    def op(self, key: str, dim: int) -> HermOp:
-        return self._square(_require(self.data, key, self.path), dim, f"{self.path}.{key}")
+    def _matrix(self, data, shape: tuple[int, int], field: str) -> np.ndarray:
+        """``data``, the value of ``field``, decoded to a matrix of ``shape``."""
+        what = f"{self.path}.{field}"
+        m = decode_matrix(data, what)
+        if m.shape != shape:
+            raise SchemaError(f"{what}: shape {m.shape} != {shape}")
+        return m
+
+    def matrices(self, key: str, shape: tuple[int, int], count: int | None = None):
+        """Each matrix of the array at ``key`` in turn, of ``shape``; exactly
+        ``count`` of them when given."""
+        for k, m in enumerate(self._array(key, count)):
+            yield self._matrix(m, shape, f"{key}[{k}]")
 
     def judged(self, key: str, build, *args):
         """``build(*args)``, a ``ValueError`` it raises reported under ``key``,
@@ -357,15 +362,17 @@ class _Fields:
             field = exc.field if isinstance(exc, _FieldError) and exc.field else key
             raise SchemaError(f"{self.path}.{field}: {exc}") from exc
 
+    def op(self, key: str, dim: int) -> HermOp:
+        m = self._matrix(_require(self.data, key, self.path), (dim, dim), key)
+        return self.judged(key, HermOp, m, self.tol)
+
+    def ops(self, key: str, dim: int, count: int | None = None) -> tuple[HermOp, ...]:
+        mats = self.matrices(key, (dim, dim), count)
+        return tuple(self.judged(f"{key}[{k}]", HermOp, m, self.tol) for k, m in enumerate(mats))
+
     def state(self, key: str, dim_sys: int, dim_env: int) -> BipartiteState:
         op = self.op(key, dim_sys * dim_env)
         return self.judged(key, BipartiteState, op, dim_sys, dim_env, self.tol)
-
-    def ops(self, key: str, dim: int, count: int | None = None) -> tuple[HermOp, ...]:
-        items = self._array(key)
-        if count is not None and len(items) != count:
-            raise SchemaError(f"{self.path}.{key}: expected {count} matrices, got {len(items)}")
-        return tuple(self._square(m, dim, f"{self.path}.{key}[{k}]") for k, m in enumerate(items))
 
     def probs(self, key: str) -> np.ndarray:
         items = self._array(key)
@@ -383,12 +390,7 @@ def _parse_objective(
         raise SchemaError(f"objective.family: unknown family {family!r}")
     if dims[2] != 1 and not cls.uses_env:
         raise SchemaError(f"{family}: dims.env must be 1")
-    try:
-        return cls.parse(_Fields(data, "objective", tol), dims)
-    except InvalidEnsembleError as exc:
-        if exc.field is None:
-            raise
-        raise SchemaError(f"objective.{exc.field}: {exc}") from exc
+    return cls.parse(_Fields(data, "objective", tol), dims)
 
 
 def _parse_channel(
@@ -402,20 +404,9 @@ def _parse_channel(
     d_in, d_out, _ = dims
     doc = _Fields(data, "channel", tol)
     if kind == "choi":
-        op = doc.op("matrix", d_out * d_in)
-        return doc.judged("matrix", ChoiOp, op, d_out, d_in, tol), None
+        return doc.judged("matrix", ChoiOp, doc.op("matrix", d_out * d_in), d_out, d_in, tol), None
     if kind == "kraus":
-        ops = _require(data, "operators", "channel")
-        if not isinstance(ops, list) or not ops:
-            raise SchemaError("channel.operators: expected a non-empty array")
-        mats = []
-        for k, op in enumerate(ops):
-            m = decode_matrix(op, f"channel.operators[{k}]")
-            if m.shape != (d_out, d_in):
-                raise SchemaError(
-                    f"channel.operators[{k}]: shape {m.shape} != ({d_out}, {d_in})"
-                )
-            mats.append(m)
+        mats = list(doc.matrices("operators", (d_out, d_in)))
         return doc.judged("operators", choi_from_kraus, mats, tol), None
     if kind == "povm":
         povm = doc.judged("elements", Povm, doc.ops("elements", d_in, count=d_out), tol)

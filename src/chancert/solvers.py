@@ -430,8 +430,10 @@ def solve_batch(
                 run.error = entry
             elif run.record(t, entry[2] * d_in, cfg):  # epsilon
                 moving.append(run)
-        # Only the relative entropy can be infinite: halve the step until the
-        # candidate lands inside its finite domain.
+        # Halve the step until the candidate lands: its projection converges
+        # within SWEEPS and its value is finite (only the relative entropy
+        # can be infinite).  A projection out of sweeps stays the run's error
+        # until a smaller step lands.
         stepping, active = moving, []
         for _ in range(60):
             if not stepping:
@@ -446,17 +448,21 @@ def solve_batch(
                     if isinstance(cand, Exception):
                         raise cand
                     cand_res = evaluate(run.spec, cand, tol)
+                except MaxItersExceededError as exc:
+                    run.error = exc
                 except Exception as exc:
                     run.error = exc
                     continue
-                if math.isinf(cand_res.value):
-                    run.eta /= 2.0
-                    retry.append(run)
                 else:
-                    run.j, run.res = cand, cand_res
-                    active.append(run)
+                    if not math.isinf(cand_res.value):
+                        run.j, run.res, run.error = cand, cand_res, None
+                        active.append(run)
+                        continue
+                run.eta /= 2.0
+                retry.append(run)
             stepping = retry
-        # a run left in ``stepping`` lands outside the finite domain at every step
+        # a run left in ``stepping`` missed at every step: outside the finite
+        # domain, or with its last projection's error
     return [run.trace() for run in runs]
 
 

@@ -194,7 +194,7 @@ def _seed_choiop(m, d_out, d_in, t=TOL):
     scale = 1.0 + _norm2(op.mat)
     low = _min_eig(op.mat)
     if low < -t.tau_psd * scale:
-        raise ValueError(f"Choi operator not PSD: min eigenvalue {low:.3e}")
+        raise ValueError(f"Choi operator is not PSD (min eigenvalue {low:.3e})")
     tr_out = partial_trace(op.mat, (d_out, d_in))
     defect = _norm2(tr_out - np.eye(d_in))
     if defect > t.tau_num * scale:
@@ -218,8 +218,9 @@ def _seed_povm(elements, t=TOL):
 
 def _seed_bipartite(m, t=TOL):
     op = HermOp(m, t)
-    if _min_eig(op.mat) < -t.tau_psd * (1.0 + _norm2(op.mat)):
-        raise ValueError("bipartite state is not PSD within tolerance")
+    low = _min_eig(op.mat)
+    if low < -t.tau_psd * (1.0 + _norm2(op.mat)):
+        raise ValueError(f"bipartite state is not PSD (min eigenvalue {low:.3e})")
 
 
 def _seed_kraus(kraus, t=TOL):

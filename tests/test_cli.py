@@ -445,18 +445,46 @@ def test_solve_budget_one_is_still_exit_zero(helstrom_file, capsys):
     assert json.loads(capsys.readouterr().out)["iterations"] == 5
 
 
-def test_solve_projection_out_of_sweeps_exits_two(tmp_path, capsys, monkeypatch):
+def test_solve_halves_a_step_whose_projection_runs_out_of_sweeps(tmp_path, capsys, monkeypatch):
     # at this scale the first projected step does not converge in 500
-    # Dykstra sweeps
+    # Dykstra sweeps; a smaller step does
     monkeypatch.setattr(solvers, "SWEEPS", 500)
     doc = problem_to_dict((2, 2, 1), {"family": "TraceDistance",
                                       "rho": _mat(np.diag([1e154, 0.0])),
                                       "sigma": _mat(np.diag([0.0, 1e154]))}, None)
     path = _write(tmp_path, "far.json", doc)
-    assert main(["solve", path, "--max-iters", "5"]) == 2
+    assert main(["solve", path, "--max-iters", "5"]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "sweeps" in err
+    assert err == ""
+    assert json.loads(out)["iterations"] == 5
+
+
+def test_solve_finishes_on_a_relative_entropy_step_out_of_sweeps(tmp_path, capsys):
+    # a full step of this run hands the projection an iterate that 5000
+    # sweeps do not bring back to the channel set
+    path = str(tmp_path / "re.json")
+    assert main(["gen", "relative-entropy", path, "--dims", "2", "3", "2", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert main(["solve", path, "--max-iters", "60"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["iterations"] == 60
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_subnormal_relative_entropy_output_exits_two_without_warnings(command, tmp_path, capsys):
+    # the output's eigenvalues are subnormal: the log kernel's 1 / lambda is
+    # inf, and its products with the direction inf or nan
+    doc = problem_to_dict((2, 2, 1), {"family": "RelativeEntropy",
+                                      "rho": _mat(1e-310 * np.diag([0.7, 0.3])),
+                                      "sigma": _mat(np.diag([0.6, 0.4]))},
+                          {"kind": "choi", "matrix": _mat(np.eye(4) / 2.0)})
+    path = _write(tmp_path, "subnormal.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, path]) == 2
+    assert capsys.readouterr() == (
+        "", "chancert: invalid input: HermOp input contains non-finite entries\n")
 
 
 # The projection's feasibility tolerance follows --tol-psd, so every projected
@@ -519,7 +547,7 @@ def test_povm_is_judged_by_the_normalization_rule(command, eps, tmp_path, capsys
 # a channel that fails validation, and the one line that names its field
 BAD_CHANNELS = {
     "choi-not-psd": ({"kind": "choi", "matrix": _mat(np.diag([0.5, 0.5, 0.5, -0.5]))},
-                     "channel.matrix: Choi operator not PSD: min eigenvalue -5.000e-01"),
+                     "channel.matrix: Choi operator is not PSD (min eigenvalue -5.000e-01)"),
     "choi-not-tp": ({"kind": "choi", "matrix": _mat(np.eye(4))},
                     "channel.matrix: partial trace deviates from identity by 1.000e+00"),
     "kraus-not-tp": ({"kind": "kraus", "operators": [_mat(2.0 * np.eye(2))]},
@@ -721,6 +749,48 @@ def test_fidelity_squared_non_state_input_exits_two(command, tmp_path, capsys):
     assert out == ""
     assert err == ("chancert: objective.inputs[0]: ensemble input 0 is not PSD "
                    "(min eigenvalue -5.000e-01)\n")
+
+
+def test_discrimination_prior_count_is_reported_under_probs(tmp_path, capsys):
+    doc = _discrimination_doc()
+    doc["objective"]["probs"] = [0.5, 0.25, 0.25]
+    assert main(["certify", _write(tmp_path, "probs.json", doc)]) == 2
+    assert capsys.readouterr() == (
+        "", "chancert: objective.probs: 3 probabilities for 2 states\n")
+
+
+def test_fidelity_squared_length_mismatch_is_reported_under_probs(tmp_path, capsys):
+    half = _mat(np.eye(2) / 2.0)
+    doc = problem_to_dict((2, 2, 1), {"family": "FidelitySquaredEnsemble", "probs": [0.5, 0.5],
+                                      "inputs": [half, half, half], "targets": [half]})
+    assert main(["certify", _write(tmp_path, "fsq.json", doc)]) == 2
+    assert capsys.readouterr() == (
+        "", "chancert: objective.probs: probs, inputs, targets must have equal length\n")
+
+
+def _null_state(doc):
+    doc["objective"]["states"][1] = None
+    return "objective.states[1]"
+
+
+def _null_element(doc):
+    doc["channel"] = {"kind": "povm", "elements": [_mat(np.eye(2)), None]}
+    return "channel.elements[1]"
+
+
+def _null_operator(doc):
+    doc["channel"] = {"kind": "kraus", "operators": [None]}
+    return "channel.operators[0]"
+
+
+@pytest.mark.parametrize("mutate", [_null_state, _null_element, _null_operator],
+                         ids=["states", "elements", "operators"])
+def test_null_matrix_entry_is_reported_at_its_index(mutate, tmp_path, capsys):
+    doc = _discrimination_doc()
+    field = mutate(doc)
+    assert main(["certify", _write(tmp_path, "null.json", doc)]) == 2
+    assert capsys.readouterr() == (
+        "", f"chancert: {field}: expected a non-empty array of rows\n")
 
 
 def test_gen_rejects_negative_seed(capsys):

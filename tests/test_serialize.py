@@ -683,7 +683,8 @@ def test_psd_violations_surface_as_schema_errors():
         doc["objective"][field] = _mat(np.diag([1.5] + [-0.5] * (dim - 1)))
         with pytest.raises(SchemaError) as exc:
             parse_problem(doc)
-        assert str(exc.value) == f"objective.{field}: bipartite state is not PSD within tolerance"
+        assert str(exc.value) == (f"objective.{field}: bipartite state is not PSD "
+                                  "(min eigenvalue -5.000e-01)")
 
 
 # ----------------------------------------------------------------- results

@@ -699,6 +699,22 @@ def test_solve_batch_keeps_a_failing_problem_to_itself(monkeypatch):
         solve(specs[2], cfg)
 
 
+def test_solve_ends_with_the_projection_error_when_no_step_lands(monkeypatch):
+    """A step whose projection runs out of sweeps is halved and retried, 60
+    tries in a round; a run that never lands ends with the projection's error."""
+    steps = []
+
+    def out_of_sweeps(xs, dims, tol, exact=False):
+        steps.append(len(xs))
+        raise MaxItersExceededError("projection defect 1.000e+00 after 5000 sweeps")
+
+    monkeypatch.setattr(solvers, "_project_stack", out_of_sweeps)
+    spec = LinearObjective(discrimination_objective(_helstrom_ensemble()), 2, 2)
+    with pytest.raises(MaxItersExceededError, match="after 5000 sweeps"):
+        solve(spec, SolverConfig(max_iters=5))
+    assert steps == [1] * 60
+
+
 def test_failed_stacked_decomposition_is_redone_per_slice(monkeypatch):
     """An eigh that fails on a stack is rerun slice by slice: each problem gets
     the trace or the error it gets alone."""
