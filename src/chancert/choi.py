@@ -31,6 +31,7 @@ from .linalg import (
     DimensionMismatchError,
     HermOp,
     Tolerances,
+    _assemble,
     _dagger,
     _eigh,
     _fro,
@@ -60,14 +61,6 @@ __all__ = [
 ]
 
 
-def _assemble(cls, **fields):
-    """The frozen dataclass ``cls`` holding ``fields``, without any check."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 class NotTracePreservingError(ValueError):
     """Kraus family or Choi matrix does not describe a trace-preserving map."""
 
@@ -95,8 +88,8 @@ class ChoiOp:
     ``tau_num * (1 + ||J||)``.  Each computes ``||J||`` only when a cheaper
     bound does not settle it, and only the exact tests report numbers.
 
-    :meth:`_shown` builds without the tests, for the channels whose tests
-    the allowances of ``solvers._project_stack`` decide; its docstring
+    ``solvers._project_stack`` builds through ``linalg._assemble``, without
+    the tests, the channels whose tests its allowances decide; its docstring
     derives them.
     """
 
@@ -118,17 +111,6 @@ class ChoiOp:
             partial_trace(op.mat, (self.dim_out, self.dim_in)), op.norm, tol)
         if defect is not None:
             raise NotTracePreservingError(f"partial trace deviates from identity by {defect:.3e}")
-
-    @classmethod
-    def _shown(cls, op: HermOp, dim_out: int, dim_in: int) -> ChoiOp:
-        """The ``ChoiOp`` of ``op``, built without any check.
-
-        For internal builders that hold a proof that ``op`` passes every test
-        of ``ChoiOp(op, dim_out, dim_in, tol)``.  ``solvers._project_stack``
-        decides each from its sweep, with the allowances in its docstring,
-        and builds through the public constructor when one does not fit.
-        """
-        return _assemble(cls, op=op, dim_out=dim_out, dim_in=dim_in)
 
     @property
     def mat(self) -> np.ndarray:
@@ -281,9 +263,9 @@ def eval_map_adjoint(rho: BipartiteState, w, dim_out: int) -> HermOp:
     ||w||_F * ||rho||_F`` in Frobenius norm, and the ``HermOp`` check (its
     Frobenius shortcut needs twice the defect below ``tau_herm``) passes
     when ``2 * ROUNDING * d_env^2 * ||w||_F * ||rho||_F <= tau_herm``.  The
-    result is then built with :meth:`HermOp._trusted`, the bits the check
-    would store; any other ``w``, a non-finite one included, is checked, and
-    so is any ``w`` whose bound overflows to inf or nan.
+    result is then built unchecked with ``linalg._assemble``, the bits the
+    check would store; any other ``w``, a non-finite one included, is
+    checked, and so is any ``w`` whose bound overflows to inf or nan.
 
     The check is against the package ``TOL``, not a problem's
     ``Tolerances``: it guards against a non-Hermitian witness, which no
@@ -302,7 +284,7 @@ def eval_map_adjoint(rho: BipartiteState, w, dim_out: int) -> HermOp:
     h = np.einsum("aubv,jukv->ajbk", wt, rt).reshape(n, n)
     if (2.0 * ROUNDING * dz**2 * _fro(w) * _fro(rho.mat) <= TOL.tau_herm
             and (w == _dagger(w)).all()):
-        return HermOp._trusted(_herm(h))
+        return _assemble(HermOp, mat=_herm(h))
     return HermOp(h)
 
 

@@ -199,6 +199,23 @@ def _herm_part(a: np.ndarray):
     return h, (h == a).all(axis=(-2, -1))
 
 
+def _assemble(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields``, built without its
+    checks; each ndarray field is stored read-only.
+
+    The one unchecked build of a validated type.  Two kinds of caller use
+    it: builders holding a proof that every check of the public constructor
+    passes on the same fields, which then stores the same bits, and derived
+    operators that by design are not judged again.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class HermOp:
     """A validated Hermitian operator.
@@ -221,29 +238,14 @@ class HermOp:
     Any other input runs the exact check, which alone reports a defect.
 
     Internal builders that hold a rounding bound proving the check would
-    pass use :meth:`_trusted` instead: a channel of a projection sweep
-    (``solvers._project_stack``) and the pull-back of an elementwise
-    Hermitian witness (``choi.eval_map_adjoint``), whose docstrings derive
-    the bounds.  Every other construction validates.
+    pass build ``_assemble(HermOp, mat=_herm(m))`` instead: a channel of a
+    projection sweep (``solvers._project_stack``) and the pull-back of an
+    elementwise Hermitian witness (``choi.eval_map_adjoint``), whose
+    docstrings derive the bounds.  Every other construction validates.
     """
 
     mat: np.ndarray
     tol: InitVar[Tolerances] = TOL
-
-    @classmethod
-    def _trusted(cls, h: np.ndarray) -> HermOp:
-        """The ``HermOp`` of an input whose Hermitian part ``h = _herm(m)`` the
-        caller has computed, stored read-only and without any check.
-
-        ``HermOp(m, tol)`` would store the same bits.  The caller must hold a
-        bound showing that its check passes: the Hermiticity defect of ``m``
-        is below ``tau_herm``, which is at most ``tau_herm * (1 + norm)``,
-        and ``h`` is finite.
-        """
-        op = object.__new__(cls)
-        h.setflags(write=False)
-        object.__setattr__(op, "mat", h)
-        return op
 
     def __post_init__(self, tol: Tolerances) -> None:
         m = as_array(self.mat)

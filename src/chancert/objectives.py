@@ -368,8 +368,10 @@ class FidelitySquaredObjective:
     def __post_init__(self, tol: Tolerances) -> None:
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         ins, outs = self.inputs, self.targets
-        if not (p.size == len(ins) == len(outs)) or p.size == 0:
+        if not p.size == len(ins) == len(outs):
             raise InvalidEnsembleError("probs, inputs, targets must have equal length")
+        if p.size == 0:
+            raise InvalidEnsembleError("probs, inputs, targets are empty")
         _check_probs(p, tol)
         if any(s.dim != ins[0].dim for s in ins) or any(s.dim != outs[0].dim for s in outs):
             raise InvalidEnsembleError("ensemble pair dimensions are mixed")

@@ -39,6 +39,7 @@ from .linalg import (
     DimensionMismatchError,
     HermOp,
     Tolerances,
+    _assemble,
     _dagger,
     _eigh,
     _fro,
@@ -190,9 +191,9 @@ def _project_stack(
     the ``eigvalsh`` is skipped; otherwise it runs as before.  Either way the
     iterates and the decisions are those of the unscreened loop.
 
-    The channels come back without re-validation where a rounding allowance
-    decides every ``ChoiOp`` test, and through the public constructors
-    otherwise (also whenever an allowance is inf or nan).
+    The channels come back unchecked (``linalg._assemble``) where a rounding
+    allowance decides every ``ChoiOp`` test, and through the public
+    constructors otherwise (also whenever an allowance is inf or nan).
 
     * A feasible input is exactly Hermitian (``_herm`` of anything is), and
       its ``eigvalsh`` and partial-trace test just ran on the bits ``ChoiOp``
@@ -235,7 +236,7 @@ def _project_stack(
     for k in unsettled:
         unit_trace = _fro_settles(tr_diff[k], feas) or spectral_norm(tr_diff[k]) <= feas
         if unit_trace and max(0.0, -_min_eig(cur[k])) <= feas:
-            out[k] = ChoiOp._shown(HermOp(cur[k], tol), d_out, d_in)
+            out[k] = _assemble(ChoiOp, op=HermOp(cur[k], tol), dim_out=d_out, dim_in=d_in)
     if len(unsettled):
         live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
         if not len(live):
@@ -266,7 +267,8 @@ def _project_stack(
             continue
         for k in np.flatnonzero(~moving):
             if slack[k] < cap:
-                out[live[k]] = ChoiOp._shown(HermOp._trusted(_herm(cur[k])), d_out, d_in)
+                op = _assemble(HermOp, mat=_herm(cur[k]))
+                out[live[k]] = _assemble(ChoiOp, op=op, dim_out=d_out, dim_in=d_in)
             else:
                 out[live[k]] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
         if not moving.any():

@@ -1,5 +1,7 @@
+import collections
 import json
 import pathlib
+import sys
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -54,12 +56,23 @@ def outcome(fn, *args, **kwargs):
     return None
 
 
-def counted_calls(monkeypatch, cls, name):
-    """Record the arguments of each call of the classmethod ``cls.name``."""
-    calls = []
-    original = getattr(cls, name)
-    monkeypatch.setattr(cls, name, classmethod(lambda _, *a: calls.append(a) or original(*a)))
-    return calls
+def assembled(monkeypatch):
+    """The objects that ``linalg._assemble`` builds from now on, by class.
+
+    Every imported module of the package that binds ``_assemble`` gets a
+    recording wrapper around its binding, so no unchecked build escapes the
+    count."""
+    builds = collections.defaultdict(list)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chancert.") and hasattr(module, "_assemble"):
+
+            def build(cls, _original=module._assemble, **fields):
+                obj = _original(cls, **fields)
+                builds[cls].append(obj)
+                return obj
+
+            monkeypatch.setattr(module, "_assemble", build)
+    return builds
 
 
 def counted_checks(monkeypatch, *classes):

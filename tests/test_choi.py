@@ -18,7 +18,7 @@ from chancert.choi import (
     identity_choi,
     q2c_choi,
 )
-from chancert.linalg import TOL, HermOp, Tolerances, partial_trace, spectral_norm
+from chancert.linalg import TOL, HermOp, Tolerances, _assemble, partial_trace, spectral_norm
 from chancert.solvers import random_channel_choi
 from conftest import (
     POVM_EDGE,
@@ -56,7 +56,7 @@ def test_choiop_rejects_non_tp():
     with pytest.raises(NotTracePreservingError):
         ChoiOp(op, 2, 2, TOL)
     # the trusted build runs no test: only a builder holding a proof calls it
-    j = ChoiOp._shown(op, 2, 2)
+    j = _assemble(ChoiOp, op=op, dim_out=2, dim_in=2)
     assert (j.op, j.mat, j.dim_out, j.dim_in) == (op, op.mat, 2, 2)
 
 

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -529,6 +530,19 @@ def test_hykl_via_choi_agrees(helstrom_file, capsys):
     assert payload["via_choi"]["verdict"] == "CertifiedOptimal"
 
 
+def test_hykl_via_choi_disagreement_prints_the_document_and_fails(helstrom_file, monkeypatch,
+                                                                  capsys):
+    hykl_check = cli.hykl_check
+    monkeypatch.setattr(cli, "hykl_check", lambda *a: replace(hykl_check(*a), optimal=False))
+    assert main(["hykl", helstrom_file, "--via-choi"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ("hykl: internal disagreement between the measurement conditions (False) "
+                   "and the general certifier (CertifiedOptimal)\n")
+    payload = json.loads(out)
+    assert payload["optimal"] is False
+    assert payload["via_choi"] == {"verdict": "CertifiedOptimal", "agrees": False}
+
+
 @pytest.mark.parametrize("eps", [2.5e-9, 5e-9, 9e-9, 0.99 * POVM_EDGE])
 @pytest.mark.parametrize("command", ["certify", "hykl"])
 def test_povm_is_judged_by_the_normalization_rule(command, eps, tmp_path, capsys):
@@ -766,6 +780,14 @@ def test_fidelity_squared_length_mismatch_is_reported_under_probs(tmp_path, caps
     assert main(["certify", _write(tmp_path, "fsq.json", doc)]) == 2
     assert capsys.readouterr() == (
         "", "chancert: objective.probs: probs, inputs, targets must have equal length\n")
+
+
+def test_empty_fidelity_squared_ensemble_is_reported_as_empty(tmp_path, capsys):
+    doc = problem_to_dict((2, 2, 1), {"family": "FidelitySquaredEnsemble", "probs": [],
+                                      "inputs": [], "targets": []})
+    assert main(["certify", _write(tmp_path, "fsq.json", doc)]) == 2
+    assert capsys.readouterr() == (
+        "", "chancert: objective.probs: probs, inputs, targets are empty\n")
 
 
 def _null_state(doc):

@@ -263,6 +263,40 @@ def test_tolerance_guard_sees_a_read():
     assert _field_readers(tree, "tau_num") == ["f", "g.cap", "module.lim"]
 
 
+# One door around the checks: a validated type is built without its
+# ``__post_init__`` only by ``linalg._assemble``, so a tracer or a counter
+# that wraps it sees every unchecked build.
+def _new_sites(tree: ast.Module) -> list[str]:
+    """The enclosing function (or ``module``) of each ``X.__new__`` in ``tree``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "__new__":
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "module")
+    return found
+
+
+def test_assemble_is_the_only_build_around_the_checks():
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [f"{path.stem}.{s}" for s in _new_sites(tree)]
+    assert sites == ["linalg._assemble"]
+
+
+def test_build_guard_sees_a_new():
+    tree = ast.parse("def _assemble(cls):\n    return object.__new__(cls)\n"
+                     "class A:\n    def make(cls):\n        return cls.__new__(cls)\n"
+                     "new = object.__new__\n")
+    assert _new_sites(tree) == ["_assemble", "make", "module"]
+
+
 # (eigh, eigvalsh, svd) calls of the first ``evaluate`` of a problem and of
 # one ``certify`` on ``gen FAMILY --dims 2 2 2 --seed 1 --with-channel``.
 # The relative entropy takes its value, image-inclusion test and gradient

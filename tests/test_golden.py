@@ -27,9 +27,11 @@ import sys
 
 import pytest
 
+from chancert.choi import ChoiOp
 from chancert.cli import GEN_FAMILIES, main
+from chancert.linalg import HermOp
 from conftest import GOLDEN_FIXTURE as FIXTURE
-from conftest import build_environment
+from conftest import assembled, build_environment
 
 SEEDS = (0, 1, 2)
 # d_in != d_out and a two-dimensional environment, generated with seed 0
@@ -86,15 +88,20 @@ GOLDEN = (json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists()
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def corpus(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    _make_inputs(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def inputs(corpus):
     env = build_environment()
     recorded = GOLDEN["environment"]
     if env != recorded:
         pytest.skip(f"golden bytes recorded with numpy {recorded['numpy']} and BLAS "
                     f"{recorded['blas']}; this is numpy {env['numpy']} and BLAS {env['blas']}")
-    directory = tmp_path_factory.mktemp("golden")
-    _make_inputs(directory)
-    return directory
+    return corpus
 
 
 def test_corpus_matches_case_list():
@@ -106,6 +113,20 @@ def test_golden_stdout_and_exit_code(case, inputs):
     code, out = _run(_in_dir(case["argv"], inputs))
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+def test_unchecked_channels_pass_the_public_checks(corpus, monkeypatch):
+    """Every channel that the corpus solves and its conjecture call build
+    through ``linalg._assemble`` passes ``ChoiOp``'s public checks, which
+    store the same bits; on any numpy build."""
+    channels = assembled(monkeypatch)[ChoiOp]
+    for argv in _case_argvs():
+        if argv[0] in ("solve", "conjecture"):
+            _run(_in_dir(argv, corpus))
+    assert channels
+    for c in channels:
+        again = ChoiOp(HermOp(c.mat), c.dim_out, c.dim_in)
+        assert again.mat.tobytes() == c.mat.tobytes()
 
 
 def _moved_leaves(old, new, path: str = "") -> list[tuple[str, object, object]]:

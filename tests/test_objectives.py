@@ -29,7 +29,7 @@ from chancert.objectives import (
 from chancert.solvers import helstrom_povm, random_channel_choi
 from conftest import (
     THRESHOLD_FACTORS,
-    counted_calls,
+    assembled,
     counted_checks,
     outcome,
     rand_density,
@@ -524,7 +524,7 @@ def test_trusted_pull_backs_are_the_checked_ones(family, dims, seed):
     w, want = _witness_and_checked_pull_back(spec, j)
     bound = 2 * ROUNDING * d_env**2 * np.linalg.norm(w) * np.linalg.norm(spec.rho.mat)
     with pytest.MonkeyPatch.context() as mp:
-        trusted = counted_calls(mp, HermOp, "_trusted")
+        trusted = assembled(mp)[HermOp]
         got = evaluate(spec, j).h
     # the bound holds for states, so W^dagger == W decides
     assert bound <= TOL.tau_herm
@@ -556,7 +556,7 @@ def test_pull_back_of_a_large_state_is_checked(monkeypatch):
     j = _mix(random_channel_choi(2, 2, np.random.default_rng(5)), 2, 2)
     w, want = _witness_and_checked_pull_back(big, j)
     assert (w == w.conj().T).all()
-    trusted = counted_calls(monkeypatch, HermOp, "_trusted")
+    trusted = assembled(monkeypatch)[HermOp]
     checked = counted_checks(monkeypatch, HermOp)
     got = evaluate(big, j).h
     assert not trusted and checked
@@ -579,7 +579,7 @@ def test_pull_back_of_a_non_finite_witness_keeps_the_error(monkeypatch):
     j = depolarizing_choi(2, 2)
     _, want = _witness_and_checked_pull_back(spec, j)
     assert want == (ValueError, "HermOp input contains non-finite entries")
-    trusted = counted_calls(monkeypatch, HermOp, "_trusted")
+    trusted = assembled(monkeypatch)[HermOp]
     checked = counted_checks(monkeypatch, HermOp)
     assert outcome(evaluate, spec, j) == want
     assert not trusted and checked

@@ -50,7 +50,7 @@ from chancert.solvers import (
 )
 from conftest import (
     THRESHOLD_FACTORS,
-    counted_calls,
+    assembled,
     counted_checks,
     forbid_svd,
     outcome,
@@ -241,7 +241,7 @@ def test_projection_checks_in_full_when_tau_psd_is_below_rounding(monkeypatch):
     """With ``tau_psd`` too small to cover the rounding allowance, a swept
     channel gets the full ChoiOp check, with the reference's bits."""
     tight = Tolerances(tau_psd=1e-14)
-    shown = counted_calls(monkeypatch, ChoiOp, "_shown")
+    shown = assembled(monkeypatch)[ChoiOp]
     xs = _steps((2, 2), 3, 1)
     _same_projection(xs, (2, 2), False, tight)
     assert not shown
@@ -259,7 +259,7 @@ def test_trusted_channels_pass_the_public_checks(dims, slices, seed, exact):
     d_out, d_in = dims
     xs = _steps(dims, slices, seed)
     with pytest.MonkeyPatch.context() as mp:
-        shown = counted_calls(mp, ChoiOp, "_shown")
+        shown = assembled(mp)[ChoiOp]
         out = solvers._project_stack(xs, dims, TOL, exact)
     assert len(shown) == slices
     _same_projection(xs, dims, exact)
@@ -290,7 +290,7 @@ def test_projection_falls_back_to_the_public_checks(case):
     else:
         xs = _huge_step(1.0 if case == "huge_up" else -1.0)
     with pytest.MonkeyPatch.context() as mp:
-        shown, checked = counted_calls(mp, ChoiOp, "_shown"), counted_checks(mp, HermOp, ChoiOp)
+        shown, checked = assembled(mp)[ChoiOp], counted_checks(mp, HermOp, ChoiOp)
         got = outcome(solvers._project_stack, xs, (2, 2), tol)
     assert not shown and checked
     if case == "huge_up":
