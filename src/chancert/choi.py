@@ -188,9 +188,10 @@ def choi_from_kraus(kraus, tol: Tolerances = TOL) -> ChoiOp:
     """Choi operator of the channel with the given Kraus family.
 
     Each Kraus operator maps the input space to the output space (shape
-    ``d_out x d_in``).  ``ChoiOp`` judges the result, whose partial trace is
-    ``(sum_a K_a^dagger K_a)^T``: the family must meet the normalization rule
-    with ``A = J``.
+    ``d_out x d_in``).  ``ChoiOp`` judges the result under ``tol``, whose
+    partial trace is ``(sum_a K_a^dagger K_a)^T``: the family must meet the
+    normalization rule with ``A = J``.  ``J`` itself is computed, so its
+    ``HermOp`` is judged at the package ``TOL``.
     """
     mats = [as_array(k) for k in kraus]
     if not mats:
@@ -202,7 +203,7 @@ def choi_from_kraus(kraus, tol: Tolerances = TOL) -> ChoiOp:
             raise DimensionMismatchError("Kraus operators have mixed shapes")
         vec = k.reshape(d_out * d_in)  # |a j> ordering matches kron convention
         j += np.outer(vec, vec.conj())
-    return ChoiOp(HermOp(j, tol), d_out, d_in, tol)
+    return ChoiOp(HermOp(j), d_out, d_in, tol)
 
 
 def apply_from_choi(j: ChoiOp, x) -> np.ndarray:
@@ -218,13 +219,14 @@ def q2c_choi(p: Povm, tol: Tolerances = TOL) -> ChoiOp:
     """Choi operator of the measure-and-record channel of a Povm.
 
     The channel sends ``X`` to ``sum_k <P_k, X> E_{kk}``; its Choi operator
-    is block diagonal with the transposed Povm elements on the diagonal.
+    is block diagonal with the transposed Povm elements on the diagonal;
+    ``ChoiOp`` judges it under ``tol``, its computed ``HermOp`` at ``TOL``.
     """
     m, d = p.outcomes, p.dim
     j = np.zeros((m * d, m * d), dtype=np.complex128)
     for k, e in enumerate(p.elements):
         j[k * d : (k + 1) * d, k * d : (k + 1) * d] = e.mat.T
-    return ChoiOp(HermOp(j, tol), m, d, tol)
+    return ChoiOp(HermOp(j), m, d, tol)
 
 
 def eval_map_apply(rho: BipartiteState, j: ChoiOp) -> np.ndarray:
@@ -267,10 +269,8 @@ def eval_map_adjoint(rho: BipartiteState, w, dim_out: int) -> HermOp:
     check would store; any other ``w``, a non-finite one included, is
     checked, and so is any ``w`` whose bound overflows to inf or nan.
 
-    The check is against the package ``TOL``, not a problem's
-    ``Tolerances``: it guards against a non-Hermitian witness, which no
-    document tolerance should let through or reject, so the same ``w``
-    passes or raises whatever a document sets.
+    The result is computed, so it is judged at the package ``TOL`` (see
+    :class:`~chancert.linalg.Tolerances`).
     """
     w = as_array(w)
     dz = rho.dim_env
@@ -299,7 +299,8 @@ def compress_environment(
     rank cutoff).  When the reduced state already has full rank this is a
     pure basis change and the dimensions are unchanged.  The objective value
     of every state-transformation problem built from the pair is preserved.
-    The squeezed states skip the PSD rule, which their operands passed.
+    The squeezed states skip the PSD rule, which their operands passed;
+    their computed ``HermOp`` is judged at the package ``TOL``.
     """
     red = partial_trace(rho.mat, (rho.dim_sys, rho.dim_env))
     w, v = _eigh(_herm(red))
@@ -314,24 +315,24 @@ def compress_environment(
         d = state.dim_sys
         t = state.mat.reshape(d, state.dim_env, d, state.dim_env)
         out = np.einsum("ue,aubv,vf->aebf", b.conj(), t, b).reshape(d * r, d * r)
-        return _assemble(BipartiteState, op=HermOp(out, tol), dim_sys=d, dim_env=r)
+        return _assemble(BipartiteState, op=HermOp(out), dim_sys=d, dim_env=r)
 
     if sigma.dim_env != rho.dim_env:
         raise DimensionMismatchError("states have different environment dimensions")
     return squeeze(rho), squeeze(sigma)
 
 
-def depolarizing_choi(dim_in: int, dim_out: int, tol: Tolerances = TOL) -> ChoiOp:
+def depolarizing_choi(dim_in: int, dim_out: int) -> ChoiOp:
     """Choi operator of the channel sending everything to the maximally
     mixed output state; it is the natural interior point of the channel set."""
     j = np.eye(dim_out * dim_in, dtype=np.complex128) / dim_out
-    return ChoiOp(HermOp(j, tol), dim_out, dim_in, tol)
+    return ChoiOp(HermOp(j), dim_out, dim_in)
 
 
-def identity_choi(dim: int, tol: Tolerances = TOL) -> ChoiOp:
+def identity_choi(dim: int) -> ChoiOp:
     """Choi operator of the identity channel on a ``dim``-dimensional system."""
     vec = np.eye(dim, dtype=np.complex128).reshape(dim * dim)
-    return ChoiOp(HermOp(np.outer(vec, vec.conj()), tol), dim, dim, tol)
+    return ChoiOp(HermOp(np.outer(vec, vec.conj())), dim, dim)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

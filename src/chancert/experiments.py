@@ -175,26 +175,21 @@ def completion_search(
     return tried, passed, best_min_eig
 
 
-def draw_trial(
-    seed: int, dims: tuple[int, int, int], reachable: bool, tol: Tolerances = TOL
-) -> TraceDistanceObjective:
+def draw_trial(seed: int, dims: tuple[int, int, int], reachable: bool) -> TraceDistanceObjective:
     """The random trace-distance instance of one trial.
 
     ``rho`` is a random state; a reachable target is ``rho`` pushed through
-    a random channel, an unreachable one another random state.
+    a random channel, an unreachable one another random state.  The states
+    are generated, so they are judged at the package ``TOL``.
     """
     d_in, d_out, d_env = dims
     rng = np.random.default_rng(seed)
-    rho = BipartiteState(HermOp(random_density(d_in * d_env, rng), tol), d_in, d_env, tol)
+    rho = BipartiteState(HermOp(random_density(d_in * d_env, rng)), d_in, d_env)
     if reachable:
-        lam = random_channel_choi(d_in, d_out, rng, tol=tol)
-        sigma = BipartiteState(
-            HermOp(eval_map_apply(rho, lam), tol), d_out, d_env, tol
-        )
+        lam = random_channel_choi(d_in, d_out, rng)
+        sigma = BipartiteState(HermOp(eval_map_apply(rho, lam)), d_out, d_env)
     else:
-        sigma = BipartiteState(
-            HermOp(random_density(d_out * d_env, rng), tol), d_out, d_env, tol
-        )
+        sigma = BipartiteState(HermOp(random_density(d_out * d_env, rng)), d_out, d_env)
     return TraceDistanceObjective(rho, sigma)
 
 
@@ -256,7 +251,7 @@ def run_trial(
     tol: Tolerances = TOL,
 ) -> ConjectureRecord:
     """Solve one random trace-distance instance and certify its witness."""
-    spec = draw_trial(seed, dims, reachable, tol)
+    spec = draw_trial(seed, dims, reachable)
     trace = solve(spec, cfg or HARNESS_CONFIG, tol)
     return record_trial(seed, dims, reachable, spec, trace, tol)
 
@@ -273,7 +268,7 @@ def run_trials(
     specs: list = []
     for seed, reachable in trials:
         try:
-            specs.append(draw_trial(seed, dims, reachable, tol))
+            specs.append(draw_trial(seed, dims, reachable))
         except Exception as exc:  # per-trial failures are data, not fatal
             specs.append(exc)
     drawn = [spec for spec in specs if not isinstance(spec, Exception)]

@@ -79,7 +79,16 @@ class Tolerances:
     (``tau_psd``) and the normalization rule ``_normalization_failure``
     (``tau_num``).  The verdict predicate ``certifier._within_tol`` reads
     ``tau_herm`` and ``tau_psd`` too, and ``solvers._project_stack`` derives
-    its margins from all three.
+    its margins from ``tau_psd`` and ``tau_num``.
+
+    A ``Tolerances`` judges only what its caller supplies: the matrices,
+    states, probabilities and channels of a problem document or of a public
+    constructor call.  It also sets the ``ChoiOp`` tests of the channels the
+    solver sweeps, the ``tau_rank`` cutoffs and the verdict.  Every
+    ``HermOp`` the package computes from its own arithmetic (an output
+    ``tau``, a subgradient, ``H0``, a squeezed state, the ``J`` of a Kraus
+    family, a generated instance) is judged at the package ``TOL``, so a
+    document's tolerances cannot reject a matrix it never supplied.
 
     Attributes:
         tau_herm: allowed Hermiticity defect, relative to ``1 + norm``.
@@ -237,11 +246,14 @@ class HermOp:
 
     Any other input runs the exact check, which alone reports a defect.
 
-    Internal builders that hold a rounding bound proving the check would
-    pass build ``_assemble(HermOp, mat=_herm(m))`` instead: a channel of a
-    projection sweep (``solvers._project_stack``) and the pull-back of an
-    elementwise Hermitian witness (``choi.eval_map_adjoint``), whose
-    docstrings derive the bounds.  Every other construction validates.
+    Within the package only the reader of a problem document passes its
+    ``tol``; every other construction is of a computed matrix and is judged
+    at the default ``TOL`` (see :class:`Tolerances`).  Internal builders
+    that hold a rounding bound proving the check would pass build
+    ``_assemble(HermOp, mat=_herm(m))`` instead: a channel of a projection
+    sweep (``solvers._project_stack``) and the pull-back of an elementwise
+    Hermitian witness (``choi.eval_map_adjoint``), whose docstrings derive
+    the bounds.  Every other construction validates.
     """
 
     mat: np.ndarray
@@ -446,7 +458,7 @@ def _dist_to_psd(a: np.ndarray):
     return _scalar(eps), pos, _scalar(low)
 
 
-def dist_to_psd(m, tol: Tolerances = TOL) -> tuple[float, HermOp]:
+def dist_to_psd(m) -> tuple[float, HermOp]:
     """Spectral-norm distance from ``m`` to the PSD cone, with the witness point.
 
     For Hermitian input the returned distance is exactly

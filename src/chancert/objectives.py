@@ -347,7 +347,7 @@ class FidelityObjective(_StatePairObjective):
     def _terms(self, target: tuple, tau: np.ndarray, tol: Tolerances):
         """Negated fidelity between the target and the output ``tau``; the
         direction ``G / 2`` is the derivative of ``F`` in ``tau``."""
-        f, g, exact, ok, defect = _fidelity_terms(target, HermOp(tau, tol), tol)
+        f, g, exact, ok, defect = _fidelity_terms(target, HermOp(tau), tol)
         return -f, 0.5 * g, exact, exact, ok, defect
 
 
@@ -431,7 +431,7 @@ class FidelitySquaredObjective:
         ok = True
         defect = 0.0
         for p, rho_k, target in zip(self.probs, self.inputs, _prepared(self, tol)):
-            tau_h = HermOp(apply_from_choi(j, rho_k.mat), tol)
+            tau_h = HermOp(apply_from_choi(j, rho_k.mat))
             f_k, g_k, ex_k, ok_k, d_k = _fidelity_terms(target, tau_h, tol)
             value -= p * f_k * f_k
             h -= p * f_k * kron(g_k, rho_k.mat.T)
@@ -440,7 +440,7 @@ class FidelitySquaredObjective:
             ok = ok and ok_k
         return SubgradResult(
             value,
-            HermOp(h, tol),
+            HermOp(h),
             exact_gradient=exact,
             valid_subgradient=exact,
             inclusion_ok=ok,
@@ -514,7 +514,7 @@ class RelativeEntropyObjective(_StatePairObjective):
         ``Dlog_tau[sigma]`` on the image of ``tau``, the derivative of
         ``Tr sigma log tau``; the objective is differentiable there.
         """
-        value, g, defect = _rel_entropy_terms(target, HermOp(tau, tol), tol)
+        value, g, defect = _rel_entropy_terms(target, HermOp(tau), tol)
         if g is None:
             return math.inf, np.zeros_like(tau), False, False, False, defect
         return value, g, True, True, True, defect
@@ -529,7 +529,7 @@ ObjectiveSpec = Union[
 ]
 
 
-def discrimination_objective(ens: Ensemble, tol: Tolerances = TOL) -> HermOp:
+def discrimination_objective(ens: Ensemble) -> HermOp:
     """The Hermitian ``H0`` whose linear objective is the discrimination error.
 
     ``H0`` is block diagonal on ``C^m (x) C^d`` with blocks
@@ -542,7 +542,7 @@ def discrimination_objective(ens: Ensemble, tol: Tolerances = TOL) -> HermOp:
     h0 = np.zeros((m * d, m * d), dtype=np.complex128)
     for k, (p, s) in enumerate(zip(ens.probs, ens.states)):
         h0[k * d : (k + 1) * d, k * d : (k + 1) * d] = (mean - p * s.mat).T
-    return HermOp(h0, tol)
+    return HermOp(h0)
 
 
 class Discrimination:
@@ -562,7 +562,7 @@ class Discrimination:
         d_in, d_out, _ = dims
         probs, states = doc.probs("probs"), doc.ops("states", d_in, count=d_out)
         ens = doc.judged("probs", Ensemble, probs, states, doc.tol)
-        return LinearObjective(discrimination_objective(ens, doc.tol), d_out, d_in), ens
+        return LinearObjective(discrimination_objective(ens), d_out, d_in), ens
 
     @staticmethod
     def draw(rng, dims, count, with_channel):

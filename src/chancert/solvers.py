@@ -161,12 +161,15 @@ def project_channel(x, dims: tuple[int, int], tol: Tolerances = TOL) -> ChoiOp:
     a = as_array(x)
     if a.shape != (d_out * d_in, d_out * d_in):
         raise DimensionMismatchError(f"shape {a.shape} incompatible with dims {dims}")
-    return _project_stack(a[None], dims, tol, exact=True)[0]
+    (out,) = _project_stack(a[None], dims, tol, exact=True)
+    if isinstance(out, MaxItersExceededError):
+        raise out
+    return out
 
 
 def _project_stack(
     xs: np.ndarray, dims: tuple[int, int], tol: Tolerances, exact: bool = False
-) -> list[ChoiOp]:
+) -> list[ChoiOp | MaxItersExceededError]:
     """A channel near each slice of a ``(B, n, n)`` stack, by the sweeps of
     :func:`project_channel`.
 
@@ -181,7 +184,10 @@ def _project_stack(
     decomposition, so it runs first, and a slice it rejects goes straight to
     the sweeps without the ``eigvalsh`` of the PSD test.  The sweeps run on
     the stack of the slices still moving; each slice stops at its own sweep,
-    so its result has the bits of projecting it alone.
+    so its result has the bits of projecting it alone.  A slice still moving
+    after ``SWEEPS`` sweeps gets its own :class:`MaxItersExceededError` as
+    its entry, with the message its lone run gets, and the slices that
+    landed keep their channels.
 
     The stop test's ``eigvalsh`` is screened.  The sweep's ``eigh`` already
     holds the eigenvector ``v0`` of the lowest eigenvalue of the matrix it
@@ -193,7 +199,11 @@ def _project_stack(
 
     The channels come back unchecked (``linalg._assemble``) where a rounding
     allowance decides every ``ChoiOp`` test, and through the public
-    constructors otherwise (also whenever an allowance is inf or nan).
+    constructors otherwise (also whenever an allowance is inf or nan).  The
+    ``ChoiOp`` tests of a channel are those of ``tol``; its ``HermOp`` is
+    computed, so it is judged at the package ``TOL`` (see
+    :class:`~chancert.linalg.Tolerances`), and a document's ``tau_herm``
+    changes neither the build nor the bits.
 
     * A feasible input is exactly Hermitian (``_herm`` of anything is), and
       its ``eigvalsh`` and partial-trace test just ran on the bits ``ChoiOp``
@@ -205,8 +215,8 @@ def _project_stack(
       and each computed entry is within ``gamma_n`` times a sum of magnitudes
       whose matrix has norm at most ``n max |w|``; the partial trace carries
       that defect into the second term, so ``||P - Herm P||_2 <= n *
-      slack``, which must be below ``tau_herm`` (the check asks for
-      ``tau_herm (1 + ||Herm P||)``).  PSD: the sweep's ``eigvalsh`` put
+      slack``, which must be below ``TOL.tau_herm`` (the check asks for
+      ``TOL.tau_herm (1 + ||Herm P||)``).  PSD: the sweep's ``eigvalsh`` put
       ``lambda_min`` at ``-feas`` or above, and ``eigvalsh(Herm P)`` sits
       within that defect plus both eigensolvers' ``slack`` of it, so ``n *
       slack`` must be below ``tau_psd - feas``.  Partial trace: ``Tr_out P =
@@ -223,7 +233,7 @@ def _project_stack(
     n = d_out * d_in
     feas = min(tol.tau_psd / 10, tol.tau_num)
     # a swept slice with ``slack`` below this meets every ChoiOp test
-    cap = min(min(tol.tau_psd - feas, tol.tau_herm) / n, tol.tau_num / 2 / d_out)
+    cap = min(min(tol.tau_psd - feas, TOL.tau_herm) / n, tol.tau_num / 2 / d_out)
     eye_out = np.eye(d_out)[:, None, :, None]  # kron's left factor, broadcast
     eye_in = np.eye(d_in)
     out: list[ChoiOp | None] = [None] * len(xs)
@@ -236,7 +246,7 @@ def _project_stack(
     for k in unsettled:
         unit_trace = _fro_settles(tr_diff[k], feas) or spectral_norm(tr_diff[k]) <= feas
         if unit_trace and max(0.0, -_min_eig(cur[k])) <= feas:
-            out[k] = _assemble(ChoiOp, op=HermOp(cur[k], tol), dim_out=d_out, dim_in=d_in)
+            out[k] = _assemble(ChoiOp, op=HermOp(cur[k]), dim_out=d_out, dim_in=d_in)
     if len(unsettled):
         live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
         if not len(live):
@@ -270,12 +280,14 @@ def _project_stack(
                 op = _assemble(HermOp, mat=_herm(cur[k]))
                 out[live[k]] = _assemble(ChoiOp, op=op, dim_out=d_out, dim_in=d_in)
             else:
-                out[live[k]] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
+                out[live[k]] = ChoiOp(HermOp(cur[k]), d_out, d_in, tol)
         if not moving.any():
             return out
         live, cur, corr = live[moving], cur[moving], corr[moving]
-    low = float(_min_eig(cur)[0])
-    raise MaxItersExceededError(f"projection defect {max(0.0, -low):.3e} after {SWEEPS} sweeps")
+    for k, low in zip(live, _min_eig(cur)):
+        defect = max(0.0, -float(low))
+        out[k] = MaxItersExceededError(f"projection defect {defect:.3e} after {SWEEPS} sweeps")
+    return out
 
 
 def _within_gap(bound: float, h: np.ndarray, tol_gap: float) -> bool:
@@ -414,7 +426,7 @@ def solve_batch(
     if any(spec.dims != dims for spec in specs):
         raise DimensionMismatchError(f"solve_batch needs equal dims, got {[s.dims for s in specs]}")
     d_out, d_in = dims
-    j = depolarizing_choi(d_in, d_out, tol)
+    j = depolarizing_choi(d_in, d_out)
     runs = [_Run(spec, j, tol) for spec in specs]
     active = [run for run in runs if run.error is None]
 
@@ -468,7 +480,7 @@ def solve_batch(
     return [run.trace() for run in runs]
 
 
-def helstrom_povm(ens: Ensemble, tol: Tolerances = TOL) -> tuple[Povm, float]:
+def helstrom_povm(ens: Ensemble) -> tuple[Povm, float]:
     """Analytically optimal two-outcome measurement for a binary ensemble.
 
     Projects onto the positive eigenspace of ``p_0 rho_0 - p_1 rho_1``
@@ -482,14 +494,12 @@ def helstrom_povm(ens: Ensemble, tol: Tolerances = TOL) -> tuple[Povm, float]:
     w, v = _eigh(m)
     pos = v[:, w > 0.0]
     p_first = pos @ pos.conj().T
-    elements = (HermOp(p_first, tol), HermOp(np.eye(ens.dim) - p_first, tol))
+    elements = (HermOp(p_first), HermOp(np.eye(ens.dim) - p_first))
     error = 1.0 - p1 - float(np.real(np.trace(m @ p_first)))
-    return Povm(elements, tol), error
+    return Povm(elements), error
 
 
-def brute_force_measurement(
-    ens: Ensemble, grid_n: int = 400, tol: Tolerances = TOL
-) -> tuple[Povm, float]:
+def brute_force_measurement(ens: Ensemble, grid_n: int = 400) -> tuple[Povm, float]:
     """Grid search over qubit projective measurements (plus trivial ones).
 
     Scans Bloch directions ``|v(theta, phi)>`` on a ``grid_n x grid_n``
@@ -500,7 +510,7 @@ def brute_force_measurement(
     if ens.dim != 2:
         raise ValueError(f"grid search is qubit-only, got dimension {ens.dim}")
     if ens.outcomes == 1:
-        povm = Povm((HermOp(np.eye(2)), HermOp(np.zeros((2, 2)))), tol)
+        povm = Povm((HermOp(np.eye(2)), HermOp(np.zeros((2, 2)))))
         return povm, 0.0
     if ens.outcomes != 2:
         raise ValueError(f"2-outcome search, got {ens.outcomes} states")
@@ -542,7 +552,7 @@ def brute_force_measurement(
     first, second = proj, np.eye(2) - proj
     if best_swap:
         first, second = second, first
-    return Povm((HermOp(first, tol), HermOp(second, tol)), tol), best_err
+    return Povm((HermOp(first), HermOp(second))), best_err
 
 
 def random_channel_choi(
@@ -550,7 +560,6 @@ def random_channel_choi(
     dim_out: int,
     rng: np.random.Generator,
     kraus_rank: int | None = None,
-    tol: Tolerances = TOL,
 ) -> ChoiOp:
     """Random channel from the partitioned blocks of a Haar-ish isometry.
 
@@ -566,7 +575,7 @@ def random_channel_choi(
     )
     q, _ = np.linalg.qr(g)
     blocks = [q[i * dim_out : (i + 1) * dim_out, :] for i in range(r)]
-    return choi_from_kraus(blocks, tol)
+    return choi_from_kraus(blocks)
 
 
 def _check_dims(dims: tuple[int, ...], n: int, kind: str) -> None:
@@ -577,7 +586,7 @@ def _check_dims(dims: tuple[int, ...], n: int, kind: str) -> None:
             raise ValueError(f"dimension {d} outside [1, {DIM_CAP}] for {kind}")
 
 
-def random_instance(kind: str, dims: tuple[int, ...], seed: int, tol: Tolerances = TOL):
+def random_instance(kind: str, dims: tuple[int, ...], seed: int):
     """Seed-deterministic random test instances.
 
     ``ensemble`` with dims ``(d, m)`` -> :class:`Ensemble`;
@@ -591,18 +600,16 @@ def random_instance(kind: str, dims: tuple[int, ...], seed: int, tol: Tolerances
         _check_dims(dims, 2, kind)
         d, m = dims
         probs = rng.dirichlet(np.ones(m))
-        states = tuple(HermOp(random_density(d, rng), tol) for _ in range(m))
-        return Ensemble(probs, states, tol)
+        states = tuple(HermOp(random_density(d, rng)) for _ in range(m))
+        return Ensemble(probs, states)
     if kind == "channel":
         _check_dims(dims, 2, kind)
         d_in, d_out = dims
-        return random_channel_choi(d_in, d_out, rng, tol=tol)
+        return random_channel_choi(d_in, d_out, rng)
     if kind == "state_pair":
         _check_dims(dims, 3, kind)
         d_in, d_out, d_env = dims
-        rho = BipartiteState(HermOp(random_density(d_in * d_env, rng), tol), d_in, d_env, tol)
-        sigma = BipartiteState(
-            HermOp(random_density(d_out * d_env, rng), tol), d_out, d_env, tol
-        )
+        rho = BipartiteState(HermOp(random_density(d_in * d_env, rng)), d_in, d_env)
+        sigma = BipartiteState(HermOp(random_density(d_out * d_env, rng)), d_out, d_env)
         return rho, sigma
     raise ValueError(f"unknown instance kind {kind!r}")

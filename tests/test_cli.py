@@ -508,6 +508,74 @@ def test_conjecture_under_tight_psd_tolerance_has_no_errors(capsys):
     assert (summary["trials"], summary["errors"]) == (4, 0)
 
 
+# A document's tau_herm judges only the matrices the document supplies, so one
+# below the rounding of the package's own products must not reject an output
+# tau, a subgradient, H0, a swept channel or the J of a Kraus family.
+def _tight_doc(tmp_path, family, dims, tau_herm, capsys):
+    """``gen FAMILY --dims DIMS --with-channel`` (seed 0) with ``tau_herm`` set."""
+    path = tmp_path / f"{family}.json"
+    assert main(["gen", family, str(path), "--dims", *map(str, dims), "--with-channel"]) == 0
+    capsys.readouterr()  # gen's note when it drops ENV
+    doc = json.loads(path.read_text())
+    doc["tolerances"] = {"tau_herm": tau_herm}
+    return _write(tmp_path, f"{family}-tight.json", doc)
+
+
+def test_certify_does_not_judge_the_output_by_the_document_tau_herm(tmp_path, capsys):
+    path = _tight_doc(tmp_path, "fidelity", (3, 2, 2), 2e-17, capsys)
+    assert main(["certify", path]) == 3
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("family, dims, tau_herm", [
+    ("fidelity", (3, 2, 2), 2e-17),
+    ("relative-entropy", (3, 2, 2), 2e-17),
+    ("trace-distance", (3, 2, 2), 2e-17),
+    ("fidelity-squared", (3, 2, 2), 2e-17),
+    ("relative-entropy", (3, 2, 2), 3e-17),
+    ("trace-distance", (3, 2, 2), 3e-17),
+    ("fidelity-squared", (3, 2, 2), 3e-17),
+    ("discrimination", (3, 3, 1), 2e-17),
+])
+def test_solve_does_not_judge_computed_matrices_by_the_document_tau_herm(
+        family, dims, tau_herm, tmp_path, capsys):
+    path = _tight_doc(tmp_path, family, dims, tau_herm, capsys)
+    assert main(["solve", path, "--max-iters", "20"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["iterations"] == 20
+
+
+def test_kraus_operators_are_not_judged_by_the_document_tau_herm(tmp_path, capsys):
+    """Kraus operators need not be Hermitian; the channel they make is judged
+    by the ChoiOp tests under the document's tolerances, its computed ``J``
+    at the package's."""
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))[0]
+    channel = {"kind": "kraus", "operators": [_mat(q[2 * i : 2 * i + 2]) for i in range(3)]}
+    assert main(["gen", "linear", str(tmp_path / "l.json"), "--dims", "2", "2", "1"]) == 0
+    doc = json.loads((tmp_path / "l.json").read_text())
+    doc["channel"], doc["tolerances"] = channel, {"tau_herm": 1e-17}
+    assert main(["certify", _write(tmp_path, "kraus.json", doc)]) == 3
+    assert capsys.readouterr().err == ""
+
+
+def test_conjecture_under_tight_herm_tolerance_has_no_errors(capsys):
+    argv = ["conjecture", "--dims", "2", "2", "2", "--trials", "4", "--max-iters", "30",
+            "--tol-herm", "1e-17"]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert (summary["trials"], summary["errors"]) == (4, 0)
+
+
+def test_supplied_state_is_still_judged_by_the_document_tau_herm(tmp_path, capsys):
+    path = _tight_doc(tmp_path, "discrimination", (3, 3, 1), 1e-17, capsys)
+    assert main(["certify", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("chancert: objective.states[2]: matrix is not Hermitian")
+
+
 # -------------------------------------------------------------------- hykl
 
 

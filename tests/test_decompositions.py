@@ -8,12 +8,14 @@ certificate is pinned, and a solver failure surfaces as an input error.
 The same kind of ``ast`` guard keeps ``objectives.FAMILIES`` the one list
 of objective families, and the evaluation map out of every function but the
 state-pair ``_evaluate``, the trace-distance witness and its pull-back in
-``objectives`` and ``draw_trial`` in ``experiments``, and each tolerance that
-judges an input out of every function but its rule.
+``objectives`` and ``draw_trial`` in ``experiments``, each tolerance that
+judges an input out of every function but its rule, and a document's
+tolerances off every ``HermOp`` the package computes.
 """
 
 import ast
 import contextlib
+import inspect
 import io
 import pathlib
 from dataclasses import replace
@@ -25,11 +27,29 @@ import chancert
 from chancert.certifier import certify
 from chancert.cli import GEN_FAMILIES, main
 from chancert.experiments import HARNESS_CONFIG, draw_trial, record_trial
-from chancert.choi import ChoiOp
-from chancert.linalg import EigDecompositionError, HermOp, dist_to_psd
-from chancert.objectives import FAMILIES, FidelitySquaredObjective, evaluate
+from chancert.choi import (
+    BipartiteState,
+    ChoiOp,
+    Povm,
+    depolarizing_choi,
+    identity_choi,
+)
+from chancert.linalg import TOL, EigDecompositionError, HermOp, dist_to_psd
+from chancert.objectives import (
+    FAMILIES,
+    Ensemble,
+    FidelitySquaredObjective,
+    discrimination_objective,
+    evaluate,
+)
 from chancert.serialize import loads_problem
-from chancert.solvers import solve_batch
+from chancert.solvers import (
+    brute_force_measurement,
+    helstrom_povm,
+    random_channel_choi,
+    random_instance,
+    solve_batch,
+)
 from conftest import counted_checks, forbid_svd
 
 COUNTED = ("eigh", "eigvalsh", "svd")
@@ -214,8 +234,12 @@ def test_experiments_guard_sees_a_violation():
 
 # One tolerance policy: ``tau_num`` is read by the normalization rule and
 # ``tau_psd`` by the PSD rule and the verdict predicate; the projection derives
-# its margins ``feas`` and ``cap`` from both.  No factor of a field is named.
+# its margins ``feas`` and ``cap`` from both.  ``tau_herm`` is read by the
+# ``HermOp`` check, the verdict predicate, and the two rounding bounds that
+# stand in for a check at the package ``TOL``.  No factor of a field is named.
 TOLERANCE_READERS = {
+    "tau_herm": ["certifier._within_tol", "choi.eval_map_adjoint", "linalg.__post_init__",
+                 "solvers._project_stack.cap"],
     "tau_num": ["linalg._normalization_failure", "solvers._project_stack.cap",
                 "solvers._project_stack.feas"],
     "tau_psd": ["certifier._within_tol", "linalg._psd_rule", "solvers._project_stack.cap",
@@ -261,6 +285,60 @@ def test_tolerance_guard_sees_a_read():
                      "def g(t):\n    cap = min(t.tau_num, 1)\n    x = t.tau_psd\n"
                      "lim = TOL.tau_num\n")
     assert _field_readers(tree, "tau_num") == ["f", "g.cap", "module.lim"]
+
+
+# One judgement boundary: a ``Tolerances`` judges only what its caller supplies.
+# Every ``HermOp`` the package computes is judged at the default ``TOL``, so no
+# call passes a tolerance but the document reader's, and a function that takes
+# no supplied operand takes no tolerance.
+def _tolerance_hermops(tree: ast.Module) -> list[str]:
+    """The enclosing function (or ``module``) of each ``HermOp`` call that
+    passes more than the matrix."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "HermOp" and (len(node.args) > 1 or node.keywords)):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "module")
+    return found
+
+
+def test_no_computed_hermop_reads_a_document_tolerance():
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "serialize.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [f"{path.stem}.{s}" for s in _tolerance_hermops(tree)]
+    assert sites == []
+
+
+def test_hermop_guard_sees_a_tolerance():
+    tree = ast.parse("def f(m, tol):\n    return HermOp(m, tol)\n"
+                     "def g(m, t):\n    return HermOp(m), HermOp(m, tol=t)\n"
+                     "x = HermOp(m, TOL)\ny = judged('k', HermOp, m, tol)\n")
+    assert _tolerance_hermops(tree) == ["f", "g", "module"]
+
+
+@pytest.mark.parametrize("fn", [
+    discrimination_objective, helstrom_povm, brute_force_measurement, random_instance,
+    random_channel_choi, depolarizing_choi, identity_choi, draw_trial, dist_to_psd,
+], ids=lambda fn: fn.__name__)
+def test_functions_without_a_supplied_operand_take_no_tolerance(fn):
+    assert "tol" not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("cls", [
+    HermOp, ChoiOp, BipartiteState, Povm, Ensemble, FidelitySquaredObjective,
+], ids=lambda cls: cls.__name__)
+def test_validated_types_keep_their_tolerance(cls):
+    assert inspect.signature(cls).parameters["tol"].default is TOL
 
 
 # One door around the checks: a validated type is built without its

@@ -137,8 +137,10 @@ def test_projection_precheck_matches_exact_formula(defect, factor, monkeypatch):
 
 def _reference_project_stack(xs, dims, tol, exact=False):
     """The projection loop without the stop-test screen and the trusted
-    outputs: one ``eigvalsh`` per sweep, a full ``ChoiOp`` check per result.
-    The bit-identity tests below hold ``_project_stack`` to it."""
+    outputs: one ``eigvalsh`` per sweep, a full ``ChoiOp`` check per result
+    (its ``HermOp`` at ``TOL``, its channel tests at ``tol``), and each slice
+    out of sweeps its own error.  The bit-identity tests below hold
+    ``_project_stack`` to it."""
     d_out, d_in = dims
     feas = min(tol.tau_psd / 10, tol.tau_num)
     eye_out, eye_in = np.eye(d_out), np.eye(d_in)
@@ -150,7 +152,7 @@ def _reference_project_stack(xs, dims, tol, exact=False):
     for k in unsettled:
         unit_trace = _fro_settles(tr_diff[k], feas) or spectral_norm(tr_diff[k]) <= feas
         if unit_trace and max(0.0, -_min_eig(cur[k])) <= feas:
-            out[k] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
+            out[k] = ChoiOp(HermOp(cur[k]), d_out, d_in, tol)
     if len(unsettled):
         live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
         if not len(live):
@@ -173,13 +175,15 @@ def _reference_project_stack(xs, dims, tol, exact=False):
         if moving.all():
             continue
         for k in np.flatnonzero(~moving):
-            out[live[k]] = ChoiOp(HermOp(cur[k], tol), d_out, d_in, tol)
+            out[live[k]] = ChoiOp(HermOp(cur[k]), d_out, d_in, tol)
         if not moving.any():
             return out
         live, cur, corr, low = live[moving], cur[moving], corr[moving], low[moving]
-    raise MaxItersExceededError(
-        f"projection defect {max(0.0, -float(low[0])):.3e} after {solvers.SWEEPS} sweeps"
-    )
+    for k, lo in zip(live, low):
+        out[k] = MaxItersExceededError(
+            f"projection defect {max(0.0, -float(lo)):.3e} after {solvers.SWEEPS} sweeps"
+        )
+    return out
 
 
 def _steps(dims, slices, seed):
@@ -192,9 +196,16 @@ def _steps(dims, slices, seed):
                      for _ in range(slices)])
 
 
+def _entries(out):
+    """The bytes of each channel of a projection, ``(type, message)`` of each
+    error entry."""
+    return [(type(c), str(c)) if isinstance(c, Exception) else c.mat.tobytes() for c in out]
+
+
 def _same_projection(xs, dims, exact, tol=TOL):
     """Assert that ``_project_stack`` gives the reference's matrices, bit for
-    bit, or raises its error; the number of eigvalsh calls it made."""
+    bit, and error entries, or raises its error; the number of eigvalsh calls
+    it made."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
     with pytest.MonkeyPatch.context() as mp:
@@ -207,7 +218,7 @@ def _same_projection(xs, dims, exact, tol=TOL):
     assert got == want
     if got is None:
         ref = _reference_project_stack(xs, dims, tol, exact)
-        assert [c.mat.tobytes() for c in out] == [c.mat.tobytes() for c in ref]
+        assert _entries(out) == _entries(ref)
     return len(calls)
 
 
@@ -227,14 +238,35 @@ def test_projection_runs_eigvalsh_where_the_screen_cannot_decide():
 
 
 def test_projection_out_of_sweeps_keeps_the_reference_message(monkeypatch):
-    """Sweeps that run out on screened sweeps recompute the eigvalsh that the
-    error message reports."""
+    """Sweeps that run out on screened sweeps recompute the eigvalsh that each
+    slice's error message reports."""
     monkeypatch.setattr(solvers, "SWEEPS", 3)
     xs = _steps((3, 2), 3, 4)
-    err = outcome(solvers._project_stack, xs, (3, 2), TOL)
-    assert err is not None and err[0] is MaxItersExceededError
+    out = solvers._project_stack(xs, (3, 2), TOL)
+    assert [type(c) for c in out] == [MaxItersExceededError] * 3
+    assert len({str(c) for c in out}) == 3
     _same_projection(xs, (3, 2), False)
     _same_projection(xs[:1], (3, 2), True)
+
+
+def test_batched_projection_out_of_sweeps_fails_alone(monkeypatch):
+    """A slice still moving after ``SWEEPS`` sweeps gets its own error and
+    the slice that landed keeps its channel: ``solve_batch``'s projection of
+    the pair takes the stack's 3 ``eigh`` calls, not those plus 1 + 3 more
+    to redo each slice alone, and each entry is the one-at-a-time outcome."""
+    monkeypatch.setattr(solvers, "SWEEPS", 3)
+    xs = _steps((2, 2), 2, 0)  # the first lands after one sweep, the second never
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    batched = solvers._by_slice(lambda s: solvers._project_stack(s, (2, 2), TOL), xs)
+    assert len(calls) == 3
+    calls.clear()
+    alone = [solvers._project_stack(xs[k : k + 1], (2, 2), TOL)[0] for k in range(2)]
+    assert len(calls) == 1 + 3
+    assert [type(c) for c in batched] == [ChoiOp, MaxItersExceededError]
+    assert _entries(batched) == _entries(alone)
+    assert outcome(project_channel, xs[1], (2, 2)) == _entries(alone)[1]
 
 
 def test_projection_checks_in_full_when_tau_psd_is_below_rounding(monkeypatch):
@@ -276,16 +308,14 @@ def _huge_step(sign):
     return (j + sign * 1e12 * np.eye(4))[None]
 
 
-@pytest.mark.parametrize("case", ["tau_herm", "tau_num", "huge_up", "huge_down"])
+@pytest.mark.parametrize("case", ["tau_num", "huge_up", "huge_down"])
 def test_projection_falls_back_to_the_public_checks(case):
-    """An allowance that does not fit (a tight ``tau_herm`` or ``tau_num``, a
-    huge step) builds through the public constructors, which keep the
-    reference's bits and messages: the upward step is not Hermitian within
-    ``tau_herm`` once the sweep has taken ``1e12`` back off."""
+    """An allowance that does not fit (a tight ``tau_num``, a huge step)
+    builds through the public constructors, which keep the reference's bits
+    and messages: the upward step is not Hermitian within ``tau_herm`` once
+    the sweep has taken ``1e12`` back off."""
     xs, tol = _steps((2, 2), 3, 1), TOL
-    if case == "tau_herm":
-        tol = Tolerances(tau_herm=1e-15)
-    elif case == "tau_num":
+    if case == "tau_num":
         tol = Tolerances(tau_num=1e-13)
     else:
         xs = _huge_step(1.0 if case == "huge_up" else -1.0)
@@ -296,6 +326,19 @@ def test_projection_falls_back_to_the_public_checks(case):
     if case == "huge_up":
         assert got[0] is ValueError and got[1].startswith("matrix is not Hermitian")
     _same_projection(xs, (2, 2), False, tol)
+
+
+def test_document_tau_herm_leaves_the_projection_unchanged():
+    """The projection's channels are computed, so a tight document
+    ``tau_herm`` judges none of them: each is still built trusted, with the
+    bits of the default tolerances."""
+    xs, tight = _steps((2, 2), 3, 1), Tolerances(tau_herm=1e-15)
+    with pytest.MonkeyPatch.context() as mp:
+        shown, checked = assembled(mp)[ChoiOp], counted_checks(mp, HermOp, ChoiOp)
+        out = solvers._project_stack(xs, (2, 2), tight)
+    assert len(shown) == 3 and not checked
+    assert _entries(out) == _entries(solvers._project_stack(xs, (2, 2), TOL))
+    _same_projection(xs, (2, 2), False, tight)
 
 
 def test_projection_shape_mismatch():
@@ -706,7 +749,7 @@ def test_solve_ends_with_the_projection_error_when_no_step_lands(monkeypatch):
 
     def out_of_sweeps(xs, dims, tol, exact=False):
         steps.append(len(xs))
-        raise MaxItersExceededError("projection defect 1.000e+00 after 5000 sweeps")
+        return [MaxItersExceededError("projection defect 1.000e+00 after 5000 sweeps")] * len(xs)
 
     monkeypatch.setattr(solvers, "_project_stack", out_of_sweeps)
     spec = LinearObjective(discrimination_objective(_helstrom_ensemble()), 2, 2)
