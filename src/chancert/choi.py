@@ -88,9 +88,9 @@ class ChoiOp:
     ``tau_num * (1 + ||J||)``.  Each computes ``||J||`` only when a cheaper
     bound does not settle it, and only the exact tests report numbers.
 
-    ``solvers._project_stack`` builds through ``linalg._assemble``, without
-    the tests, the channels whose tests its allowances decide; its docstring
-    derives them.
+    ``solvers._project_stack`` builds its channels through
+    ``linalg._assemble``, without the tests, which its stop test decides on
+    the same bits; its docstring says how.
     """
 
     op: HermOp

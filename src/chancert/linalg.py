@@ -79,13 +79,13 @@ class Tolerances:
     (``tau_psd``) and the normalization rule ``_normalization_failure``
     (``tau_num``).  The verdict predicate ``certifier._within_tol`` reads
     ``tau_herm`` and ``tau_psd`` too, and ``solvers._project_stack`` derives
-    its margins from ``tau_psd`` and ``tau_num``.
+    its stop margin from ``tau_psd`` and ``tau_num``.
 
     A ``Tolerances`` judges only what its caller supplies: the matrices,
     states, probabilities and channels of a problem document or of a public
-    constructor call.  It also sets the ``ChoiOp`` tests of the channels the
-    solver sweeps, the ``tau_rank`` cutoffs and the verdict.  Every
-    ``HermOp`` the package computes from its own arithmetic (an output
+    constructor call.  It also sets the ``ChoiOp`` tests that the stop test
+    of a projection sweep decides, the ``tau_rank`` cutoffs and the verdict.
+    Every ``HermOp`` the package computes from its own arithmetic (an output
     ``tau``, a subgradient, ``H0``, a squeezed state, the ``J`` of a Kraus
     family, a generated instance) is judged at the package ``TOL``, so a
     document's tolerances cannot reject a matrix it never supplied.
@@ -248,12 +248,13 @@ class HermOp:
 
     Within the package only the reader of a problem document passes its
     ``tol``; every other construction is of a computed matrix and is judged
-    at the default ``TOL`` (see :class:`Tolerances`).  Internal builders
-    that hold a rounding bound proving the check would pass build
-    ``_assemble(HermOp, mat=_herm(m))`` instead: a channel of a projection
-    sweep (``solvers._project_stack``) and the pull-back of an elementwise
-    Hermitian witness (``choi.eval_map_adjoint``), whose docstrings derive
-    the bounds.  Every other construction validates.
+    at the default ``TOL`` (see :class:`Tolerances`).  Two internal builders
+    store an exact Hermitian part ``_herm(m)`` through ``_assemble(HermOp,
+    ...)`` instead: a channel of a projection sweep
+    (``solvers._project_stack``), whose defect is 0 by construction, and the
+    pull-back of an elementwise Hermitian witness (``choi.eval_map_adjoint``),
+    whose docstring derives its rounding bound.  Every other construction
+    validates.
     """
 
     mat: np.ndarray

@@ -46,6 +46,7 @@ from .linalg import (
     _fro_settles,
     _herm,
     _min_eig,
+    _normalization_failure,
     as_array,
     partial_trace,
     spectral_norm,
@@ -140,15 +141,14 @@ def project_channel(x, dims: tuple[int, int], tol: Tolerances = TOL) -> ChoiOp:
     Dykstra's alternating projections between the PSD cone (eigenvalue
     clipping, with the correction term) and the affine slice of
     unit-partial-trace operators ``X -> X + 1 (x) (1 - Tr_out X) / d_out``
-    (affine, so no correction needed).  Sweeps until the affine-feasible
-    iterate ``P`` has PSD defect at most ``feas = min(tau_psd / 10,
-    tau_num)``, so the result passes the ``ChoiOp`` check under the same
-    tolerances, and until the complementarity gap ``<-C, P>`` of the PSD
-    correction ``C`` is at most ``feas * (1 + ||C||_F)``; raises
-    :class:`MaxItersExceededError` after ``SWEEPS`` sweeps.  The stop test
-    skips its ``eigvalsh`` when a Rayleigh quotient already shows ``P``
-    outside the cone, and the result skips the ``ChoiOp`` tests that
-    rounding bounds decide (:func:`_project_stack` gives the allowances).
+    (affine, so no correction needed).  Sweeps until the Hermitian part of
+    the affine-feasible iterate ``P`` has PSD defect at most ``feas =
+    min(tau_psd / 10, tau_num)`` and meets the normalization rule, so the
+    result passes the ``ChoiOp`` check under the same tolerances, and until
+    the complementarity gap ``<-C, P>`` of the PSD correction ``C`` is at
+    most ``feas * (1 + ||C||_F)``; raises :class:`MaxItersExceededError`
+    after ``SWEEPS`` sweeps, and ``ValueError`` when the Hermitian part of
+    ``x`` is not finite.
 
     ``x - P`` is ``C`` plus a term ``1 (x) Y``, which is orthogonal to every
     difference of channels, and ``C`` is negative semidefinite, so for every
@@ -162,16 +162,16 @@ def project_channel(x, dims: tuple[int, int], tol: Tolerances = TOL) -> ChoiOp:
     if a.shape != (d_out * d_in, d_out * d_in):
         raise DimensionMismatchError(f"shape {a.shape} incompatible with dims {dims}")
     (out,) = _project_stack(a[None], dims, tol, exact=True)
-    if isinstance(out, MaxItersExceededError):
+    if isinstance(out, Exception):
         raise out
     return out
 
 
 def _project_stack(
     xs: np.ndarray, dims: tuple[int, int], tol: Tolerances, exact: bool = False
-) -> list[ChoiOp | MaxItersExceededError]:
+) -> list[ChoiOp | Exception]:
     """A channel near each slice of a ``(B, n, n)`` stack, by the sweeps of
-    :func:`project_channel`.
+    :func:`project_channel`, or the slice's own error.
 
     Without ``exact`` a slice stops at its first feasible iterate, which can
     be far from the projection (0.89 in Frobenius norm for a step-like
@@ -179,66 +179,56 @@ def _project_stack(
     the solvers only need a channel near their step.  With ``exact`` it
     also waits for the complementarity gap, which makes it the projection.
 
-    A feasible slice short-circuits to its Hermitian part, which makes the
-    projection exactly idempotent.  The partial-trace test needs no
-    decomposition, so it runs first, and a slice it rejects goes straight to
-    the sweeps without the ``eigvalsh`` of the PSD test.  The sweeps run on
-    the stack of the slices still moving; each slice stops at its own sweep,
-    so its result has the bits of projecting it alone.  A slice still moving
-    after ``SWEEPS`` sweeps gets its own :class:`MaxItersExceededError` as
-    its entry, with the message its lone run gets, and the slices that
-    landed keep their channels.
+    A slice whose Hermitian part is not finite (a step that overflows) gets
+    a ``ValueError`` as its entry.  A feasible slice short-circuits to its
+    Hermitian part, which makes the projection exactly idempotent.  The
+    partial-trace test needs no decomposition, so it runs first, and a slice
+    it rejects goes straight to the sweeps without the ``eigvalsh`` of the
+    PSD test.  The sweeps run on the stack of the slices still moving; each
+    slice stops at its own sweep, so its result has the bits of projecting
+    it alone.  A slice still moving after ``SWEEPS`` sweeps gets its own
+    :class:`MaxItersExceededError` as its entry, with the message its lone
+    run gets, and the slices that landed keep their channels.
+
+    The stop test reads the bits a channel stores, the Hermitian part
+    ``herm`` of the iterate, so every channel is built unchecked
+    (``linalg._assemble``) and passes ``ChoiOp(HermOp(mat), d_out, d_in,
+    tol)`` with the same bits: ``herm`` is Hermitian by construction, and
+    the stop test's ``eigvalsh`` is the PSD test (``lambda_min >= -feas >=
+    -tau_psd``).  Only the normalization rule keeps a rounding allowance.
+    ``Tr_out P = 1`` exactly before rounding; the additions, the division by
+    ``d_out`` and the two ``d_out``-term sums leave each of the ``d_in^2``
+    entries within ``ROUNDING * d_out^2 (1 + max |w|)``, so ``||Tr_out herm
+    - 1||_F`` is at most ``d_out * slack``, with ``slack = ROUNDING * n * (1
+    + max |w|)`` from the sweep's spectrum ``w``.  Below ``tau_num / 2`` that
+    settles the rule (its Frobenius shortcut); otherwise the rule itself runs
+    on ``herm``, and a slice that fails it keeps sweeping.
 
     The stop test's ``eigvalsh`` is screened.  The sweep's ``eigh`` already
     holds the eigenvector ``v0`` of the lowest eigenvalue of the matrix it
-    clips, and ``r = Re(v0^dagger P v0) >= lambda_min(P)``.  When every live
-    slice has ``r < -feas - ROUNDING * n * (1 + max |w|)``, the computed
-    ``lambda_min(P)`` is below ``-feas`` as well, every slice moves on, and
-    the ``eigvalsh`` is skipped; otherwise it runs as before.  Either way the
-    iterates and the decisions are those of the unscreened loop.
-
-    The channels come back unchecked (``linalg._assemble``) where a rounding
-    allowance decides every ``ChoiOp`` test, and through the public
-    constructors otherwise (also whenever an allowance is inf or nan).  The
-    ``ChoiOp`` tests of a channel are those of ``tol``; its ``HermOp`` is
-    computed, so it is judged at the package ``TOL`` (see
-    :class:`~chancert.linalg.Tolerances`), and a document's ``tau_herm``
-    changes neither the build nor the bits.
-
-    * A feasible input is exactly Hermitian (``_herm`` of anything is), and
-      its ``eigvalsh`` and partial-trace test just ran on the bits ``ChoiOp``
-      would test, against ``feas <= min(tau_psd / 10, tau_num)``.
-    * A swept slice is ``P = V max(W, 0) V^dagger + 1 (x) (1 - Tr_out
-      psd) / d_out``, whose entries are at most ``1 + max |w|`` in size, with
-      ``slack = ROUNDING * n * (1 + max |w|)`` from the sweep.  Hermiticity:
-      the exact ``V max(W, 0) V^dagger`` of the computed ``V`` is Hermitian,
-      and each computed entry is within ``gamma_n`` times a sum of magnitudes
-      whose matrix has norm at most ``n max |w|``; the partial trace carries
-      that defect into the second term, so ``||P - Herm P||_2 <= n *
-      slack``, which must be below ``TOL.tau_herm`` (the check asks for
-      ``TOL.tau_herm (1 + ||Herm P||)``).  PSD: the sweep's ``eigvalsh`` put
-      ``lambda_min`` at ``-feas`` or above, and ``eigvalsh(Herm P)`` sits
-      within that defect plus both eigensolvers' ``slack`` of it, so ``n *
-      slack`` must be below ``tau_psd - feas``.  Partial trace: ``Tr_out P =
-      1`` exactly before rounding; the additions, the division by ``d_out``
-      and the two ``d_out``-term sums leave each of the ``d_in^2`` entries
-      within ``ROUNDING * d_out^2 (1 + max |w|)``, so ``||Tr_out Herm P -
-      1||_F`` is at most ``d_out * slack``, which must be below ``tau_num /
-      2`` (the Frobenius shortcut of the normalization rule).
-
-    At the default tolerances and ``n = 16`` the swept allowances are about
-    ``4e-12 * (1 + max |w|)`` against ``1e-9``.
+    clips, and ``r = Re(v0^dagger P v0) >= lambda_min(herm)``.  When every
+    live slice has ``r < -feas - slack``, the computed ``lambda_min(herm)``
+    is below ``-feas`` as well, every slice moves on, and the ``eigvalsh``
+    is skipped; otherwise it runs as before.  Either way the iterates and
+    the decisions are those of the unscreened loop.
     """
     d_out, d_in = dims
     n = d_out * d_in
     feas = min(tol.tau_psd / 10, tol.tau_num)
-    # a swept slice with ``slack`` below this meets every ChoiOp test
-    cap = min(min(tol.tau_psd - feas, TOL.tau_herm) / n, tol.tau_num / 2 / d_out)
     eye_out = np.eye(d_out)[:, None, :, None]  # kron's left factor, broadcast
     eye_in = np.eye(d_in)
-    out: list[ChoiOp | None] = [None] * len(xs)
-    cur = _herm(xs)
-    live = np.arange(len(xs))
+    out: list[ChoiOp | Exception | None] = [None] * len(xs)
+
+    def land(k: int, h: np.ndarray) -> None:
+        out[k] = _assemble(ChoiOp, op=_assemble(HermOp, mat=h), dim_out=d_out, dim_in=d_in)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: an error entry
+        cur = _herm(xs)
+    finite = np.isfinite(cur).all(axis=(-2, -1))
+    for k in np.flatnonzero(~finite):
+        out[k] = ValueError("the Hermitian part of a projection input is not finite")
+    live = np.flatnonzero(finite)
+    cur = cur[live] if not finite.all() else cur
     tr_diff = partial_trace(cur, dims) - eye_in
     # ``max |entry| <= ||tr_diff||``: past twice ``feas`` the exact test
     # fails too (the factor 2 absorbs rounding), so only the others run it
@@ -246,12 +236,11 @@ def _project_stack(
     for k in unsettled:
         unit_trace = _fro_settles(tr_diff[k], feas) or spectral_norm(tr_diff[k]) <= feas
         if unit_trace and max(0.0, -_min_eig(cur[k])) <= feas:
-            out[k] = _assemble(ChoiOp, op=HermOp(cur[k]), dim_out=d_out, dim_in=d_in)
-    if len(unsettled):
-        live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
-        if not len(live):
-            return out
-        cur = cur[live]
+            land(live[k], cur[k])
+    moving = np.array([out[k] is None for k in live], dtype=bool)
+    if not moving.any():
+        return out
+    live, cur = (live, cur) if moving.all() else (live[moving], cur[moving])
     corr = np.zeros_like(cur)
     for _ in range(SWEEPS):
         shifted = cur + corr
@@ -262,29 +251,31 @@ def _project_stack(
         # partial_trace and kron inlined: the same einsum and broadcast product
         tr = np.einsum("...ajak->...jk", psd.reshape(-1, d_out, d_in, d_out, d_in))
         cur = psd + (eye_out * ((eye_in - tr) / d_out)[:, None, :, None, :]).reshape(-1, n, n)
-        # how far a computed eigenvalue of ``cur`` may sit from the exact one;
+        # how far a computed eigenvalue of ``herm`` may sit from the exact one;
         # ``w`` is ascending, so ``max |w|`` sits at one of its ends
         slack = ROUNDING * n * (1.0 + np.maximum(-w[:, 0], w[:, -1]))
         rayleigh = np.einsum("bi,bij,bj->b", vh[:, 0], cur, v[:, :, 0]).real
         if (rayleigh < -feas - slack).all():
-            continue  # every lambda_min(cur) <= rayleigh is below -feas: all move
-        moving = _min_eig(cur) < -feas  # max(0, -low) > feas, as for one slice
+            continue  # every lambda_min(herm) <= rayleigh is below -feas: all move
+        herm = _herm(cur)
+        moving = _min_eig(herm) < -feas  # max(0, -low) > feas, as for one slice
         if exact:
-            gap = -np.einsum("bij,bij->b", corr.conj(), cur).real
+            gap = -np.einsum("bij,bij->b", corr.conj(), herm).real
             size = np.sqrt(np.einsum("bij,bij->b", corr.conj(), corr).real)
             moving = moving | (gap > feas * (1.0 + size))
         if moving.all():
             continue
         for k in np.flatnonzero(~moving):
-            if slack[k] < cap:
-                op = _assemble(HermOp, mat=_herm(cur[k]))
-                out[live[k]] = _assemble(ChoiOp, op=op, dim_out=d_out, dim_in=d_in)
+            h = herm[k]
+            if d_out * slack[k] < tol.tau_num / 2 or _normalization_failure(
+                    partial_trace(h, dims), lambda: spectral_norm(h), tol) is None:
+                land(live[k], h)
             else:
-                out[live[k]] = ChoiOp(HermOp(cur[k]), d_out, d_in, tol)
+                moving[k] = True  # the rule fails on these bits: sweep on
         if not moving.any():
             return out
         live, cur, corr = live[moving], cur[moving], corr[moving]
-    for k, low in zip(live, _min_eig(cur)):
+    for k, low in zip(live, _min_eig(_herm(cur))):
         defect = max(0.0, -float(low))
         out[k] = MaxItersExceededError(f"projection defect {defect:.3e} after {SWEEPS} sweeps")
     return out
@@ -444,30 +435,28 @@ def solve_batch(
                 run.error = entry
             elif run.record(t, entry[2] * d_in, cfg):  # epsilon
                 moving.append(run)
-        # Halve the step until the candidate lands: its projection converges
-        # within SWEEPS and its value is finite (only the relative entropy
-        # can be infinite).  A projection out of sweeps stays the run's error
-        # until a smaller step lands.
+        # Halve the step until the candidate lands: its projection returns a
+        # channel and its value is finite (only the relative entropy can be
+        # infinite).  Any error entry of the projection (out of sweeps, a
+        # step that overflows) stays the run's error until a smaller step
+        # lands; only an error of ``evaluate`` ends the run.
         stepping, active = moving, []
         for _ in range(60):
             if not stepping:
                 break
-            cands = _by_slice(
-                lambda xs: _project_stack(xs, dims, tol),
-                np.stack([run.j.mat - run.eta * run.res.h.mat for run in stepping]),
-            )
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow: an error entry
+                steps = np.stack([run.j.mat - run.eta * run.res.h.mat for run in stepping])
+            cands = _by_slice(lambda xs: _project_stack(xs, dims, tol), steps)
             retry = []
             for run, cand in zip(stepping, cands):
-                try:
-                    if isinstance(cand, Exception):
-                        raise cand
-                    cand_res = evaluate(run.spec, cand, tol)
-                except MaxItersExceededError as exc:
-                    run.error = exc
-                except Exception as exc:
-                    run.error = exc
-                    continue
+                if isinstance(cand, Exception):
+                    run.error = cand
                 else:
+                    try:
+                        cand_res = evaluate(run.spec, cand, tol)
+                    except Exception as exc:
+                        run.error = exc
+                        continue
                     if not math.isinf(cand_res.value):
                         run.j, run.res, run.error = cand, cand_res, None
                         active.append(run)

@@ -11,10 +11,11 @@ import pytest
 
 import chancert
 from chancert import cli, objectives, solvers
+from chancert.choi import ChoiOp
 from chancert.cli import GEN_FAMILIES, main
 from chancert.linalg import HermOp
 from chancert.objectives import Ensemble
-from chancert.serialize import canonical_json, encode_matrix, problem_to_dict
+from chancert.serialize import canonical_json, decode_matrix, encode_matrix, problem_to_dict
 from chancert.solvers import brute_force_measurement, helstrom_povm
 from conftest import POVM_EDGE
 
@@ -511,13 +512,14 @@ def test_conjecture_under_tight_psd_tolerance_has_no_errors(capsys):
 # A document's tau_herm judges only the matrices the document supplies, so one
 # below the rounding of the package's own products must not reject an output
 # tau, a subgradient, H0, a swept channel or the J of a Kraus family.
-def _tight_doc(tmp_path, family, dims, tau_herm, capsys):
-    """``gen FAMILY --dims DIMS --with-channel`` (seed 0) with ``tau_herm`` set."""
+def _tight_doc(tmp_path, family, dims, tau, capsys, field="tau_herm"):
+    """``gen FAMILY --dims DIMS --with-channel`` (seed 0) with the tolerance
+    ``field`` set to ``tau``."""
     path = tmp_path / f"{family}.json"
     assert main(["gen", family, str(path), "--dims", *map(str, dims), "--with-channel"]) == 0
     capsys.readouterr()  # gen's note when it drops ENV
     doc = json.loads(path.read_text())
-    doc["tolerances"] = {"tau_herm": tau_herm}
+    doc["tolerances"] = {field: tau}
     return _write(tmp_path, f"{family}-tight.json", doc)
 
 
@@ -574,6 +576,65 @@ def test_supplied_state_is_still_judged_by_the_document_tau_herm(tmp_path, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("chancert: objective.states[2]: matrix is not Hermitian")
+
+
+# The projection's stop test reads the bits a channel stores, so a tau_psd
+# below the rounding of a sweep judges the swept channels exactly as the
+# ChoiOp check would, and a step that overflows or is huge is halved or lands.
+def test_solve_under_a_document_tau_psd_below_rounding_exits_zero(tmp_path, capsys):
+    path = _tight_doc(tmp_path, "relative-entropy", (3, 2, 2), 1e-17, capsys, field="tau_psd")
+    assert main(["certify", path]) == 3
+    capsys.readouterr()
+    assert main(["solve", path, "--max-iters", "20"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["iterations"] == 20
+
+
+@pytest.mark.parametrize("tau_psd", ["1e-16", "1e-18", "1e-22"])
+def test_conjecture_below_rounding_psd_tolerance_has_no_errors(tau_psd, capsys):
+    argv = ["conjecture", "--dims", "2", "2", "2", "--trials", "4", "--max-iters", "30",
+            "--tol-psd", tau_psd]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert (summary["trials"], summary["errors"]) == (4, 0)
+
+
+@pytest.mark.parametrize("step_c", ["1", "10"])
+def test_solve_halves_a_step_that_overflows_without_warnings(step_c, tmp_path, capsys):
+    # the first step's Hermitian part overflows (at step_c 10 the step itself
+    # does); a halved step lands
+    doc = problem_to_dict((2, 2, 1), {"family": "Linear",
+                                      "h0": _mat(1.7e308 * np.diag([1.0, -1.0, 0.5, -0.5]))},
+                          {"kind": "choi", "matrix": _mat(np.eye(4) / 2.0)})
+    path = _write(tmp_path, "overflow.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", path]) == 3
+        capsys.readouterr()
+        assert main(["solve", path, "--max-iters", "5", "--step-c", step_c]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["iterations"] == 5
+
+
+def test_solve_lands_a_huge_step(tmp_path, capsys):
+    # H is -1 up to 1e-14, so a step of 1e12 adds about 1e12 to the iterate;
+    # one sweep takes it back off and leaves rounding of about 1e-4
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h0 = -np.eye(4) + 1e-14 * (a + a.conj().T) / 2.0
+    path = _write(tmp_path, "huge_step.json",
+                  problem_to_dict((2, 2, 1), {"family": "Linear", "h0": _mat(h0)}, None))
+    argv = ["solve", path, "--step-rule", "constant", "--step-c", "1e12", "--max-iters", "3",
+            "--tol-gap", "1e-30"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["iterations"] == 3
+    j = decode_matrix(payload["best_choi"])
+    assert ChoiOp(HermOp(j), 2, 2).mat.tobytes() == HermOp(j).mat.tobytes()
 
 
 # -------------------------------------------------------------------- hykl

@@ -234,16 +234,17 @@ def test_experiments_guard_sees_a_violation():
 
 # One tolerance policy: ``tau_num`` is read by the normalization rule and
 # ``tau_psd`` by the PSD rule and the verdict predicate; the projection derives
-# its margins ``feas`` and ``cap`` from both.  ``tau_herm`` is read by the
-# ``HermOp`` check, the verdict predicate, and the two rounding bounds that
-# stand in for a check at the package ``TOL``.  No factor of a field is named.
+# its stop margin ``feas`` from both and settles the normalization rule of a
+# swept channel by a rounding allowance against ``tau_num``.  ``tau_herm`` is
+# read by the ``HermOp`` check, the verdict predicate, and the rounding bound
+# of the pull-back that stands in for a check at the package ``TOL``; the
+# projection's channels are Hermitian by construction and read none.  No
+# factor of a field is named.
 TOLERANCE_READERS = {
-    "tau_herm": ["certifier._within_tol", "choi.eval_map_adjoint", "linalg.__post_init__",
-                 "solvers._project_stack.cap"],
-    "tau_num": ["linalg._normalization_failure", "solvers._project_stack.cap",
+    "tau_herm": ["certifier._within_tol", "choi.eval_map_adjoint", "linalg.__post_init__"],
+    "tau_num": ["linalg._normalization_failure", "solvers._project_stack",
                 "solvers._project_stack.feas"],
-    "tau_psd": ["certifier._within_tol", "linalg._psd_rule", "solvers._project_stack.cap",
-                "solvers._project_stack.feas"],
+    "tau_psd": ["certifier._within_tol", "linalg._psd_rule", "solvers._project_stack.feas"],
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 from chancert import solvers
 from chancert.certifier import certify
 from chancert.cli import GEN_FAMILIES, main
-from chancert.choi import BipartiteState, ChoiOp, Povm, depolarizing_choi
+from chancert.choi import (
+    BipartiteState,
+    ChoiOp,
+    NotTracePreservingError,
+    Povm,
+    depolarizing_choi,
+)
 from chancert.linalg import (
     TOL,
     DimensionMismatchError,
@@ -136,28 +143,31 @@ def test_projection_precheck_matches_exact_formula(defect, factor, monkeypatch):
 
 
 def _reference_project_stack(xs, dims, tol, exact=False):
-    """The projection loop without the stop-test screen and the trusted
-    outputs: one ``eigvalsh`` per sweep, a full ``ChoiOp`` check per result
-    (its ``HermOp`` at ``TOL``, its channel tests at ``tol``), and each slice
-    out of sweeps its own error.  The bit-identity tests below hold
-    ``_project_stack`` to it."""
+    """The projection loop without the stop-test screen and the unchecked
+    outputs: one ``eigvalsh`` of the Hermitian part ``herm`` of the iterate
+    per sweep, and a slice that passes the stop test lands as
+    ``ChoiOp(HermOp(herm), d_out, d_in, tol)`` (its ``HermOp`` at ``TOL``) or,
+    when that fails the normalization test, sweeps on.  A slice out of
+    sweeps or whose Hermitian part is not finite gets its own error.  The
+    bit-identity tests below hold ``_project_stack`` to it."""
     d_out, d_in = dims
     feas = min(tol.tau_psd / 10, tol.tau_num)
     eye_out, eye_in = np.eye(d_out), np.eye(d_in)
-    out = [None] * len(xs)
-    cur = _herm(xs)
-    live = np.arange(len(xs))
-    tr_diff = partial_trace(cur, dims) - eye_in
-    unsettled = np.flatnonzero(~(np.abs(tr_diff).max(axis=(-2, -1)) > 2.0 * feas))
-    for k in unsettled:
-        unit_trace = _fro_settles(tr_diff[k], feas) or spectral_norm(tr_diff[k]) <= feas
-        if unit_trace and max(0.0, -_min_eig(cur[k])) <= feas:
-            out[k] = ChoiOp(HermOp(cur[k]), d_out, d_in, tol)
-    if len(unsettled):
-        live = np.array([k for k, c in enumerate(out) if c is None], dtype=int)
-        if not len(live):
-            return out
-        cur = cur[live]
+    out, live = [None] * len(xs), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        cur = _herm(xs)
+    for k, c in enumerate(cur):
+        if not np.isfinite(c).all():
+            out[k] = ValueError("the Hermitian part of a projection input is not finite")
+        elif (spectral_norm(partial_trace(c, dims) - eye_in) <= feas
+              and max(0.0, -_min_eig(c)) <= feas):
+            out[k] = ChoiOp(HermOp(c), d_out, d_in, tol)
+        else:
+            live.append(k)
+    live = np.array(live, dtype=int)
+    if not len(live):
+        return out
+    cur = cur[live]
     corr = np.zeros_like(cur)
     for _ in range(solvers.SWEEPS):
         shifted = cur + corr
@@ -166,20 +176,21 @@ def _reference_project_stack(xs, dims, tol, exact=False):
         corr = shifted - psd
         tr = partial_trace(psd, dims)
         cur = psd + kron(eye_out, (eye_in - tr) / d_out)
-        low = _min_eig(cur)
-        moving = low < -feas
+        herm = _herm(cur)
+        moving = _min_eig(herm) < -feas
         if exact:
-            gap = -np.einsum("bij,bij->b", corr.conj(), cur).real
+            gap = -np.einsum("bij,bij->b", corr.conj(), herm).real
             size = np.sqrt(np.einsum("bij,bij->b", corr.conj(), corr).real)
             moving = moving | (gap > feas * (1.0 + size))
-        if moving.all():
-            continue
         for k in np.flatnonzero(~moving):
-            out[live[k]] = ChoiOp(HermOp(cur[k]), d_out, d_in, tol)
+            try:
+                out[live[k]] = ChoiOp(HermOp(herm[k]), d_out, d_in, tol)
+            except NotTracePreservingError:
+                moving[k] = True
         if not moving.any():
             return out
-        live, cur, corr, low = live[moving], cur[moving], corr[moving], low[moving]
-    for k, lo in zip(live, low):
+        live, cur, corr = live[moving], cur[moving], corr[moving]
+    for k, lo in zip(live, _min_eig(_herm(cur))):
         out[k] = MaxItersExceededError(
             f"projection defect {max(0.0, -float(lo)):.3e} after {solvers.SWEEPS} sweeps"
         )
@@ -269,18 +280,6 @@ def test_batched_projection_out_of_sweeps_fails_alone(monkeypatch):
     assert outcome(project_channel, xs[1], (2, 2)) == _entries(alone)[1]
 
 
-def test_projection_checks_in_full_when_tau_psd_is_below_rounding(monkeypatch):
-    """With ``tau_psd`` too small to cover the rounding allowance, a swept
-    channel gets the full ChoiOp check, with the reference's bits."""
-    tight = Tolerances(tau_psd=1e-14)
-    shown = assembled(monkeypatch)[ChoiOp]
-    xs = _steps((2, 2), 3, 1)
-    _same_projection(xs, (2, 2), False, tight)
-    assert not shown
-    _same_projection(xs, (2, 2), False)
-    assert len(shown) == 3
-
-
 @given(st.sampled_from([(2, 2), (3, 2), (2, 3), (4, 4)]), st.sampled_from([1, 3]), seeds,
        st.booleans())
 @settings(max_examples=30)
@@ -288,17 +287,14 @@ def test_trusted_channels_pass_the_public_checks(dims, slices, seed, exact):
     """At the default tolerances every channel of a step is built trusted; it
     has the bits of ``ChoiOp(HermOp(P))`` (the reference loop builds that)
     and passes the public checks when built again through them."""
-    d_out, d_in = dims
     xs = _steps(dims, slices, seed)
     with pytest.MonkeyPatch.context() as mp:
         shown = assembled(mp)[ChoiOp]
         out = solvers._project_stack(xs, dims, TOL, exact)
     assert len(shown) == slices
     _same_projection(xs, dims, exact)
-    for c in out:
-        assert not c.mat.flags.writeable
-        again = ChoiOp(HermOp(c.mat, TOL), d_out, d_in, TOL)
-        assert again.mat.tobytes() == c.mat.tobytes()
+    assert not any(c.mat.flags.writeable for c in out)
+    _assert_public_bits(out, dims, TOL)
 
 
 def _huge_step(sign):
@@ -308,37 +304,91 @@ def _huge_step(sign):
     return (j + sign * 1e12 * np.eye(4))[None]
 
 
-@pytest.mark.parametrize("case", ["tau_num", "huge_up", "huge_down"])
-def test_projection_falls_back_to_the_public_checks(case):
-    """An allowance that does not fit (a tight ``tau_num``, a huge step)
-    builds through the public constructors, which keep the reference's bits
-    and messages: the upward step is not Hermitian within ``tau_herm`` once
-    the sweep has taken ``1e12`` back off."""
-    xs, tol = _steps((2, 2), 3, 1), TOL
-    if case == "tau_num":
-        tol = Tolerances(tau_num=1e-13)
-    else:
+def _assert_public_bits(out, dims, tol):
+    """Each channel of a projection passes the public checks at ``tol`` and
+    keeps its bits when built again through them."""
+    d_out, d_in = dims
+    for c in out:
+        if not isinstance(c, Exception):
+            again = ChoiOp(HermOp(c.mat), d_out, d_in, tol)
+            assert again.mat.tobytes() == c.mat.tobytes()
+
+
+TIGHT = {"tau_psd": Tolerances(tau_psd=1e-17), "tau_num": Tolerances(tau_num=1e-13),
+         "tau_herm": Tolerances(tau_herm=1e-15)}
+
+
+@pytest.mark.parametrize("case", ["tau_psd", "tau_num", "tau_herm", "huge_up", "huge_down"])
+def test_projection_builds_every_channel_unchecked(case):
+    """A tolerance below the rounding of a sweep (``tau_psd``, ``tau_num``) or a
+    spectrum near ``1e12`` leaves no channel to the public constructors: the
+    stop test reads the stored bits, so each channel is built unchecked, has
+    the reference's bits and passes the public checks.  ``tau_herm`` is not
+    read at all: the channels are those of the default tolerances."""
+    xs, tol = _steps((2, 2), 3, 1), TIGHT.get(case, TOL)
+    if case.startswith("huge"):
         xs = _huge_step(1.0 if case == "huge_up" else -1.0)
     with pytest.MonkeyPatch.context() as mp:
         shown, checked = assembled(mp)[ChoiOp], counted_checks(mp, HermOp, ChoiOp)
-        got = outcome(solvers._project_stack, xs, (2, 2), tol)
-    assert not shown and checked
-    if case == "huge_up":
-        assert got[0] is ValueError and got[1].startswith("matrix is not Hermitian")
+        out = solvers._project_stack(xs, (2, 2), tol)
+    assert len(shown) == len(xs) and not checked
+    _assert_public_bits(out, (2, 2), tol)
     _same_projection(xs, (2, 2), False, tol)
+    if case == "tau_herm":
+        assert _entries(out) == _entries(solvers._project_stack(xs, (2, 2), TOL))
 
 
-def test_document_tau_herm_leaves_the_projection_unchanged():
-    """The projection's channels are computed, so a tight document
-    ``tau_herm`` judges none of them: each is still built trusted, with the
-    bits of the default tolerances."""
-    xs, tight = _steps((2, 2), 3, 1), Tolerances(tau_herm=1e-15)
+def test_projection_sweeps_on_past_a_failed_normalization_test(monkeypatch):
+    """At ``tau_num = 1e-18`` the stop test of these slices passes 72 times
+    on bits whose partial trace fails the normalization rule; each such slice
+    sweeps on and lands later with the reference's bits."""
+    tol, failures = Tolerances(tau_num=1e-18), []
+    rule = solvers._normalization_failure
+    monkeypatch.setattr(solvers, "_normalization_failure",
+                        lambda *a: failures.append(rule(*a)) or failures[-1])
+    xs = _steps((3, 2), 3, 2)
+    out = solvers._project_stack(xs, (3, 2), tol)
+    assert sum(f is not None for f in failures) == 72
+    assert [type(c) for c in out] == [ChoiOp] * 3
+    _assert_public_bits(out, (3, 2), tol)
+    _same_projection(xs, (3, 2), False, tol)
+
+
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3)]), seeds, st.floats(-20.0, -4.0),
+       st.floats(-14.0, -6.0), st.floats(-1.0, 13.0))
+@example((2, 2), 3, -17.0, -9.0, 12.0)
+@example((2, 3), 0, -17.0, -6.0, -1.0)  # a channel the old allowances checked in full
+@settings(max_examples=30, deadline=None)
+def test_projected_channels_pass_the_public_checks_at_any_tolerance(
+        dims, seed, log_psd, log_num, log_scale):
+    """Whatever the tolerances and the step size, nothing raises and every
+    channel the projection returns passes ``ChoiOp(HermOp(mat), ..., tol)``
+    with the same bits (a slice may still run out of sweeps)."""
+    d_out, d_in = dims
+    tol = Tolerances(tau_psd=10.0**log_psd, tau_num=10.0**log_num)
+    rng = np.random.default_rng(seed)
+    xs = np.stack([random_channel_choi(d_in, d_out, rng).mat
+                   - 10.0**log_scale * rand_herm(d_out * d_in, rng) for _ in range(3)])
     with pytest.MonkeyPatch.context() as mp:
-        shown, checked = assembled(mp)[ChoiOp], counted_checks(mp, HermOp, ChoiOp)
-        out = solvers._project_stack(xs, (2, 2), tight)
-    assert len(shown) == 3 and not checked
-    assert _entries(out) == _entries(solvers._project_stack(xs, (2, 2), TOL))
-    _same_projection(xs, (2, 2), False, tight)
+        mp.setattr(solvers, "SWEEPS", 300)
+        out = solvers._project_stack(xs, dims, tol)
+    assert all(isinstance(c, (ChoiOp, MaxItersExceededError)) for c in out)
+    _assert_public_bits(out, dims, tol)
+
+
+def test_projection_of_a_non_finite_hermitian_part_is_its_own_error():
+    """A slice whose Hermitian part overflows gets a ValueError entry without
+    a numpy warning; the other slices keep their channels."""
+    xs = _steps((2, 2), 2, 0)
+    xs[1, 0, 0] = 1.7e308  # twice it overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = solvers._project_stack(xs, (2, 2), TOL)
+    assert type(out[0]) is ChoiOp
+    assert _entries(out)[1] == (ValueError, "the Hermitian part of a projection input is not finite")
+    assert _entries(out) == _entries(_reference_project_stack(xs, (2, 2), TOL))
+    with pytest.raises(ValueError, match="not finite"):
+        project_channel(xs[1], (2, 2))
 
 
 def test_projection_shape_mismatch():
